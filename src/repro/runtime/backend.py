@@ -12,7 +12,7 @@ The schedulers in :mod:`repro.core` are driven through three calls
   thread per worker, so the scheduler's atomics, update masks and the
   finalization protocol are exercised under genuine concurrency.
 
-Both present the same *online* lifecycle, which the
+All backends present the same *online* lifecycle, which the
 :class:`~repro.server.AnalyticsServer` builds on:
 
 ``start()``
@@ -43,6 +43,12 @@ either consume the live stream through the handle (threaded backend —
 bounded memory) or let ``drain()`` absorb the stream into the handle's
 spill so ``results[job_id]`` holds the assembled value exactly as it
 did before the streaming refactor.
+
+However a query ends — completed, cancelled, failed, timed out, served
+from a fold or a cache — its outcome is published by one method,
+:meth:`ExecutionBackend._settle`.  A backend keeps only what differs
+with its time model: when time advances and where morsels run
+(:class:`EpochBackend` holds what the two virtual-time backends share).
 """
 
 from __future__ import annotations
@@ -50,14 +56,16 @@ from __future__ import annotations
 import abc
 import enum
 import threading
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.specs import QuerySpec
 from repro.errors import (
     QueryCancelledError,
     QueryFailedError,
+    QueryTimeoutError,
     ReproError,
     UnknownTicketError,
+    error_from_text,
 )
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.channel import (
@@ -66,7 +74,7 @@ from repro.runtime.channel import (
     ResultChannel,
     assemble_chunks,
 )
-from repro.runtime.clock import Clock
+from repro.runtime.clock import Clock, VirtualClock
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.handle import QueryHandle
 
@@ -104,6 +112,9 @@ class ExecutionBackend(abc.ABC):
         self.channel_capacity = channel_capacity
         self._channels: Dict[int, ResultChannel] = {}
         self._handles: Dict[int, QueryHandle] = {}
+        #: Serializes _absorb_stream: on a real-time backend several
+        #: caller threads may absorb one job (two waiters of one fold).
+        self._absorb_lock = threading.Lock()
         self._cancelled: Set[int] = set()
         #: The exception that failed each failed job (in-process view;
         #: failures that crossed a process pipe are reconstructed from
@@ -181,65 +192,183 @@ class ExecutionBackend(abc.ABC):
         winds it down through the normal completion path, and its
         admission slot frees for subsequent queries.  Idempotent.
         """
-        self._check_job(job_id)
-        with self._lifecycle_lock:
-            if self._state is BackendState.CLOSED:
-                raise ReproError("cannot cancel on a backend after shutdown()")
-            if job_id in self._cancelled:
-                return True
-            if job_id in self.records:
-                return False
-            self._cancelled.add(job_id)
-        channel = self._channels.get(job_id)
-        if channel is not None:
-            # Fail the channel *first*: a threaded producer parked in a
-            # full channel must wake (and see its puts become drops)
-            # before the scheduler drains the query's remaining work.
-            channel.fail(
-                QueryCancelledError(f"query job {job_id} was cancelled")
-            )
-            if not channel.failed:
-                # The job completed in the race window; its clean close
-                # won, so the result stands and the cancel is a no-op.
-                self._cancelled.discard(job_id)
-                return False
-        self._do_cancel(job_id)
-        return True
+        return self._abort(job_id, None)
 
     def fail(self, job_id: int, error: BaseException) -> bool:
         """Fail one in-flight job; returns ``True`` if it took effect.
 
-        The failure twin of :meth:`cancel` — used by load shedding and
+        Cancellation with a cause attached — used by load shedding and
         by tests; queries that fail *internally* (a raising morsel, a
         missed deadline) go through the scheduler's abort path instead
         and land in :attr:`failures` when their record surfaces.  A job
         that already completed keeps its result; the same clean-close
         race rule as ``cancel`` applies.
         """
+        return self._abort(job_id, error)
+
+    def _abort(self, job_id: int, error: Optional[BaseException]) -> bool:
+        """The body of :meth:`cancel` (``error is None``) and :meth:`fail`."""
         self._check_job(job_id)
         with self._lifecycle_lock:
             if self._state is BackendState.CLOSED:
-                raise ReproError("cannot fail a job on a backend after shutdown()")
-            if job_id in self.failures:
+                verb = "cancel" if error is None else "fail a job"
+                raise ReproError(f"cannot {verb} on a backend after shutdown()")
+            if job_id in (self._cancelled if error is None else self.failures):
                 return True
-            if job_id in self.records or job_id in self._cancelled:
+            if job_id in self.records or (
+                error is not None and job_id in self._cancelled
+            ):
                 return False
-            self.failures[job_id] = error
+            if error is None:
+                self._cancelled.add(job_id)
+            else:
+                self.failures[job_id] = error
         channel = self._channels.get(job_id)
         if channel is not None:
-            failure = QueryFailedError(
-                f"query job {job_id} failed: "
-                f"{type(error).__name__}: {error}"
-            )
-            failure.__cause__ = error
-            channel.fail(failure)
+            # Fail the channel *first*: a threaded producer parked in a
+            # full channel must wake (and see its puts become drops)
+            # before the scheduler drains the query's remaining work.
+            if error is None:
+                channel.fail(
+                    QueryCancelledError(f"query job {job_id} was cancelled")
+                )
+            else:
+                self._fail_channel(job_id, error, self._error_text(error))
             if not channel.failed:
                 # The job completed in the race window; its clean close
-                # won, so the result stands and the fail is a no-op.
-                self.failures.pop(job_id, None)
+                # won, so the result stands and the abort is a no-op.
+                if error is None:
+                    self._cancelled.discard(job_id)
+                else:
+                    self.failures.pop(job_id, None)
                 return False
-        self._do_fail(job_id, error)
+        if error is None:
+            self._do_cancel(job_id)
+        else:
+            self._do_fail(job_id, error)
         return True
+
+    # ------------------------------------------------------------------
+    # Settlement: the one place a finished job's outcome becomes visible
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _error_text(error: BaseException) -> str:
+        """``"ClassName: message"`` — the inverse of ``error_from_text``."""
+        return f"{type(error).__name__}: {error}"
+
+    @staticmethod
+    def _synthetic_record(
+        spec: QuerySpec,
+        arrival: float,
+        completion: float,
+        *,
+        cancelled: bool = False,
+        error: str = "",
+    ) -> LatencyRecord:
+        """The record of a job that never held scheduler state.
+
+        Jobs cancelled or shed while pending, cache hits and fold
+        members consume no CPU and have no resource group, so their
+        record is built here instead of by the scheduler: query id -1,
+        zero CPU, failed iff ``error`` is set.
+        """
+        return LatencyRecord(
+            query_id=-1,
+            name=spec.name,
+            scale_factor=spec.scale_factor,
+            arrival_time=arrival,
+            completion_time=completion,
+            cpu_seconds=0.0,
+            cancelled=cancelled,
+            failed=bool(error),
+            error=error,
+        )
+
+    def _fail_channel(self, job_id: int, cause: BaseException, text: str) -> None:
+        """Fail a job's channel with ``QueryFailedError`` chaining ``cause``."""
+        channel = self._channels.get(job_id)
+        if channel is not None:
+            failure = QueryFailedError(f"query job {job_id} failed: {text}")
+            failure.__cause__ = cause
+            channel.fail(failure)
+
+    def _settle(
+        self,
+        job_id: int,
+        record: LatencyRecord,
+        cause: Optional[BaseException] = None,
+        chunks=(),
+    ) -> LatencyRecord:
+        """Publish one finished job's outcome; returns ``record``.
+
+        Every terminal path of every backend ends here.  A failed
+        record lands in :attr:`failures` (``cause``, else reconstructed
+        from the record's error text) and fails the channel; a cancelled
+        one only needs its record (``cancel()`` already failed the
+        channel); a completed one gets ``chunks`` — ``(kind, payload,
+        rows)`` triples the caller already holds: a fold's replay
+        buffer, a cache hit, a result off the process pipe — and a clean
+        close.  The record is written last: ``drain()`` counts records,
+        so a counted job is guaranteed fully materialised.
+        """
+        channel = self._channels.get(job_id)
+        if record.failed:
+            if cause is None:
+                cause = error_from_text(record.error)
+            self.failures[job_id] = cause
+            self._fail_channel(job_id, cause, record.error)
+        elif not record.cancelled and channel is not None:
+            if self._channel_blocking:
+                # Real time: the chunks are already in memory, so
+                # backpressure would bound nothing — it would only park
+                # the finalizing worker on this job's consumer.  Size
+                # the channel to the delivery instead.
+                channel.capacity = max(channel.capacity, len(chunks))
+            for kind, payload, rows in chunks:
+                channel.put(kind, payload, rows)
+            channel.close()
+            if not self._channel_blocking:
+                # Virtual time: no consumer runs inside an epoch, so
+                # the stream is absorbed here.  A real-time backend
+                # leaves that to the caller's drain()/wait()/result().
+                self._absorb_stream(job_id)
+        self.records[job_id] = record
+        return record
+
+    def _settle_fold(
+        self, leader: LatencyRecord, chunks, members
+    ) -> List[LatencyRecord]:
+        """Settle the queries attached to one shared execution.
+
+        ``leader`` is the shared execution's own record, ``chunks`` its
+        replay buffer and ``members`` the attached ``(job id, spec,
+        arrival)`` triples.  A member completes when the shared
+        execution does, never before its own arrival.  If the execution
+        failed or was cancelled every member fails with its cause (their
+        retries resubmit unshared, see the server); a member whose own
+        deadline expired by then fails alone with
+        :class:`~repro.errors.QueryTimeoutError`; the rest are served
+        the replayed chunks.  No outcome of one member disturbs the
+        leader or its siblings.
+        """
+        settled = []
+        for job_id, spec, arrival in members:
+            completion = max(leader.completion_time, arrival)
+            cause = None
+            error = ""
+            if leader.failed or leader.cancelled:
+                error = leader.error or (
+                    "QueryCancelledError: the shared execution was cancelled"
+                )
+            elif spec.deadline is not None and completion - arrival > spec.deadline:
+                cause = QueryTimeoutError(
+                    f"attached query {spec.name!r} missed its {spec.deadline}s "
+                    f"deadline: the shared execution completed at {completion}"
+                )
+                error = self._error_text(cause)
+            record = self._synthetic_record(spec, arrival, completion, error=error)
+            settled.append(self._settle(job_id, record, cause, chunks))
+        return settled
 
     # ------------------------------------------------------------------
     # Knob broadcast (§4 generalized: mid-run tuning updates)
@@ -341,8 +470,6 @@ class ExecutionBackend(abc.ABC):
             return error
         record = self.records.get(job_id)
         if record is not None and record.failed:
-            from repro.errors import error_from_text
-
             return error_from_text(record.error)
         return None
 
@@ -389,8 +516,7 @@ class ExecutionBackend(abc.ABC):
         if job_id in self.failures or (record is not None and record.failed):
             cause = self.failure(job_id)
             raise QueryFailedError(
-                f"query job {job_id} failed: "
-                f"{type(cause).__name__}: {cause}"
+                f"query job {job_id} failed: {self._error_text(cause)}"
             ) from cause
         if job_id in self.results:
             return self.results[job_id]
@@ -424,22 +550,23 @@ class ExecutionBackend(abc.ABC):
         channel = self._channels.get(job_id)
         if handle is None or channel is None:
             return
-        if handle._streamed or handle._materialized:
-            return
-        while True:
-            try:
-                chunk = channel.get_nowait()
-            except ReproError:
-                return  # failed channel (cancellation); nothing to keep
-            if chunk is None:
-                break
-            handle._spill.append(chunk)
-        if channel.closed and not channel.failed:
-            handle._materialized = True
-            if handle._spill and job_id not in self.results:
-                assembled = assemble_chunks(handle._spill)
-                if assembled is not NO_RESULT:
-                    self.results[job_id] = assembled
+        with self._absorb_lock:
+            if handle._streamed or handle._materialized:
+                return
+            while True:
+                try:
+                    chunk = channel.get_nowait()
+                except ReproError:
+                    return  # failed channel (cancellation); nothing to keep
+                if chunk is None:
+                    break
+                handle._spill.append(chunk)
+            if channel.closed and not channel.failed:
+                handle._materialized = True
+                if handle._spill and job_id not in self.results:
+                    assembled = assemble_chunks(handle._spill)
+                    if assembled is not NO_RESULT:
+                        self.results[job_id] = assembled
 
     @property
     def submitted_count(self) -> int:
@@ -484,7 +611,7 @@ class ExecutionBackend(abc.ABC):
         """Backend-specific cancellation.
 
         Called after the job's channel failed; the backend must ensure
-        a latency record (``cancelled=True``) eventually appears so
+        a latency record (``cancelled=True``) is eventually settled so
         ``pending_count`` drops and ``drain()`` does not wait forever.
         """
         raise ReproError(
@@ -495,9 +622,100 @@ class ExecutionBackend(abc.ABC):
         """Backend-specific external failure (load shedding).
 
         Called after the job's channel failed; the backend must ensure
-        a latency record (``failed=True``) eventually appears so
+        a latency record (``failed=True``) is eventually settled so
         ``pending_count`` drops and ``drain()`` does not wait forever.
         """
         raise ReproError(
             f"{type(self).__name__} does not support fail()"
         )
+
+
+class EpochBackend(ExecutionBackend):
+    """The pending-epoch model shared by the virtual-time backends.
+
+    Submissions accumulate with their requested arrival times; each
+    ``drain()`` executes everything pending as one simulation *epoch* —
+    a fresh scheduler and a virtual clock starting at zero.  Epochs run
+    synchronously, so a job can only be cancelled or shed while it is
+    still pending.  A subclass supplies ``_do_drain``: run the ordered
+    workload of :meth:`_begin_epoch` (in process, or in a pool worker)
+    and :meth:`_settle` each record with the value it fetched.
+    """
+
+    def __init__(
+        self,
+        scheduler_factory: Callable,
+        *,
+        seed: int,
+        noise_sigma: float,
+        environment_factory: Optional[Callable],
+        max_time: Optional[float],
+        channel_capacity: int,
+    ) -> None:
+        super().__init__(channel_capacity=channel_capacity)
+        self._scheduler_factory = scheduler_factory
+        self._seed = seed
+        self._noise_sigma = noise_sigma
+        self._environment_factory = environment_factory
+        self._max_time = max_time
+        #: ``(arrival, spec, job id)`` in submission order.
+        self._pending: List[Tuple[float, QuerySpec, int]] = []
+        #: Jobs settled while pending; the next drain reports them.
+        self._unreported_cancels: List[int] = []
+        self._clock = VirtualClock()
+        #: The environment of the most recent epoch (engine results).
+        self.last_environment: Optional[object] = None
+
+    @property
+    def clock(self) -> VirtualClock:
+        """Virtual time of the most recent epoch."""
+        return self._clock
+
+    def _do_submit(self, job_id: int, spec: QuerySpec, at: Optional[float]) -> None:
+        arrival = 0.0 if at is None else float(at)
+        if arrival < 0.0:
+            raise ReproError("arrival time must be non-negative")
+        self._pending.append((arrival, spec, job_id))
+
+    def _begin_epoch(self):
+        """Open a drain: ``(records to report, pending in arrival order)``.
+
+        Jobs cancelled or shed since the previous drain are "finished"
+        jobs too: their records surface exactly once, like every
+        completion.  The pending set is stably sorted by arrival time —
+        ties resolve in submission order, and the scheduler numbers
+        resource groups in arrival order, so a job's index in the
+        returned list is its query id in the epoch.
+        """
+        finished = [self.records[job_id] for job_id in self._unreported_cancels]
+        self._unreported_cancels = []
+        pending = sorted(self._pending, key=lambda entry: entry[0])
+        self._pending = []
+        return finished, pending
+
+    def _do_shutdown(self) -> None:
+        self._pending.clear()
+
+    def _do_cancel(self, job_id: int) -> None:
+        self._settle_pending(job_id, None)
+
+    def _do_fail(self, job_id: int, error: BaseException) -> None:
+        self._settle_pending(job_id, error)
+
+    def _settle_pending(self, job_id: int, error: Optional[BaseException]) -> None:
+        # An abortable job is always still pending: remove it and record
+        # the outcome at its arrival time (zero CPU, zero latency) so
+        # counters settle and the next drain() reports it once.
+        for index, (arrival, spec, pending_id) in enumerate(self._pending):
+            if pending_id == job_id:
+                del self._pending[index]
+                record = self._synthetic_record(
+                    spec,
+                    arrival,
+                    arrival,
+                    cancelled=error is None,
+                    error="" if error is None else self._error_text(error),
+                )
+                self._settle(job_id, record, error)
+                self._unreported_cancels.append(job_id)
+                return

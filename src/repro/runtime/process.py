@@ -32,18 +32,16 @@ Lifecycle notes:
 from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from repro.core.specs import QuerySpec
-from repro.errors import (
-    QueryFailedError,
-    ReproError,
-    WorkerFailedError,
-    error_from_text,
-)
+from repro.errors import WorkerFailedError
 from repro.metrics.latency import LatencyCollector, LatencyRecord
-from repro.runtime.backend import ExecutionBackend
-from repro.runtime.channel import chunks_from_arrays
+from repro.runtime.backend import EpochBackend
+from repro.runtime.channel import (
+    DEFAULT_CHANNEL_CAPACITY,
+    FINAL,
+    chunks_from_arrays,
+)
 from repro.runtime.clock import VirtualClock
 from repro.runtime.faults import WORKER_DEATH
 
@@ -94,7 +92,9 @@ def _execute_epoch(payload: dict) -> dict:
     open_channel = getattr(environment, "open_channel", None)
     if open_channel is not None:
         for arrival_index in range(len(workload)):
-            channel = ResultChannel(payload.get("channel_capacity", 8))
+            channel = ResultChannel(
+                payload.get("channel_capacity", DEFAULT_CHANNEL_CAPACITY)
+            )
             channels[arrival_index] = channel
             open_channel(arrival_index, channel)
     result = backend.execute(workload, environment=environment)
@@ -171,7 +171,7 @@ def warm_engine_database(scale_factor: float, seed: int) -> int:
     return len(_database_for(scale_factor, seed).tables)
 
 
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend(EpochBackend):
     """Run virtual-time epochs in warm worker processes (GIL-free)."""
 
     def __init__(
@@ -184,7 +184,7 @@ class ProcessBackend(ExecutionBackend):
         max_time: Optional[float] = None,
         return_environment: bool = False,
         pool=None,
-        channel_capacity: int = 8,
+        channel_capacity: int = DEFAULT_CHANNEL_CAPACITY,
         max_epoch_retries: int = 2,
     ) -> None:
         """``scheduler_factory`` and ``environment_factory`` must be
@@ -194,20 +194,17 @@ class ProcessBackend(ExecutionBackend):
         epoch's environment object back after each drain (it must then
         be picklable) and exposes it as :attr:`last_environment`.
         """
-        super().__init__(channel_capacity=channel_capacity)
-        self._scheduler_factory = scheduler_factory
-        self._seed = seed
-        self._noise_sigma = noise_sigma
-        self._environment_factory = environment_factory
-        self._max_time = max_time
+        super().__init__(
+            scheduler_factory,
+            seed=seed,
+            noise_sigma=noise_sigma,
+            environment_factory=environment_factory,
+            max_time=max_time,
+            channel_capacity=channel_capacity,
+        )
         self._return_environment = return_environment
         self._pool = pool
         self._max_epoch_retries = max_epoch_retries
-        self._pending: List[Tuple[float, QuerySpec, int]] = []
-        self._unreported_cancels: List[int] = []
-        self._clock = VirtualClock()
-        #: The environment of the most recent epoch (when shipped back).
-        self.last_environment: Optional[object] = None
         #: Counters of the most recent epoch.
         self.last_tasks_executed = 0
         self.last_events_processed = 0
@@ -217,11 +214,6 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # ExecutionBackend contract
     # ------------------------------------------------------------------
-    @property
-    def clock(self) -> VirtualClock:
-        """Virtual time of the most recent epoch."""
-        return self._clock
-
     def set_scheduler_factory(self, factory: Callable) -> None:
         """Swap the scheduler factory shipped to workers on later drains.
 
@@ -245,31 +237,11 @@ class ProcessBackend(ExecutionBackend):
         # pays no startup cost.
         self._get_pool()
 
-    def _do_submit(self, job_id: int, spec: QuerySpec, at: Optional[float]) -> None:
-        arrival = 0.0 if at is None else float(at)
-        if arrival < 0.0:
-            raise ReproError("arrival time must be non-negative")
-        self._pending.append((arrival, spec, job_id))
-
     def _do_drain(self) -> List[LatencyRecord]:
-        # Cancellations since the previous drain surface exactly once,
-        # like every completion.
-        finished: List[LatencyRecord] = [
-            self.records[job_id] for job_id in self._unreported_cancels
-        ]
-        self._unreported_cancels = []
-        if not self._pending:
+        finished, run = self._begin_epoch()
+        if not run:
             return finished
-        pending = self._pending
-        self._pending = []
-        # Stable sort by arrival time, exactly like the simulated
-        # backend: ties resolve in submission order.
-        order = sorted(range(len(pending)), key=lambda i: pending[i][0])
-        workload = [(pending[i][0], pending[i][1]) for i in order]
-        arrival_to_job = {
-            arrival_index: pending[submit_index][2]
-            for arrival_index, submit_index in enumerate(order)
-        }
+        workload = [(arrival, spec) for arrival, spec, _ in run]
         from repro.workloads.serialize import workload_to_arrays
 
         injector = self._fault_injector
@@ -317,9 +289,7 @@ class ProcessBackend(ExecutionBackend):
                         "giving up on this epoch"
                     )
                     error.__cause__ = exc
-                    return finished + self._fail_epoch(
-                        workload, arrival_to_job, error
-                    )
+                    return finished + self._fail_epoch(run, error)
         self._merge_fired(injector, epoch.get("faults_fired", []))
         self._clock = VirtualClock(epoch["end_time"])
         self.last_tasks_executed = epoch["tasks_executed"]
@@ -328,46 +298,27 @@ class ProcessBackend(ExecutionBackend):
         results = epoch["results"]
         chunk_payloads = epoch.get("chunks", {})
         for record in LatencyCollector.from_arrays(epoch["records"]).records:
-            job_id = arrival_to_job[record.query_id]
-            self.records[job_id] = record
-            channel = self._channels.get(job_id)
-            if record.failed:
-                # The worker isolated this query's failure; reconstruct
-                # the cause from the record's error text (class identity
-                # is preserved for library errors).
-                cause = error_from_text(record.error)
-                self.failures[job_id] = cause
-                if channel is not None:
-                    error = QueryFailedError(
-                        f"query job {job_id} failed: {record.error}"
-                    )
-                    error.__cause__ = cause
-                    channel.fail(error)
-                finished.append(record)
-                continue
+            job_id = run[record.query_id][2]
+            # A failed query ships nothing: the worker isolated it, and
+            # _settle reconstructs the cause from the record's error
+            # text (class identity is preserved for library errors).
+            chunks = ()
             if record.query_id in results:
-                value = results[record.query_id]
-                self.results[job_id] = value
-                if channel is not None and not channel.closed:
-                    # Materialized results cross as-is; replay them as
-                    # one terminal chunk so the handle can still fetch.
-                    channel.put_final(value)
-            elif record.query_id in chunk_payloads and channel is not None:
+                # Materialized results cross as-is; replay them as one
+                # terminal chunk so the handle can still fetch.
+                value = self.results[job_id] = results[record.query_id]
+                chunks = ((FINAL, value, 0),)
+            elif record.query_id in chunk_payloads:
                 # Streamed result: refill the local channel with the
                 # worker's chunks (decoded from their flat-array form).
-                for chunk in chunks_from_arrays(
-                    chunk_payloads[record.query_id]
-                ):
-                    channel.put(chunk.kind, chunk.payload, chunk.rows)
-            if channel is not None:
-                channel.close()
-                self._absorb_stream(job_id)
-            finished.append(record)
+                chunks = [
+                    (chunk.kind, chunk.payload, chunk.rows)
+                    for chunk in chunks_from_arrays(
+                        chunk_payloads[record.query_id]
+                    )
+                ]
+            finished.append(self._settle(job_id, record, chunks=chunks))
         return finished
-
-    def _do_shutdown(self) -> None:
-        # The pool outlives the backend: it is shared warm state.
-        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Worker recovery
@@ -392,35 +343,17 @@ class ProcessBackend(ExecutionBackend):
             shutdown_pool()
             get_pool()
 
-    def _fail_epoch(
-        self, workload, arrival_to_job: dict, error: BaseException
-    ) -> List[LatencyRecord]:
+    def _fail_epoch(self, run, error: BaseException) -> List[LatencyRecord]:
         """Fail every job of one lost epoch (retries exhausted)."""
-        text = f"{type(error).__name__}: {error}"
-        records: List[LatencyRecord] = []
-        for arrival_index, job_id in sorted(arrival_to_job.items()):
-            arrival, spec = workload[arrival_index]
-            record = LatencyRecord(
-                query_id=arrival_index,
-                name=spec.name,
-                scale_factor=spec.scale_factor,
-                arrival_time=arrival,
-                completion_time=arrival,
-                cpu_seconds=0.0,
-                failed=True,
-                error=text,
+        text = self._error_text(error)
+        return [
+            self._settle(
+                job_id,
+                self._synthetic_record(spec, arrival, arrival, error=text),
+                error,
             )
-            self.records[job_id] = record
-            self.failures[job_id] = error
-            channel = self._channels.get(job_id)
-            if channel is not None:
-                failure = QueryFailedError(
-                    f"query job {job_id} failed: {text}"
-                )
-                failure.__cause__ = error
-                channel.fail(failure)
-            records.append(record)
-        return records
+            for arrival, spec, job_id in run
+        ]
 
     @staticmethod
     def _merge_fired(injector, fired) -> None:
@@ -431,41 +364,3 @@ class ProcessBackend(ExecutionBackend):
             if index not in injector.spent:
                 injector.spent.add(index)
                 injector.fired.append((index, kind, name, morsel))
-
-    def _do_cancel(self, job_id: int) -> None:
-        # Epochs run remotely and synchronously, so a cancellable job is
-        # always still pending here: remove it and record the
-        # cancellation at its arrival time, exactly like the simulated
-        # backend.
-        for index, (arrival, spec, pending_id) in enumerate(self._pending):
-            if pending_id == job_id:
-                del self._pending[index]
-                self.records[job_id] = LatencyRecord(
-                    query_id=-1,
-                    name=spec.name,
-                    scale_factor=spec.scale_factor,
-                    arrival_time=arrival,
-                    completion_time=arrival,
-                    cpu_seconds=0.0,
-                    cancelled=True,
-                )
-                self._unreported_cancels.append(job_id)
-                return
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        # Mirrors _do_cancel: a failable job is always still pending.
-        for index, (arrival, spec, pending_id) in enumerate(self._pending):
-            if pending_id == job_id:
-                del self._pending[index]
-                self.records[job_id] = LatencyRecord(
-                    query_id=-1,
-                    name=spec.name,
-                    scale_factor=spec.scale_factor,
-                    arrival_time=arrival,
-                    completion_time=arrival,
-                    cpu_seconds=0.0,
-                    failed=True,
-                    error=f"{type(error).__name__}: {error}",
-                )
-                self._unreported_cancels.append(job_id)
-                return

@@ -22,18 +22,13 @@ model is the faithful virtual-time analogue.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.scheduler_base import SchedulerBase
 from repro.core.specs import QuerySpec
-from repro.errors import (
-    QueryFailedError,
-    QueryTimeoutError,
-    ReproError,
-    error_from_text,
-)
+from repro.errors import ReproError
 from repro.metrics.latency import LatencyRecord
-from repro.runtime.backend import ExecutionBackend
+from repro.runtime.backend import EpochBackend
 from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, STREAMED
 from repro.runtime.clock import VirtualClock
 from repro.runtime.trace import TraceRecorder
@@ -52,7 +47,7 @@ from repro.simcore.simulator import (
 )
 
 
-class SimulatedBackend(ExecutionBackend):
+class SimulatedBackend(EpochBackend):
     """Run schedulers in virtual time on the discrete-event simulator."""
 
     def __init__(
@@ -69,19 +64,21 @@ class SimulatedBackend(ExecutionBackend):
         sharing_cache_entries: int = 64,
         sharing_attach_buffer: int = 16,
     ) -> None:
-        super().__init__(channel_capacity=channel_capacity)
+        super().__init__(
+            scheduler_factory,
+            seed=seed,
+            noise_sigma=noise_sigma,
+            environment_factory=environment_factory,
+            max_time=max_time,
+            channel_capacity=channel_capacity,
+        )
         if sharing_attach_buffer < 1:
             raise ReproError("sharing_attach_buffer must be at least 1")
-        self._scheduler_factory = scheduler_factory
-        self._seed = seed
-        self._noise_sigma = noise_sigma
-        self._environment_factory = environment_factory
-        self._max_time = max_time
         self._trace = trace
         #: Work sharing (off by default): fold compatible pending queries
         #: into one execution per drain epoch and serve repeats from the
-        #: fragment cache.  With sharing off ``_do_drain`` takes the
-        #: historical path untouched, so results stay bit-identical.
+        #: fragment cache.  With sharing off ``_do_drain`` plans no folds
+        #: and runs the pending set as is, so results stay bit-identical.
         self._sharing = bool(sharing)
         self._attach_buffer = sharing_attach_buffer
         self.sharing_stats = SharingStats()
@@ -90,52 +87,23 @@ class SimulatedBackend(ExecutionBackend):
             if self._sharing
             else None
         )
-        self._pending: List[Tuple[float, QuerySpec, int]] = []
-        self._unreported_cancels: List[int] = []
-        self._clock = VirtualClock()
         #: The result of the most recent epoch (for counters/overhead).
         self.last_result: Optional[SimulationResult] = None
-        #: The environment of the most recent epoch (engine results).
-        self.last_environment: Optional[object] = None
 
     # ------------------------------------------------------------------
     # ExecutionBackend contract
     # ------------------------------------------------------------------
-    @property
-    def clock(self) -> VirtualClock:
-        """Virtual time of the most recent epoch."""
-        return self._clock
-
     def _do_start(self) -> None:
         pass  # virtual time only advances inside drain()
 
-    def _do_submit(self, job_id: int, spec: QuerySpec, at: Optional[float]) -> None:
-        arrival = 0.0 if at is None else float(at)
-        if arrival < 0.0:
-            raise ReproError("arrival time must be non-negative")
-        self._pending.append((arrival, spec, job_id))
-
     def _do_drain(self) -> List[LatencyRecord]:
-        # Cancellations since the previous drain are "finished" jobs too:
-        # their records surface exactly once, like every completion.
-        finished: List[LatencyRecord] = [
-            self.records[job_id] for job_id in self._unreported_cancels
-        ]
-        self._unreported_cancels = []
-        if not self._pending:
-            return finished
-        pending = self._pending
-        self._pending = []
+        finished, run = self._begin_epoch()
+        # leader job id -> (fingerprint, attached [(job id, spec, arrival)])
+        folds: Dict[int, tuple] = {}
         if self._sharing:
-            return self._drain_shared(pending, finished)
-        # Stable sort by arrival time: ties resolve in submission order,
-        # and the scheduler numbers resource groups in arrival order.
-        order = sorted(range(len(pending)), key=lambda i: pending[i][0])
-        workload = [(pending[i][0], pending[i][1]) for i in order]
-        arrival_to_job = {
-            arrival_index: pending[submit_index][2]
-            for arrival_index, submit_index in enumerate(order)
-        }
+            run, folds = self._plan_folds(run, finished)
+        if not run:
+            return finished
         environment = (
             self._environment_factory() if self._environment_factory else None
         )
@@ -145,46 +113,42 @@ class SimulatedBackend(ExecutionBackend):
         # order, so arrival index == the environment's query id.
         open_channel = getattr(environment, "open_channel", None)
         if open_channel is not None:
-            for arrival_index, job_id in arrival_to_job.items():
+            for arrival_index, (_, _, job_id) in enumerate(run):
                 open_channel(arrival_index, self._channels[job_id])
-        result = self.execute(workload, environment=environment)
+        result = self.execute(
+            [(arrival, spec) for arrival, spec, _ in run],
+            environment=environment,
+        )
         self._clock = VirtualClock(result.end_time)
         self.last_environment = environment
         finish_query = getattr(environment, "finish_query", None)
         discard_query = getattr(environment, "discard_query", None)
         for record in result.records.records:
-            job_id = arrival_to_job[record.query_id]
-            self.records[job_id] = record
-            channel = self._channels.get(job_id)
+            job_id = run[record.query_id][2]
             if record.failed:
                 # Per-query failure isolation: the scheduler already
                 # wound this query down through the abort protocol;
-                # surface the captured cause and drop its plan state.
-                # Survivors of the same epoch are untouched.
+                # drop its plan state.  Survivors of the same epoch are
+                # untouched.
                 if discard_query is not None:
                     discard_query(record.query_id)
-                cause = error_from_text(record.error)
-                self.failures[job_id] = cause
-                if channel is not None:
-                    error = QueryFailedError(
-                        f"query job {job_id} failed: {record.error}"
-                    )
-                    error.__cause__ = cause
-                    channel.fail(error)
-                finished.append(record)
-                continue
-            if finish_query is not None:
+            elif finish_query is not None:
                 value = finish_query(record.query_id)
                 if value is not STREAMED:
                     self.results[job_id] = value
-            if channel is not None:
-                channel.close()
-                self._absorb_stream(job_id)
-            finished.append(record)
+            finished.append(self._settle(job_id, record))
+            if job_id not in folds:
+                continue
+            # The leader's spilled chunks are the fold's replay buffer:
+            # they fan out to every attached query and (on success) into
+            # the fragment cache for future epochs.
+            fingerprint, members = folds[job_id]
+            spill = self._handles[job_id]._spill
+            chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
+            finished.extend(self._settle_fold(record, chunks, members))
+            if chunks and not record.failed:
+                self._fragment_cache.put(fingerprint, chunks)
         return finished
-
-    def _do_shutdown(self) -> None:
-        self._pending.clear()
 
     # ------------------------------------------------------------------
     # Work sharing (sharing=True only)
@@ -194,290 +158,69 @@ class SimulatedBackend(ExecutionBackend):
         if self._fragment_cache is not None:
             self._fragment_cache.invalidate()
 
-    def _drain_shared(self, pending, finished: List[LatencyRecord]):
-        """Drain one epoch with dynamic folding.
+    def _plan_folds(self, pending, finished):
+        """Plan one epoch's dynamic folding; returns ``(run, folds)``.
 
         The epoch *is* the attach window: compatible pending queries
         (equal spec fingerprints, not tagged ``noshare``) fold into one
         execution.  The earliest arrival leads; its spec is stamped with
         a ``fold:N`` tag (stride share = sum of the members' shares) and
-        the maximum member priority (§3.2).  Attached queries are served the
+        the maximum member priority (§3.2).  ``run`` is what must
+        execute; attached queries land in ``folds`` and are served the
         leader's result chunks at its completion, clamped to their own
         arrival — the virtual-time analogue of replaying buffered
         morsels to a late attacher.  A fold accepts at most
         ``sharing_attach_buffer`` members; overflow queries fall back to
-        fresh unshared executions (counted as replay fallbacks).
-        Repeat fingerprints that completed in an earlier epoch are
-        served straight from the fragment cache.
+        fresh unshared executions (counted as replay fallbacks).  Repeat
+        fingerprints that completed in an earlier epoch are settled here
+        (onto ``finished``), straight from the fragment cache, at their
+        arrival time and zero cost.
         """
         stats = self.sharing_stats
-        cache = self._fragment_cache
-        engine_mode = self._environment_factory is not None
-        order = sorted(range(len(pending)), key=lambda i: pending[i][0])
+        # Only engine results are worth caching (the cost model has none).
+        cache = self._fragment_cache if self._environment_factory else None
         run: List[Tuple[float, QuerySpec, int]] = []
-        leader_of = {}  # fingerprint -> index into run
-        members = {}  # leader job id -> [(job id, arrival, spec)]
-        leader_fp = {}  # leader job id -> fingerprint (for caching)
-        for i in order:
-            arrival, spec, job_id = pending[i]
+        folds: Dict[int, tuple] = {}
+        leader_of: Dict[str, int] = {}  # fingerprint -> index into run
+        for arrival, spec, job_id in pending:
             if "noshare" in spec.tags:
                 run.append((arrival, spec, job_id))
                 continue
             fp = spec_fingerprint(spec)
-            if cache is not None and engine_mode:
+            if cache is not None:
                 chunks = cache.get(fp)
                 if chunks is not MISS:
-                    finished.append(
-                        self._serve_cached(job_id, spec, arrival, chunks)
-                    )
+                    record = self._synthetic_record(spec, arrival, arrival)
+                    finished.append(self._settle(job_id, record, chunks=chunks))
                     continue
             index = leader_of.get(fp)
             if index is None:
                 leader_of[fp] = len(run)
-                leader_fp[job_id] = fp
-                members[job_id] = []
+                folds[job_id] = (fp, [])
                 run.append((arrival, spec, job_id))
                 continue
-            leader_job = run[index][2]
-            attached = members[leader_job]
+            attached = folds[run[index][2]][1]
             if len(attached) >= self._attach_buffer:
                 stats.replay_fallbacks += 1
                 run.append((arrival, spec, job_id))
             else:
-                attached.append((job_id, arrival, spec))
+                attached.append((job_id, spec, arrival))
                 stats.attached_queries += 1
         # Decorate fold leaders: fold:N budget tag, max member priority.
         for index in leader_of.values():
             arrival, spec, job_id = run[index]
-            attached = members[job_id]
+            attached = folds[job_id][1]
             if not attached:
                 continue
             stats.folds += 1
             priority = max_fold_priority(
-                [spec] + [m_spec for _, _, m_spec in attached]
+                [spec] + [m_spec for _, m_spec, _ in attached]
             )
             changes = {"tags": spec.tags + (f"fold:{1 + len(attached)}",)}
             if priority is not None:
                 changes["user_priority"] = priority
             run[index] = (arrival, replace(spec, **changes), job_id)
-        if not run:
-            return finished
-        workload = [(arrival, spec) for arrival, spec, _ in run]
-        arrival_to_job = {i: job_id for i, (_, _, job_id) in enumerate(run)}
-        environment = (
-            self._environment_factory() if self._environment_factory else None
-        )
-        environment = self._wrap_environment(environment)
-        open_channel = getattr(environment, "open_channel", None)
-        if open_channel is not None:
-            for arrival_index, job_id in arrival_to_job.items():
-                open_channel(arrival_index, self._channels[job_id])
-        result = self.execute(workload, environment=environment)
-        self._clock = VirtualClock(result.end_time)
-        self.last_environment = environment
-        finish_query = getattr(environment, "finish_query", None)
-        discard_query = getattr(environment, "discard_query", None)
-        for record in result.records.records:
-            job_id = arrival_to_job[record.query_id]
-            self.records[job_id] = record
-            channel = self._channels.get(job_id)
-            attached = members.get(job_id, ())
-            if record.failed:
-                if discard_query is not None:
-                    discard_query(record.query_id)
-                cause = error_from_text(record.error)
-                self.failures[job_id] = cause
-                if channel is not None:
-                    error = QueryFailedError(
-                        f"query job {job_id} failed: {record.error}"
-                    )
-                    error.__cause__ = cause
-                    channel.fail(error)
-                finished.append(record)
-                # The leader's §2.3 wind-down detaches the whole fold:
-                # every attached query fails with the same cause (their
-                # retries resubmit unshared, see the server).
-                for m_job, m_arrival, m_spec in attached:
-                    finished.append(
-                        self._fail_member(m_job, m_spec, m_arrival, record)
-                    )
-                continue
-            if finish_query is not None:
-                value = finish_query(record.query_id)
-                if value is not STREAMED:
-                    self.results[job_id] = value
-            if channel is not None:
-                channel.close()
-                self._absorb_stream(job_id)
-            finished.append(record)
-            # The leader's spilled chunks are the fold's replay buffer:
-            # they fan out to every attached query and (on success) into
-            # the fragment cache for future epochs.
-            chunks = None
-            handle = self._handles.get(job_id)
-            if handle is not None and handle._spill:
-                chunks = tuple(
-                    (c.kind, c.payload, c.rows) for c in handle._spill
-                )
-            for m_job, m_arrival, m_spec in attached:
-                finished.append(
-                    self._serve_member(
-                        m_job, m_spec, m_arrival, record, chunks
-                    )
-                )
-            fp = leader_fp.get(job_id)
-            if cache is not None and fp is not None and chunks is not None:
-                cache.put(fp, chunks)
-        return finished
-
-    def _replay_chunks(self, job_id: int, chunks) -> None:
-        """Copy replay chunks into a job's channel and assemble them."""
-        channel = self._channels.get(job_id)
-        if channel is None:  # pragma: no cover - submit always registers
-            return
-        if chunks is not None:
-            for kind, payload, rows in chunks:
-                channel.put(kind, payload, rows)
-        channel.close()
-        self._absorb_stream(job_id)
-
-    def _serve_cached(
-        self, job_id: int, spec: QuerySpec, arrival: float, chunks
-    ) -> LatencyRecord:
-        """Serve one query from the fragment cache at its arrival time."""
-        self._replay_chunks(job_id, chunks)
-        record = LatencyRecord(
-            query_id=-1,
-            name=spec.name,
-            scale_factor=spec.scale_factor,
-            arrival_time=arrival,
-            completion_time=arrival,
-            cpu_seconds=0.0,
-        )
-        self.records[job_id] = record
-        return record
-
-    def _serve_member(
-        self,
-        job_id: int,
-        spec: QuerySpec,
-        arrival: float,
-        leader_record: LatencyRecord,
-        chunks,
-    ) -> LatencyRecord:
-        """Deliver the leader's result to one attached query.
-
-        The member completes when the shared execution does (never
-        before its own arrival).  A member whose own deadline expired by
-        then fails with :class:`~repro.errors.QueryTimeoutError` —
-        without disturbing the leader or its sibling members.
-        """
-        completion = max(leader_record.completion_time, arrival)
-        if spec.deadline is not None and completion - arrival > spec.deadline:
-            cause = QueryTimeoutError(
-                f"attached query {spec.name!r} missed its {spec.deadline}s "
-                f"deadline: the shared execution completed at {completion}"
-            )
-            record = LatencyRecord(
-                query_id=-1,
-                name=spec.name,
-                scale_factor=spec.scale_factor,
-                arrival_time=arrival,
-                completion_time=completion,
-                cpu_seconds=0.0,
-                failed=True,
-                error=f"{type(cause).__name__}: {cause}",
-            )
-            self.records[job_id] = record
-            self.failures[job_id] = cause
-            channel = self._channels.get(job_id)
-            if channel is not None:
-                error = QueryFailedError(
-                    f"query job {job_id} failed: {record.error}"
-                )
-                error.__cause__ = cause
-                channel.fail(error)
-            return record
-        self._replay_chunks(job_id, chunks)
-        record = LatencyRecord(
-            query_id=-1,
-            name=spec.name,
-            scale_factor=spec.scale_factor,
-            arrival_time=arrival,
-            completion_time=completion,
-            cpu_seconds=0.0,
-        )
-        self.records[job_id] = record
-        return record
-
-    def _fail_member(
-        self,
-        job_id: int,
-        spec: QuerySpec,
-        arrival: float,
-        leader_record: LatencyRecord,
-    ) -> LatencyRecord:
-        """Fail one attached query with the shared execution's cause."""
-        cause = error_from_text(leader_record.error)
-        record = LatencyRecord(
-            query_id=-1,
-            name=spec.name,
-            scale_factor=spec.scale_factor,
-            arrival_time=arrival,
-            completion_time=max(leader_record.completion_time, arrival),
-            cpu_seconds=0.0,
-            failed=True,
-            error=leader_record.error,
-        )
-        self.records[job_id] = record
-        self.failures[job_id] = cause
-        channel = self._channels.get(job_id)
-        if channel is not None:
-            error = QueryFailedError(
-                f"query job {job_id} failed: {record.error}"
-            )
-            error.__cause__ = cause
-            channel.fail(error)
-        return record
-
-    def _do_cancel(self, job_id: int) -> None:
-        # Virtual-time epochs are synchronous, so a cancellable job is
-        # always still pending: remove it and record the cancellation at
-        # its arrival time (zero CPU, zero latency) so counters settle.
-        for index, (arrival, spec, pending_id) in enumerate(self._pending):
-            if pending_id == job_id:
-                del self._pending[index]
-                self.records[job_id] = LatencyRecord(
-                    query_id=-1,
-                    name=spec.name,
-                    scale_factor=spec.scale_factor,
-                    arrival_time=arrival,
-                    completion_time=arrival,
-                    cpu_seconds=0.0,
-                    cancelled=True,
-                )
-                self._unreported_cancels.append(job_id)
-                return
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        # Mirrors _do_cancel: in virtual time a failable job is always
-        # still pending.  Remove it and record the failure at its
-        # arrival time so counters settle and drain() reports it once.
-        for index, (arrival, spec, pending_id) in enumerate(self._pending):
-            if pending_id == job_id:
-                del self._pending[index]
-                self.records[job_id] = LatencyRecord(
-                    query_id=-1,
-                    name=spec.name,
-                    scale_factor=spec.scale_factor,
-                    arrival_time=arrival,
-                    completion_time=arrival,
-                    cpu_seconds=0.0,
-                    failed=True,
-                    error=f"{type(error).__name__}: {error}",
-                )
-                self._unreported_cancels.append(job_id)
-                return
+        return run, folds
 
     # ------------------------------------------------------------------
     # Fault injection

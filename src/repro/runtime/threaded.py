@@ -35,13 +35,9 @@ from repro.core.scheduler_base import SchedulerBase
 from repro.core.specs import QuerySpec
 from repro.errors import (
     ChannelClosedError,
-    QueryFailedError,
-    QueryTimeoutError,
     ReproError,
-    UnknownTicketError,
     WorkerDiedError,
     WorkerFailedError,
-    error_from_text,
 )
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.backend import ExecutionBackend
@@ -399,7 +395,6 @@ class ThreadedBackend(ExecutionBackend):
     def _on_complete(self, group, record: LatencyRecord) -> None:
         """Scheduler completion hook (runs on the finalizing worker)."""
         job_id = self._jobs[group.query_id]
-        channel = self._channels.get(job_id)
         fold: Optional[LiveFold] = None
         attached: List[Tuple[int, QuerySpec, float]] = []
         leader_detached = False
@@ -418,29 +413,14 @@ class ThreadedBackend(ExecutionBackend):
                     if self._folds.get(fold.fingerprint) is fold:
                         del self._folds[fold.fingerprint]
                     leader_detached = fold.leader_detached
-        if group.cancelled:
+        if group.cancelled or group.failed:
             # The plan state is dropped, not finalized: finalization
             # would defensively drain the remaining relation through the
-            # pipeline — exactly the work cancellation avoids.  The
-            # channel already failed in cancel().
+            # pipeline — exactly the work cancellation (and failure
+            # isolation) avoids.
             discard = getattr(self._environment, "discard_query", None)
             if discard is not None:
                 discard(group.query_id)
-        elif group.failed:
-            # Failure isolation: drop the plan state like a cancel, but
-            # surface the captured cause through the channel and the
-            # failures map so fetch()/result() raise QueryFailedError.
-            discard = getattr(self._environment, "discard_query", None)
-            if discard is not None:
-                discard(group.query_id)
-            if group.failure is not None:
-                self.failures[job_id] = group.failure
-            if channel is not None:
-                error = QueryFailedError(
-                    f"query job {job_id} failed: {record.error}"
-                )
-                error.__cause__ = group.failure
-                channel.fail(error)
         else:
             finish_query = getattr(self._environment, "finish_query", None)
             if finish_query is not None:
@@ -451,8 +431,7 @@ class ThreadedBackend(ExecutionBackend):
                 value = finish_query(group.query_id)
                 if value is not STREAMED and not leader_detached:
                     self.results[job_id] = value
-            if channel is not None and not leader_detached:
-                channel.close()
+        outcome, cause = record, group.failure
         if leader_detached and not record.failed and not record.cancelled:
             # The leader's submitter cancelled (or shed) it mid-flight;
             # the group kept executing for the attached queries, so the
@@ -460,132 +439,28 @@ class ThreadedBackend(ExecutionBackend):
             # the caller-visible outcome.
             cause = self.failures.get(job_id)
             if cause is not None:
-                record = replace(
-                    record,
-                    failed=True,
-                    error=f"{type(cause).__name__}: {cause}",
+                outcome = replace(
+                    record, failed=True, error=self._error_text(cause)
                 )
             else:
-                record = replace(record, cancelled=True)
-        # Deliver the attached queries before their records are counted:
-        # on group failure they inherit the leader's cause; otherwise
-        # they replay the tee'd chunks (the §2.3 wind-down of any one of
-        # them never disturbed the shared execution).
-        if attached:
-            if group.failed or group.cancelled:
-                for m_job, m_spec, m_arrival in attached:
-                    self._fail_attached(m_job, m_spec, m_arrival, record)
-            else:
-                chunks = tuple(fold.replay)
-                for m_job, m_spec, m_arrival in attached:
-                    self._serve_attached(
-                        m_job, m_spec, m_arrival, record, chunks
-                    )
-        # The record is written last: drain() counts records, so a
-        # counted job is guaranteed fully materialised.
-        self.records[job_id] = record
+                outcome = replace(record, cancelled=True)
+        # The leader and its attached queries publish together: a waiter
+        # woken by either finds both settled.  Nothing in here can park
+        # on a consumer (see _settle), so a leader's completion never
+        # waits on a member's.  Members are settled from the scheduler's
+        # own record — a detached leader still *serves* them.
         with self._done:
+            self._settle(job_id, outcome, cause)
+            if attached:
+                self._settle_fold(record, tuple(fold.replay), attached)
             self._done.notify_all()
-
-    def _replay_to(self, job_id: int, chunks) -> None:
-        """Copy replay chunks into an attached query's channel."""
-        channel = self._channels.get(job_id)
-        if channel is None:  # pragma: no cover - submit always registers
-            return
-        for kind, payload, rows in chunks:
-            channel.put(kind, payload, rows)
-        channel.close()
-
-    def _serve_attached(
-        self,
-        job_id: int,
-        spec: QuerySpec,
-        arrival: float,
-        leader_record: LatencyRecord,
-        chunks,
-    ) -> None:
-        """Deliver the shared execution's result to one attached query.
-
-        The member completes when the leader does (never before its own
-        arrival).  A member whose own deadline expired by then fails
-        with :class:`~repro.errors.QueryTimeoutError` without disturbing
-        its siblings.
-        """
-        completion = max(leader_record.completion_time, arrival)
-        if spec.deadline is not None and completion - arrival > spec.deadline:
-            cause = QueryTimeoutError(
-                f"attached query {spec.name!r} missed its {spec.deadline}s "
-                f"deadline: the shared execution completed at {completion}"
-            )
-            record = LatencyRecord(
-                query_id=-1,
-                name=spec.name,
-                scale_factor=spec.scale_factor,
-                arrival_time=arrival,
-                completion_time=completion,
-                cpu_seconds=0.0,
-                failed=True,
-                error=f"{type(cause).__name__}: {cause}",
-            )
-            self.failures[job_id] = cause
-            channel = self._channels.get(job_id)
-            if channel is not None:
-                error = QueryFailedError(
-                    f"query job {job_id} failed: {record.error}"
-                )
-                error.__cause__ = cause
-                channel.fail(error)
-            self.records[job_id] = record
-            return
-        self._replay_to(job_id, chunks)
-        self.records[job_id] = LatencyRecord(
-            query_id=-1,
-            name=spec.name,
-            scale_factor=spec.scale_factor,
-            arrival_time=arrival,
-            completion_time=completion,
-            cpu_seconds=0.0,
-        )
-
-    def _fail_attached(
-        self,
-        job_id: int,
-        spec: QuerySpec,
-        arrival: float,
-        leader_record: LatencyRecord,
-    ) -> None:
-        """Fail one attached query with the shared execution's cause."""
-        error_text = leader_record.error or (
-            "QueryCancelledError: the shared execution was cancelled"
-        )
-        cause = error_from_text(error_text)
-        record = LatencyRecord(
-            query_id=-1,
-            name=spec.name,
-            scale_factor=spec.scale_factor,
-            arrival_time=arrival,
-            completion_time=max(leader_record.completion_time, arrival),
-            cpu_seconds=0.0,
-            failed=True,
-            error=error_text,
-        )
-        self.failures[job_id] = cause
-        channel = self._channels.get(job_id)
-        if channel is not None:
-            error = QueryFailedError(
-                f"query job {job_id} failed: {record.error}"
-            )
-            error.__cause__ = cause
-            channel.fail(error)
-        self.records[job_id] = record
 
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------
     def wait(self, job_id: int, timeout: Optional[float] = None) -> LatencyRecord:
         """Block until one job completes; returns its latency record."""
-        if job_id >= self.submitted_count or job_id < 0:
-            raise UnknownTicketError(f"unknown job id {job_id}")
+        self._check_job(job_id)
         # The deadline runs on the OS monotonic clock, not the backend's
         # WallClock: before start() the latter is pinned at 0.0 and a
         # timed wait would never expire.
@@ -608,19 +483,24 @@ class ThreadedBackend(ExecutionBackend):
                 self._done.wait(timeout=remaining)
             # Absorb buffered chunks while waiting (same deadlock-freedom
             # argument as drain): a producer parked on this job's full
-            # channel must not be able to stall the wait forever.
+            # channel must not be able to stall the wait forever.  An
+            # attached query's producer is its fold leader.
             self._absorb_stream(job_id)
+            info = self._member_info.get(job_id)
+            if info is not None:
+                self._absorb_stream(info[0].leader_job)
         return self.records[job_id]
 
     def _detach_member(
-        self, job_id: int, *, cancelled: bool, error: str = ""
+        self, job_id: int, error: Optional[BaseException]
     ) -> bool:
         """Detach one attached query from its fold, if it is one.
 
         §2.3 wind-down for members costs nothing: the member never held
         scheduler state, so detaching is pure bookkeeping — the shared
-        execution and its sibling members are untouched.  Returns
-        ``False`` when the job is not an attached query.
+        execution and its sibling members are untouched.  ``error`` is
+        ``None`` for a cancellation.  Returns ``False`` when the job is
+        not an attached query.
         """
         with self._fold_lock:
             info = self._member_info.pop(job_id, None)
@@ -628,18 +508,15 @@ class ThreadedBackend(ExecutionBackend):
                 return False
             fold, spec, arrival = info
             fold.members = [m for m in fold.members if m[0] != job_id]
-        self.records[job_id] = LatencyRecord(
-            query_id=-1,
-            name=spec.name,
-            scale_factor=spec.scale_factor,
-            arrival_time=arrival,
-            completion_time=self._clock.now(),
-            cpu_seconds=0.0,
-            cancelled=cancelled,
-            failed=not cancelled,
-            error=error,
+        record = self._synthetic_record(
+            spec,
+            arrival,
+            self._clock.now(),
+            cancelled=error is None,
+            error="" if error is None else self._error_text(error),
         )
         with self._done:
+            self._settle(job_id, record, error)
             self._done.notify_all()
         return True
 
@@ -651,8 +528,6 @@ class ThreadedBackend(ExecutionBackend):
         but the group keeps executing so the members still get their
         replayed results at completion.
         """
-        if not self._sharing:
-            return False
         with self._fold_lock:
             fold = self._fold_by_leader.get(job_id)
             if fold is None:
@@ -664,9 +539,16 @@ class ThreadedBackend(ExecutionBackend):
             return True
 
     def _do_cancel(self, job_id: int) -> None:
-        if self._sharing and self._detach_member(job_id, cancelled=True):
-            return
-        if self._detach_leader(job_id):
+        self._wind_down(job_id, None)
+
+    def _do_fail(self, job_id: int, error: BaseException) -> None:
+        self._wind_down(job_id, error)
+
+    def _wind_down(self, job_id: int, error: Optional[BaseException]) -> None:
+        """Abort one live job: detach it from its fold, or abort its group."""
+        if self._sharing and (
+            self._detach_member(job_id, error) or self._detach_leader(job_id)
+        ):
             return
         group = self._groups.get(job_id)
         if group is None:
@@ -676,20 +558,7 @@ class ThreadedBackend(ExecutionBackend):
                 # that path, so there is nothing left to wind down.
                 return
             raise ReproError(f"job {job_id} has no resource group")
-        self._scheduler.cancel_group(group, self._clock.now())
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        if self._sharing and self._detach_member(
-            job_id,
-            cancelled=False,
-            error=f"{type(error).__name__}: {error}",
-        ):
-            return
-        if self._detach_leader(job_id):
-            return
-        group = self._groups.get(job_id)
-        if group is None:
-            if self._sharing:  # pragma: no cover - detach/complete race
-                return
-            raise ReproError(f"job {job_id} has no resource group")
-        self._scheduler.fail_group(group, error, self._clock.now())
+        if error is None:
+            self._scheduler.cancel_group(group, self._clock.now())
+        else:
+            self._scheduler.fail_group(group, error, self._clock.now())

@@ -15,7 +15,14 @@ import pytest
 
 from repro.core import SchedulerConfig, make_scheduler
 from repro.core.task import TaskSet
+from repro.errors import (
+    AdmissionError,
+    InjectedFault,
+    QueryCancelledError,
+    QueryFailedError,
+)
 from repro.runtime import ProcessBackend, SimulatedBackend, ThreadedBackend
+from repro.runtime.faults import OPERATOR_RAISE, FaultPlan, FaultSpec
 
 from tests.conftest import make_query
 
@@ -63,13 +70,33 @@ def random_workload(seed):
     ]
 
 
-def run_simulated(specs, n_workers):
-    env = _Env()
-    backend = SimulatedBackend(
+def make_simulated(n_workers, env):
+    return SimulatedBackend(
         lambda: make_scheduler("stride", SchedulerConfig(n_workers=n_workers)),
         noise_sigma=0.0,
         environment_factory=lambda: env,
     )
+
+
+def make_threaded(n_workers, env):
+    return ThreadedBackend(
+        make_scheduler("stride", SchedulerConfig(n_workers=n_workers)), env
+    )
+
+
+def make_process(n_workers, env=None, return_environment=False):
+    # ``env`` is unused: the worker builds its own from the factory.
+    return ProcessBackend(
+        partial(make_scheduler, "stride", SchedulerConfig(n_workers=n_workers)),
+        noise_sigma=0.0,
+        environment_factory=_CountingEnv,
+        return_environment=return_environment,
+    )
+
+
+def run_simulated(specs, n_workers):
+    env = _Env()
+    backend = make_simulated(n_workers, env)
     jobs = [backend.submit(q) for q in specs]
     backend.drain()
     backend.shutdown()
@@ -78,9 +105,7 @@ def run_simulated(specs, n_workers):
 
 def run_threaded(specs, n_workers):
     env = _Env()
-    backend = ThreadedBackend(
-        make_scheduler("stride", SchedulerConfig(n_workers=n_workers)), env
-    )
+    backend = make_threaded(n_workers, env)
     try:
         backend.start()
         jobs = [backend.submit(q) for q in specs]
@@ -91,12 +116,7 @@ def run_threaded(specs, n_workers):
 
 
 def run_process(specs, n_workers):
-    backend = ProcessBackend(
-        partial(make_scheduler, "stride", SchedulerConfig(n_workers=n_workers)),
-        noise_sigma=0.0,
-        environment_factory=_CountingEnv,
-        return_environment=True,
-    )
+    backend = make_process(n_workers, return_environment=True)
     try:
         backend.start()
         jobs = [backend.submit(q) for q in specs]
@@ -122,3 +142,69 @@ def test_invariants_hold_on_both_backends(runner, seed):
         assert record is not None
         assert record.name == spec.name
         assert record.latency > 0.0
+
+
+# One settlement path: whichever way a query ends, every backend leaves
+# the same record shape, failure class, channel error and drain report.
+# outcome -> (cancelled, failed, error-text prefix, failure class)
+OUTCOMES = {
+    "cancelled_while_pending": (True, False, "", None),
+    "shed_while_pending": (False, True, "AdmissionError: shed by test", AdmissionError),
+    "raising_morsel": (False, True, "InjectedFault: ", InjectedFault),
+}
+
+
+@pytest.mark.parametrize("make", [make_simulated, make_threaded, make_process])
+@pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+def test_terminal_outcomes_settle_identically(make, outcome):
+    cancelled, failed, error_prefix, failure_class = OUTCOMES[outcome]
+    backend = make(2, _Env())
+    if outcome == "raising_morsel":
+        backend.install_faults(
+            FaultPlan(
+                faults=(FaultSpec(kind=OPERATOR_RAISE, query="victim", morsel=0),)
+            )
+        )
+    try:
+        # Nothing runs before the first drain (the threaded backend is
+        # not started yet), so the victim is still pending here.
+        keeper = backend.submit(make_query("keeper", work=0.004))
+        victim = backend.submit(make_query("victim", work=0.004))
+        if outcome == "cancelled_while_pending":
+            assert backend.cancel(victim)
+        elif outcome == "shed_while_pending":
+            assert backend.fail(victim, AdmissionError("shed by test"))
+        reported = backend.drain() + backend.drain()
+    finally:
+        backend.shutdown()
+
+    record = backend.poll(victim)
+    assert [r for r in reported if r.name == "victim"] == [record]
+    assert (record.cancelled, record.failed) == (cancelled, failed)
+    assert record.error.startswith(error_prefix) and bool(record.error) == failed
+    assert record.completion_time >= record.arrival_time
+    if outcome != "raising_morsel":
+        assert record.cpu_seconds == 0.0
+    assert backend.cancelled(victim) == cancelled
+    assert backend.failed(victim) == failed
+    failure = backend.failure(victim)
+    if failure_class is None:
+        assert failure is None
+        with pytest.raises(QueryCancelledError):
+            backend.result(victim)
+        with pytest.raises(QueryCancelledError):
+            victim.fetch()
+    else:
+        assert type(failure) is failure_class
+        assert record.error == f"{failure_class.__name__}: {failure}"
+        for read in (lambda: backend.result(victim), victim.fetch):
+            with pytest.raises(QueryFailedError) as excinfo:
+                read()
+            assert type(excinfo.value.__cause__) is failure_class
+            assert record.error in str(excinfo.value)
+    assert victim not in backend.results
+    # The sibling is untouched.
+    survivor = backend.poll(keeper)
+    assert not (survivor.cancelled or survivor.failed)
+    assert survivor.cpu_seconds > 0.0
+    assert backend.pending_count == 0

@@ -7,6 +7,8 @@ the tee channel records the leader's chunks, members replay them at
 completion, and detaching one query never kills the shared execution.
 """
 
+import threading
+
 import pytest
 
 from repro.engine import build_engine_query, generate_tpch
@@ -117,3 +119,67 @@ class TestLiveFolds:
         finally:
             server.shutdown()
         assert server.sharing_stats.as_dict()["folds"] == 0
+
+
+class TestFoldReplayNeverParks:
+    """A leader's completion never waits on a member's consumer.
+
+    Regression: the finalizing worker used to replay the fold's chunks
+    into each member through a *blocking* ``put`` before publishing the
+    leader's record, so a result longer than the member's channel hung
+    the leader (and a waited-on member never absorbed its leader).
+    """
+
+    WAIT = 20.0  # a hang fails here; a healthy run takes milliseconds
+
+    @pytest.mark.parametrize("first", ["leader", "member", "both"])
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_either_wait_order_completes(self, first, pinned):
+        server = AnalyticsServer(
+            scale_factor=0.005,
+            backend="threaded",
+            n_workers=2,
+            sharing=True,
+            # The chunk count follows measured morsel times.  Pinned: a
+            # two-chunk channel and a replay buffer no result outgrows,
+            # so the fold always replays more than a channel holds.
+            # Default options: the fold may instead overflow and
+            # re-admit the member, which must complete just the same.
+            **({"sharing_attach_buffer": 1024} if pinned else {}),
+        )
+        if pinned:
+            server.backend.channel_capacity = 2
+        try:
+            leader = server.submit("QS")
+            member = server.submit("QS")
+            order = (leader, member) if first == "leader" else (member, leader)
+            server.start()
+            if first == "both":
+                # Two clients, one per query: both absorb the leader.
+                waiters = [
+                    threading.Thread(
+                        target=server.wait, args=(ticket, self.WAIT)
+                    )
+                    for ticket in order
+                ]
+                for waiter in waiters:
+                    waiter.start()
+                for waiter in waiters:
+                    waiter.join(timeout=2 * self.WAIT)
+                assert not any(waiter.is_alive() for waiter in waiters)
+            else:
+                server.wait(order[0], timeout=self.WAIT)
+                if not pinned:
+                    server.wait(order[1], timeout=self.WAIT)
+            # Pinned, the fold cannot overflow: leader and member
+            # publish together, so the other is readable right away.
+            rows = server.result(order[1])
+            assert server.result(order[0]).keys() == rows.keys()
+            for name, column in server.result(order[0]).items():
+                assert (column == rows[name]).all()
+            assert len(next(iter(rows.values()))) > 0
+            if pinned:
+                assert server.sharing_stats.as_dict()["replay_fallbacks"] == 0
+                assert server.record(member).cpu_seconds == 0.0
+        finally:
+            server.shutdown()
