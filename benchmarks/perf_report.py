@@ -454,16 +454,19 @@ def measure_work_sharing(scale_factor: float = 0.02) -> dict:
     last ulp and would make a bit-identity gate flaky for reasons that
     have nothing to do with sharing.
 
-    Both gated quantities are *virtual-time* measurements and therefore
-    deterministic — no repeats, no noise statistics:
+    Two quantities are gated, and only one of them is deterministic:
 
     * ``speedup`` — makespan off / makespan on.  Sharing folds the
       twelve submissions into three executions, so the gate demands at
-      least 1.5x.
+      least 1.5x.  The makespans are virtual time, but the engine
+      environment's virtual time *is* the measured wall time of every
+      morsel (§3.1), so the ratio moves with the host from run to run:
+      ten runs on one 2-vCPU host read 2.61x–3.79x.  The floor sits
+      well below that range, so a single run is enough for it.
     * ``results_identical`` — per-query results must be bit-identical
       between the two modes (members replay the leader's chunks; the
       fold's extra stride share arrives as scheduling passes, never as
-      different morsel boundaries).
+      different morsel boundaries).  Exact, no statistics needed.
     """
     from repro.engine import generate_tpch
     from repro.server import AnalyticsServer
@@ -697,8 +700,9 @@ def check_against(report: dict, committed: dict, tolerance: float) -> int:
     # Work-sharing gates: folding eight-plus concurrent scans over the
     # same tables must cut the virtual-time makespan by at least 1.5x,
     # and per-query results must be bit-identical with sharing on or
-    # off.  Both quantities are deterministic (fixed morsels, simulated
-    # clock), so no repeat statistics are needed.
+    # off.  Identity is exact (fixed morsels).  The speed-up is not: the
+    # engine's virtual time is measured wall time, and runs on one host
+    # read 2.6x-3.8x — far enough above the floor for a single run.
     if "work_sharing" in report:
         sharing = report["work_sharing"]
         speedup = sharing["speedup"]

@@ -116,9 +116,6 @@ class EngineEnvironment:
     def __init__(self, db: TpchDatabase) -> None:
         self.db = db
         self._instances: Dict[int, _PlanInstance] = {}
-        #: Completed plans by query id, for result retrieval.  Streamed
-        #: queries hold the :data:`STREAMED` sentinel instead of a value.
-        self.results: Dict[int, object] = {}
         #: Open result channels by query id (see :meth:`open_channel`).
         self._channels: Dict[int, object] = {}
         # Concurrency seams (threaded backend): a creation lock guarding
@@ -220,40 +217,47 @@ class EngineEnvironment:
         self._channels[query_id] = channel
 
     def discard_query(self, query_id: int) -> None:
-        """Drop a cancelled query's plan state without finalizing it.
+        """Drop a query's plan state without finalizing it.
 
-        Finalization would drain the remaining relation through the
-        pipeline (the defensive drain in ``EnginePipeline.finalize``) —
-        exactly the work cancellation is meant to avoid.
+        For a cancelled or failed query, finalization would drain the
+        remaining relation through the pipeline (the defensive drain in
+        ``EnginePipeline.finalize``) — exactly the work cancellation is
+        meant to avoid.
         """
         self._instances.pop(query_id, None)
         self._channels.pop(query_id, None)
         self._group_locks.pop(query_id, None)
 
     def finish_query(self, query_id: int) -> object:
-        """Finalize any remaining pipelines and return the result.
+        """Finalize any remaining pipelines, return the result and
+        release the query's plan state.
 
         For a query whose rows streamed through a channel the engine
         holds no materialized value — the chunks in the channel are the
         result — so the :data:`STREAMED` sentinel is returned instead.
+        The returned value is the only copy: the environment outlives
+        its queries (a threaded server's lives as long as the server),
+        so join tables, aggregate state and collected rows go with the
+        plan instance.
         """
         instance = self._instances.get(query_id)
         if instance is None:
             raise EngineError(f"query {query_id} never executed")
-        for pipeline in instance.plan.pipelines:
-            if not pipeline.finalized:
-                pipeline.finalize()
-        if instance.streamed:
-            self.results[query_id] = STREAMED
-            return STREAMED
-        result = instance.plan.result()
-        channel = self._channels.get(query_id)
-        if channel is not None and not channel.closed:
-            # Pipeline-breaker final sink: the whole result crosses as
-            # one terminal chunk so handles can still fetch/iterate.
-            channel.put_final(result)
-        self.results[query_id] = result
-        return result
+        try:
+            for pipeline in instance.plan.pipelines:
+                if not pipeline.finalized:
+                    pipeline.finalize()
+            if instance.streamed:
+                return STREAMED
+            result = instance.plan.result()
+            channel = self._channels.get(query_id)
+            if channel is not None and not channel.closed:
+                # Pipeline-breaker final sink: the whole result crosses
+                # as one terminal chunk so handles can still fetch/iterate.
+                channel.put_final(result)
+            return result
+        finally:
+            self.discard_query(query_id)
 
     def rng(self, name: str):  # pragma: no cover - lottery support
         """Deterministic RNG stream (protocol parity with the simulator)."""

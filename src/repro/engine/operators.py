@@ -17,6 +17,7 @@ than per-row Python dict lookups.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -214,17 +215,69 @@ class HashJoinBuildSink(Sink):
         self._parts = []
 
 
+def _group_rows(keys: List[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Group rows by ``int64`` key columns.
+
+    Returns the distinct key rows (as columns, in lexicographic order)
+    and every input row's group index.  The columns fold into one
+    mixed-radix code whose order is the rows' lexicographic order; a
+    code span that is small against the batch is grouped by counting
+    (a presence table over the span) instead of sorting, and a span no
+    ``int64`` can hold falls back to a row-wise sort.
+    """
+    n = len(keys[0])
+    lows = [int(column.min()) for column in keys]
+    # Python ints: the product of the spans must not wrap.
+    spans = [int(column.max()) - low + 1 for column, low in zip(keys, lows)]
+    span = math.prod(spans)
+    if span > np.iinfo(np.int64).max:
+        rows, inverse = np.unique(
+            np.stack(keys, axis=1), axis=0, return_inverse=True
+        )
+        # numpy 2.0.x returns an (n, 1) inverse for axis=0.
+        return list(rows.T), inverse.reshape(-1)
+    code = keys[0] - lows[0]
+    for column, low, width in zip(keys[1:], lows[1:], spans[1:]):
+        code = code * width + (column - low)
+    if span <= max(65_536, 4 * n):
+        present = np.zeros(span, dtype=bool)
+        present[code] = True
+        codes = np.flatnonzero(present)
+        rank = np.empty(span, dtype=np.intp)
+        rank[codes] = np.arange(len(codes))
+        inverse = rank[code]
+    else:
+        codes, inverse = np.unique(code, return_inverse=True)
+    uniques = []
+    for low, width in zip(reversed(lows), reversed(spans)):
+        uniques.append(codes % width + low)
+        codes = codes // width
+    return uniques[::-1], inverse
+
+
 class HashAggregateSink(Sink):
     """Group-by aggregation with SUM / MIN / MAX / AVG / COUNT aggregates.
 
-    Per morsel the batch is reduced with ``np.unique`` plus vectorised
-    scatter reductions; the partial results merge into a Python dict
-    keyed by the group tuple — the analogue of merging thread-local
-    partial aggregates during task-set finalization.
+    State is columnar end to end.  ``consume`` reduces its morsel to one
+    *partial* — distinct key rows, one array per aggregate, counts — and
+    appends it; nothing in it runs per group.  ``finalize`` is the
+    paper's task-set finalization step (§2.3): it merges the partial
+    aggregates once, by the same grouping and scatter a morsel uses.
 
-    ``avgs`` are computed as merged (sum, count) pairs, which is the
-    only decomposition that merges correctly across morsels.
+    Partials are merged in arrival order and the scatters
+    (``ufunc.at``) apply in index order, so a group's sum is the float
+    sequence ``0.0 + p1 + p2 + ...`` over its partials whether they are
+    merged one by one, all at once or in stages (``0.0 + x == x``):
+    results are bit-identical at any fixed morsel split.
+
+    ``avgs`` are kept as (sum, count) pairs, which is the only
+    decomposition that merges correctly across morsels.
     """
+
+    #: ``consume`` merges early once this many partial groups — and more
+    #: than the merged state holds — are pending, which bounds the state
+    #: by the group count instead of the input size at O(1) per group.
+    _COMPACT_GROUPS = 1 << 18
 
     def __init__(
         self,
@@ -243,89 +296,86 @@ class HashAggregateSink(Sink):
         self.maxs = maxs or {}
         self.avgs = avgs or {}
         self.count_alias = count_alias
-        self.groups: Dict[Tuple, Dict[str, float]] = {}
+        #: (expression, scatter ufunc, identity) per aggregate column,
+        #: in result order; an avg accumulates its sum.
+        self._aggregates = (
+            [(expr, np.add, 0.0) for expr in self.sums.values()]
+            + [(expr, np.minimum, np.inf) for expr in self.mins.values()]
+            + [(expr, np.maximum, -np.inf) for expr in self.maxs.values()]
+            + [(expr, np.add, 0.0) for expr in self.avgs.values()]
+        )
+        #: (key columns, aggregate columns, counts) per consumed morsel,
+        #: in arrival order; at most one entry once finalized.
+        self._partials: List[Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]] = []
+        self._pending_groups = 0
 
-    def _reduce_keys(self, batch: Batch, n: int):
-        key_arrays = [np.asarray(batch[c]) for c in self.group_columns]
-        if len(key_arrays) == 1:
-            # The common single-key path avoids the slow axis-based unique.
-            flat_uniques, inverse = np.unique(key_arrays[0], return_inverse=True)
-            return flat_uniques.reshape(-1, 1), inverse
-        composite = np.empty((n, len(key_arrays)), dtype=np.int64)
-        for i, keys in enumerate(key_arrays):
-            composite[:, i] = keys
-        return np.unique(composite, axis=0, return_inverse=True)
+    def _reduce(self, keys, values, counts):
+        """One partial from rows: group by key, scatter in row order."""
+        uniques, inverse = _group_rows(keys)
+        n_groups = len(uniques[0])
+        columns = []
+        for (_, ufunc, identity), column in zip(self._aggregates, values):
+            acc = np.full(n_groups, identity)
+            ufunc.at(acc, inverse, column)
+            columns.append(acc)
+        total = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(total, inverse, counts)
+        return uniques, columns, total
 
     def consume(self, batch: Batch) -> None:
-        n = batch_length(batch)
-        if n == 0:
+        if batch_length(batch) == 0:
             return
-        uniques, inverse = self._reduce_keys(batch, n)
-        n_groups = len(uniques)
-        partial_sums = {}
-        for alias, expr in self.sums.items():
-            acc = np.zeros(n_groups)
-            np.add.at(acc, inverse, expr.evaluate(batch))
-            partial_sums[alias] = acc
-        partial_mins = {}
-        for alias, expr in self.mins.items():
-            acc = np.full(n_groups, np.inf)
-            np.minimum.at(acc, inverse, expr.evaluate(batch))
-            partial_mins[alias] = acc
-        partial_maxs = {}
-        for alias, expr in self.maxs.items():
-            acc = np.full(n_groups, -np.inf)
-            np.maximum.at(acc, inverse, expr.evaluate(batch))
-            partial_maxs[alias] = acc
-        partial_avgsums = {}
-        for alias, expr in self.avgs.items():
-            acc = np.zeros(n_groups)
-            np.add.at(acc, inverse, expr.evaluate(batch))
-            partial_avgsums[alias] = acc
-        counts = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(counts, inverse, 1)
-        for group_index, key_row in enumerate(uniques):
-            key = tuple(int(k) for k in key_row)
-            entry = self.groups.get(key)
-            if entry is None:
-                entry = {alias: 0.0 for alias in self.sums}
-                entry.update({f"min:{alias}": float("inf") for alias in self.mins})
-                entry.update({f"max:{alias}": float("-inf") for alias in self.maxs})
-                entry.update({f"avg:{alias}": 0.0 for alias in self.avgs})
-                entry["__count__"] = 0
-                self.groups[key] = entry
-            for alias in self.sums:
-                entry[alias] += float(partial_sums[alias][group_index])
-            for alias in self.mins:
-                entry[f"min:{alias}"] = min(
-                    entry[f"min:{alias}"], float(partial_mins[alias][group_index])
-                )
-            for alias in self.maxs:
-                entry[f"max:{alias}"] = max(
-                    entry[f"max:{alias}"], float(partial_maxs[alias][group_index])
-                )
-            for alias in self.avgs:
-                entry[f"avg:{alias}"] += float(partial_avgsums[alias][group_index])
-            entry["__count__"] += int(counts[group_index])
+        partial = self._reduce(
+            [batch[c].astype(np.int64, copy=False) for c in self.group_columns],
+            [expr.evaluate(batch) for expr, _, _ in self._aggregates],
+            1,
+        )
+        self._partials.append(partial)
+        self._pending_groups += len(partial[2])
+        if self._pending_groups > max(self._COMPACT_GROUPS, len(self._partials[0][2])):
+            self.finalize()
+
+    def finalize(self) -> None:
+        """Merge the partials into one (idempotent)."""
+        if len(self._partials) > 1:
+            keys, values, counts = zip(*self._partials)
+            merged = self._reduce(
+                [np.concatenate(columns) for columns in zip(*keys)],
+                [np.concatenate(columns) for columns in zip(*values)],
+                np.concatenate(counts),
+            )
+            self._partials = [merged]
+        self._pending_groups = 0
+
+    def result_columns(self) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+        """(key columns, aggregate columns, counts), groups in key order.
+
+        Aggregate columns come as sums, mins, maxs, avgs — the order of
+        :meth:`result_rows`.
+        """
+        self.finalize()
+        if not self._partials:
+            return (
+                [np.empty(0, dtype=np.int64) for _ in self.group_columns],
+                [np.empty(0) for _ in self._aggregates],
+                np.empty(0, dtype=np.int64),
+            )
+        keys, values, counts = self._partials[0]
+        first_avg = len(values) - len(self.avgs)
+        return (
+            keys,
+            values[:first_avg] + [column / counts for column in values[first_avg:]],
+            counts,
+        )
 
     def result_rows(self) -> List[Tuple]:
         """(group key..., sums..., mins..., maxs..., avgs..., count) rows
         sorted by group key."""
-        rows = []
-        for key in sorted(self.groups):
-            entry = self.groups[key]
-            row = list(key) + [entry[alias] for alias in self.sums]
-            row += [entry[f"min:{alias}"] for alias in self.mins]
-            row += [entry[f"max:{alias}"] for alias in self.maxs]
-            count = entry["__count__"]
-            row += [
-                entry[f"avg:{alias}"] / count if count else float("nan")
-                for alias in self.avgs
-            ]
-            if self.count_alias is not None:
-                row.append(count)
-            rows.append(tuple(row))
-        return rows
+        keys, values, counts = self.result_columns()
+        columns = keys + values
+        if self.count_alias is not None:
+            columns.append(counts)
+        return list(zip(*(column.tolist() for column in columns)))
 
 
 class ScalarAggregateSink(Sink):

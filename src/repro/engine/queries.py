@@ -134,8 +134,10 @@ def _q3(db: TpchDatabase) -> QueryPlan:
     )
 
     def result() -> List[tuple]:
-        rows = agg.result_rows()  # (orderkey, revenue)
-        return sorted(rows, key=lambda row: -row[1])[:10]
+        (orderkey,), (revenue,), _ = agg.result_columns()
+        # Descending revenue, ties in key order (a stable sort's).
+        top = np.argsort(-revenue, kind="stable")[:10]
+        return list(zip(orderkey[top].tolist(), revenue[top].tolist()))
 
     return QueryPlan("Q3", [build_customer, build_orders, probe_lineitem], result)
 
@@ -194,11 +196,10 @@ def _q13(db: TpchDatabase) -> QueryPlan:
         # Histogram: (orders per customer, number of customers); the
         # customers with zero orders come from the difference against
         # the customer cardinality (the LEFT OUTER part of Q13).
-        counts: Dict[int, int] = {}
-        for _custkey, order_count in per_customer.result_rows():
-            counts[order_count] = counts.get(order_count, 0) + 1
-        n_with_orders = sum(counts.values())
-        zero = customer.n_rows - n_with_orders
+        order_counts = per_customer.result_columns()[2]
+        sizes, customers = np.unique(order_counts, return_counts=True)
+        counts: Dict[int, int] = dict(zip(sizes.tolist(), customers.tolist()))
+        zero = customer.n_rows - len(order_counts)
         if zero > 0:
             counts[0] = counts.get(0, 0) + zero
         return sorted(counts.items(), key=lambda item: (-item[1], -item[0]))
@@ -225,10 +226,8 @@ def _q18(db: TpchDatabase, quantity_threshold: float = 190.0) -> QueryPlan:
     big_orders = LazyJoinTable()
 
     def grouped_relation():
-        rows = group_qty.result_rows()  # (orderkey, sum_qty)
-        keys = np.array([row[0] for row in rows], dtype=np.int64)
-        sums = np.array([row[1] for row in rows], dtype=np.float64)
-        return materialized_relation({"g_orderkey": keys, "g_sum_qty": sums})
+        (orderkey,), (sum_qty,), _ = group_qty.result_columns()
+        return materialized_relation({"g_orderkey": orderkey, "g_sum_qty": sum_qty})
 
     build_big_orders = EnginePipeline(
         name="build-orders-probe",

@@ -127,13 +127,19 @@ def decode_outcome(payload: dict) -> CellOutcome:
 # ----------------------------------------------------------------------
 #: Modules pre-imported by every worker at spawn, so the first real cell
 #: pays no import cost (matters under the spawn/forkserver start
-#: methods; free under fork).
+#: methods; free under fork for what the parent had imported by then).
+#: The last two are what a process-backend epoch imports on first use —
+#: the tuning scheduler's package and the workload codec, ~45 ms that
+#: every worker would otherwise pay inside its first epoch, one epoch
+#: after another until each worker has served one.
 _PREIMPORT_MODULES = (
     "repro.core",
     "repro.core.os_scheduler",
     "repro.experiments.common",
     "repro.simcore.simulator",
     "repro.workloads",
+    "repro.tuning",
+    "repro.workloads.serialize",
 )
 
 #: Per-worker workload cache: workload_key -> workload.  Bounded FIFO —

@@ -96,7 +96,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -229,6 +229,7 @@ class AnalyticsServer:
         else:
             # Model mode needs no data: specs are cost profiles.
             self.database = database
+        self._engine_specs: Dict[str, QuerySpec] = {}
         self._scheduler_name = scheduler
         self._config = SchedulerConfig(
             n_workers=n_workers,
@@ -401,7 +402,13 @@ class AnalyticsServer:
             )
         if self._environment == "model":
             return tpch_query(name, self._scale_factor)
-        return engine_query_spec(name, self.database)
+        # Deriving an engine spec builds the whole plan; the database is
+        # immutable and the spec frozen, so one per name serves every
+        # submit and placement probe.
+        spec = self._engine_specs.get(name)
+        if spec is None:
+            spec = self._engine_specs[name] = engine_query_spec(name, self.database)
+        return spec
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -5,6 +5,7 @@ import pytest
 from repro.core import SchedulerConfig, make_scheduler
 from repro.engine import build_engine_query, run_plan
 from repro.engine.execution import EngineEnvironment, engine_query_spec
+from repro.errors import EngineError
 from repro.simcore import Simulator
 
 
@@ -57,6 +58,10 @@ class TestSchedulerDrivenExecution:
         got = env.finish_query(query_id)
         expected = build_engine_query("Q6", tiny_db).execute()
         assert got == pytest.approx(expected)
+        # The returned value was the only copy: the plan state is gone.
+        assert env._instances == {}
+        with pytest.raises(EngineError, match="never executed"):
+            env.finish_query(query_id)
 
     def test_concurrent_queries_all_correct(self, tiny_db):
         names = ["Q6", "Q1", "Q6", "Q13"]

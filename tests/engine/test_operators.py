@@ -1,7 +1,11 @@
 """Tests for the morsel-wise physical operators."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.expressions import Col
 from repro.engine.operators import (
@@ -19,10 +23,43 @@ from repro.engine.operators import (
     TopKSink,
 )
 from repro.errors import EngineError
+from tests.engine.reference_aggregate import ReferenceHashAggregateSink
 
 
 def batch(**columns):
     return {name: np.asarray(values) for name, values in columns.items()}
+
+
+#: Key domains that steer the sink's grouping: a dense span (counting),
+#: a span far wider than any batch (sort on the folded code), and
+#: values whose span — alone or multiplied across columns — no int64
+#: code can hold (row-wise sort).
+_KEY_DOMAINS = (
+    (st.integers(-4, 4), (np.int32, np.int64)),
+    (st.integers(-(2**31), 2**31 - 1), (np.int32, np.int64)),
+    (st.sampled_from([-(2**63), -(2**40), -1, 0, 2**33, 2**63 - 1]), (np.int64,)),
+)
+
+
+@st.composite
+def grouped_morsels(draw):
+    """Key columns, a value column and a morsel split, as batches."""
+    n = draw(st.integers(0, 60))
+    columns = {}
+    for i in range(draw(st.integers(1, 3))):
+        elements, dtypes = draw(st.sampled_from(_KEY_DOMAINS))
+        keys = draw(st.lists(elements, min_size=n, max_size=n))
+        columns[f"k{i}"] = np.array(keys, dtype=draw(st.sampled_from(dtypes)))
+    values = st.floats(-1.0e6, 1.0e6, allow_nan=False)
+    columns["v"] = np.array(
+        draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    bounds = [0] + cuts + [n]
+    return [
+        {name: array[lo:hi] for name, array in columns.items()}
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 class TestTransforms:
@@ -146,6 +183,63 @@ class TestHashAggregateSink:
         for (k1, s1), (k2, s2) in zip(whole.result_rows(), split.result_rows()):
             assert k1 == k2
             assert s1 == pytest.approx(s2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(morsels=grouped_morsels(), compact_groups=st.sampled_from([1 << 18, 2, 0]))
+    def test_identical_to_dict_reference(self, morsels, compact_groups):
+        """Same morsels in the same order: the same rows, bit for bit,
+        as the dict-state sink this one replaced — on every grouping
+        path, with and without early merging of the partials."""
+        keys = [name for name in morsels[0] if name != "v"]
+        spec = dict(
+            sums={"s": Col("v"), "s2": Col("v") * Col("v")},
+            mins={"lo": Col("v")},
+            maxs={"hi": Col("v")},
+            avgs={"mean": Col("v")},
+            count_alias="n",
+        )
+        sink = HashAggregateSink(keys, **spec)
+        sink._COMPACT_GROUPS = compact_groups
+        reference = ReferenceHashAggregateSink(keys, **spec)
+        for morsel in morsels:
+            sink.consume(morsel)
+            reference.consume(morsel)
+        sink.finalize()
+        assert sink.result_rows() == reference.result_rows()
+        got_keys, got_values, got_counts = sink.result_columns()
+        want_keys, want_values, want_counts = reference.result_columns()
+        for got, want in zip(
+            got_keys + got_values + [got_counts],
+            want_keys + want_values + [want_counts],
+        ):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    def test_consume_runs_no_python_per_group(self):
+        """The count of Python-level call events in ``consume`` must not
+        depend on the number of groups (no clock involved)."""
+
+        def call_events(n_groups):
+            rows = np.arange(20_000)
+            morsel = batch(g=rows % n_groups, v=rows * 0.5)
+            sink = HashAggregateSink(
+                ["g"], {"s": Col("v")}, avgs={"a": Col("v")}, count_alias="n"
+            )
+            events = []
+
+            def profiler(frame, event, arg):
+                if event in ("call", "c_call"):
+                    events.append(event)
+
+            sys.setprofile(profiler)
+            try:
+                sink.consume(morsel)
+            finally:
+                sys.setprofile(None)
+            assert len(sink.result_rows()) == n_groups
+            return len(events)
+
+        assert call_events(5) == call_events(5_000)
 
 
 class TestScalarAggregateSink:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.engine import ENGINE_QUERIES, build_engine_query
 from repro.errors import EngineError
+from tests.engine.reference_aggregate import ReferenceHashAggregateSink
 
 
 class TestQ1:
@@ -142,6 +143,27 @@ class TestQueryCatalog:
                 assert small == pytest.approx(large)
             else:
                 assert len(small) == len(large)
+
+    @pytest.mark.parametrize("morsel_rows", [977, 4_096, 65_536])
+    def test_identical_to_dict_reference_sink(self, small_db, monkeypatch, morsel_rows):
+        """At a fixed morsel split every plan returns exactly (``==``)
+        what it returns on the dict-state sink the columnar one replaced."""
+        results = {
+            name: build_engine_query(name, small_db).execute(morsel_rows)
+            for name in ENGINE_QUERIES
+        }
+        monkeypatch.setattr(
+            "repro.engine.queries.HashAggregateSink", ReferenceHashAggregateSink
+        )
+        for name, got in results.items():
+            want = build_engine_query(name, small_db).execute(morsel_rows)
+            if name == "QS":
+                assert list(got) == list(want)
+                for column in want:
+                    assert got[column].dtype == want[column].dtype
+                    assert got[column].tobytes() == want[column].tobytes()
+            else:
+                assert got == want, name
 
 
 class TestQ4:

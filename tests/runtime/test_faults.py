@@ -131,7 +131,13 @@ class TestSimulatedIsolation:
         survivor = faulted.result(f_qs)
         for name in reference:
             np.testing.assert_array_equal(survivor[name], reference[name])
-        assert faulted.result(f_q6) == baseline.result(b_q6)
+        # Q6 is one float sum added up morsel by morsel, and the morsel
+        # split follows measured time (§3.1): a stalled morsel in either
+        # run moves the last bit (seen once in five full-suite runs on a
+        # noisy host; 300 of 300 runs of the scenario alone agree).
+        assert faulted.result(f_q6) == pytest.approx(
+            baseline.result(b_q6), rel=1e-12
+        )
         baseline.shutdown()
         faulted.shutdown()
 

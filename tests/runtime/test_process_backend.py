@@ -7,6 +7,10 @@ running the same submissions through :class:`SimulatedBackend` in this
 process.
 """
 
+import multiprocessing
+import os
+import subprocess
+import sys
 from functools import partial
 
 import pytest
@@ -167,3 +171,61 @@ class TestEngineEnvironmentPath:
         # The engine actually ran: a result row came back for the job.
         assert job in backend.results
         assert "Q6" in ENGINE_QUERIES
+
+
+#: Run in an interpreter of its own: a forked worker inherits every
+#: module this test process has imported, which would hide a miss.
+_WARM_WORKER_SCRIPT = """
+import sys
+from functools import partial
+
+from repro.core import SchedulerConfig, make_scheduler
+from repro.experiments.pool import SweepPool, register_warmup
+from repro.runtime.process import (
+    ProcessBackend,
+    engine_environment_factory,
+    warm_engine_database,
+)
+from repro.workloads import tpch_query
+
+
+def loaded():
+    return [name for name in sys.modules if name.startswith("repro")]
+
+
+register_warmup(warm_engine_database, 0.003, 0)
+pool = SweepPool(max_workers=1)
+before = set(pool.call(loaded))
+backend = ProcessBackend(
+    partial(make_scheduler, "tuning", SchedulerConfig(n_workers=2)),
+    seed=1,
+    environment_factory=partial(engine_environment_factory, 0.003, 0),
+    pool=pool,
+)
+job = backend.submit(tpch_query("Q6", 0.003))
+backend.drain()
+assert job in backend.results
+print(sorted(set(pool.call(loaded)) - before))
+pool.shutdown()
+"""
+
+
+class TestWarmWorker:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the script's helper is inherited, not importable",
+    )
+    def test_first_epoch_in_a_warm_worker_imports_nothing(self):
+        """What an epoch uses is imported at worker spawn, so the first
+        epoch a worker serves costs what its later ones do (the tuning
+        scheduler's package alone is ~35 ms)."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _WARM_WORKER_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH="src"),
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

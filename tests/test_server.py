@@ -7,6 +7,7 @@ import pytest
 from repro.engine import build_engine_query, generate_tpch
 from repro.errors import AdmissionError, ReproError
 from repro.runtime import BackendState
+from repro.runtime.faults import OPERATOR_RAISE, WORKER_STALL, FaultPlan, FaultSpec
 from repro.server import AnalyticsServer
 
 
@@ -227,6 +228,17 @@ class TestThreadedBackend:
 
     def test_wait_timeout_expires(self, server_db):
         server = make_server(server_db, backend="threaded", n_workers=1)
+        # Hold the query on its first morsel: how long Q18 runs must not
+        # decide whether a 100 us wait times out.
+        server.install_faults(
+            FaultPlan(
+                faults=(
+                    FaultSpec(
+                        kind=WORKER_STALL, query="Q18", morsel=0, stall_seconds=0.2
+                    ),
+                )
+            )
+        )
         try:
             server.start()
             ticket = server.submit("Q18")
@@ -237,6 +249,41 @@ class TestThreadedBackend:
             record = server.wait(ticket, timeout=60.0)
             assert not record.cancelled and not record.failed
             server.drain()
+        finally:
+            server.shutdown()
+
+    def test_settled_queries_release_engine_state(self, server_db):
+        """The environment lives as long as the server, so every settled
+        query — completed, failed or cancelled — must leave it nothing."""
+        server = self.make_threaded(server_db)
+        server.install_faults(
+            FaultPlan(
+                faults=(
+                    FaultSpec(kind=OPERATOR_RAISE, query="Q4", morsel=1),
+                    # Holds Q18 mid-flight so the cancel finds it running.
+                    FaultSpec(
+                        kind=WORKER_STALL, query="Q18", morsel=0, stall_seconds=0.2
+                    ),
+                )
+            )
+        )
+        try:
+            server.start()
+            victim = server.submit("Q4")
+            doomed = server.submit("Q18")
+            served = [
+                server.submit(name)
+                for name in ("Q1", "Q3", "Q6", "Q12", "Q13", "QS") * 6
+            ]
+            assert server.cancel(doomed)
+            server.drain()
+            assert server.failed(victim)
+            assert server.record(doomed).cancelled
+            assert isinstance(server.result(served[0]), list)
+            environment = server._backend._environment
+            assert environment._instances == {}
+            assert environment._group_locks == {}
+            assert environment.inner._channels == {}
         finally:
             server.shutdown()
 
