@@ -40,16 +40,20 @@ class TaggedPointer:
             self._payload = payload
             self._valid = payload is not None
 
-    def tag_invalid(self) -> bool:
+    def tag_invalid(self, expected: Any = None) -> bool:
         """Mark the current payload as invalid; keep it readable.
 
         Returns ``True`` if this call performed the transition, ``False``
-        if the pointer was already invalid (another worker won the race).
-        This compare-and-swap behaviour lets exactly one worker act as
-        the finalization coordinator.
+        if the pointer was already invalid (another worker won the race)
+        or no longer holds ``expected`` — a late caller must not tag the
+        payload published after the one it read (ABA); ``None`` tags
+        whatever is there.  This compare-and-swap behaviour lets exactly
+        one worker act as the finalization coordinator.
         """
         with self._lock:
-            if not self._valid:
+            if not self._valid or (
+                expected is not None and self._payload is not expected
+            ):
                 return False
             self._valid = False
             return True

@@ -237,7 +237,8 @@ class ClusterRouter:
         self._alive: List[bool] = [True] * n_shards
         self._tickets = TicketRegistry()
         self._next_ticket = 0
-        #: Cluster ticket -> submission bookkeeping for handoff/settle.
+        #: Cluster ticket -> submission bookkeeping for handoff/settle;
+        #: a cluster ticket stays pending in ``_tickets`` until settled.
         self._entries: Dict[int, dict] = {}
         #: (query name, observed cpu-seconds) in settlement order — the
         #: training signal for router-level knob tuning.  Bounded so a
@@ -441,7 +442,6 @@ class ClusterRouter:
             "sla": sla,
             "weight": weight,
             "charge": charge,
-            "settled": False,
         }
         return ClusterHandle.attach(ticket, self)
 
@@ -553,20 +553,12 @@ class ClusterRouter:
             )
         server = self.shards[shard]
         moved = 0
-        for ticket in self._tickets:
+        for ticket in self._tickets.pending():
             entry = self._entries[ticket]
-            if entry["settled"]:
-                continue
             address = self._tickets.address_of(ticket)
-            if address is None or address.shard != shard:
+            if address.shard != shard:
                 continue
-            resolved = server.tickets.resolve(address.ticket)
-            backend = server.backend
-            if (
-                resolved in backend.records
-                or resolved in backend.failures
-                or backend.cancelled(resolved)
-            ):
+            if server.backend.terminal(server.tickets.resolve(address.ticket)):
                 continue  # already finished here; settles normally
             at_time = 0.0 if entry["at"] is None else float(entry["at"])
             target = self._placement.choose(
@@ -662,19 +654,14 @@ class ClusterRouter:
     # Settlement: feed completions back into the placement predictor
     # ------------------------------------------------------------------
     def _settle(self) -> None:
-        for ticket in self._tickets:
-            entry = self._entries.get(ticket)
-            if entry is None or entry["settled"]:
-                continue
+        for ticket in self._tickets.pending():
             address = self._tickets.address_of(ticket)
-            if address is None:
-                continue
             record = self.shards[address.shard].poll(address.ticket)
             if record is None:
                 continue
-            entry["settled"] = True
+            self._tickets.settle(ticket)
             self._placement.on_complete(
-                address.shard, record, entry["charge"]
+                address.shard, record, self._entries[ticket]["charge"]
             )
             if not record.failed and not record.cancelled:
                 self._completion_log.append(

@@ -92,14 +92,15 @@ class GlobalSlotArray:
         payload, valid = self._pointers[slot].load()
         return payload, valid
 
-    def tag_invalid(self, slot: int) -> bool:
-        """Tag the slot's task-set pointer as invalid.
+    def tag_invalid(self, slot: int, task_set: TaskSet) -> bool:
+        """Tag the slot's pointer to ``task_set`` as invalid.
 
         Returns ``True`` only for the single caller that performed the
-        transition — that worker becomes the finalization coordinator.
+        transition — that worker becomes the finalization coordinator —
+        and ``False`` when the slot no longer points at ``task_set``.
         """
         self._check(slot)
-        return self._pointers[slot].tag_invalid()
+        return self._pointers[slot].tag_invalid(task_set)
 
     def _check(self, slot: int) -> None:
         if not 0 <= slot < self._capacity:

@@ -579,9 +579,10 @@ class StrideScheduler(SchedulerBase):
         """First worker to notice an empty task set coordinates finalization."""
         if task_set.finalization_started:
             return 0.0
-        if not self._slots.tag_invalid(slot):
+        if not self._slots.tag_invalid(slot, task_set):
+            return 0.0  # lost the race, or the slot already holds a successor
+        if not task_set.begin_finalization():
             return 0.0
-        task_set.begin_finalization()
         count = 0
         worker_running = self._worker_running
         state_lock = self._state_lock

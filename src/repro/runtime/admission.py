@@ -19,9 +19,11 @@ admission logic into policy objects so a cluster of shards can share
   bit-for-bit in behaviour and message text.
 
 A policy object is stateless with respect to the server: every decision
-reads the live backend counters and the
-:class:`~repro.runtime.tickets.TicketRegistry`, so one policy instance
-could in principle be shared by many shards.
+reads the live backend counters and the pending ledger the server's
+:class:`~repro.runtime.tickets.TicketRegistry` maintains (per-tenant
+counts, ``(priority, sla)`` classes), so a decision costs the same on a
+server's first query and its millionth, and one policy instance could
+in principle be shared by many shards.
 """
 
 from __future__ import annotations
@@ -151,14 +153,6 @@ class AdmissionPolicy(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _is_pending(backend: ExecutionBackend, ticket: int) -> bool:
-        return (
-            ticket not in backend.records
-            and ticket not in backend.failures
-            and not backend.cancelled(ticket)
-        )
-
     def tenant_pending(
         self,
         backend: ExecutionBackend,
@@ -166,15 +160,7 @@ class AdmissionPolicy(abc.ABC):
         tenant: str,
     ) -> int:
         """Pending queries currently charged to ``tenant``."""
-        count = 0
-        for ticket in tickets:
-            if tickets.tenant_of(ticket) != tenant:
-                continue
-            if ticket < backend.submitted_count and self._is_pending(
-                backend, ticket
-            ):
-                count += 1
-        return count
+        return tickets.tenant_pending(tenant)
 
     def _check_tenant_quota(
         self,
@@ -253,10 +239,7 @@ class SheddingAdmission(AdmissionPolicy):
         super().__init__(max_pending, tenant_quotas, default_tenant_quota)
         self.sla_classes = dict(sla_classes or DEFAULT_SLA_CLASSES)
 
-    def _sheddable(self, tickets: TicketRegistry, ticket: int) -> bool:
-        sla_name = tickets.sla_of(ticket)
-        if sla_name is None:
-            return True
+    def _sheddable(self, sla_name: Optional[str]) -> bool:
         sla = self.sla_classes.get(sla_name)
         return sla is None or sla.sheddable
 
@@ -267,22 +250,12 @@ class SheddingAdmission(AdmissionPolicy):
         priority: int,
     ) -> Optional[int]:
         """The pending ticket to shed: lowest priority, newest on ties."""
-        best: Optional[int] = None
-        best_priority = priority
-        for ticket in range(backend.submitted_count):
-            if not self._is_pending(backend, ticket):
-                continue
-            if not self._sheddable(tickets, ticket):
-                continue
-            ticket_priority = tickets.priority_of(ticket, 0)
-            if ticket_priority < best_priority or (
-                best is not None
-                and ticket_priority == tickets.priority_of(best, 0)
-                and ticket > best
-            ):
-                best = ticket
-                best_priority = ticket_priority
-        return best
+        candidates = [
+            (victim_priority, -newest)
+            for victim_priority, sla_name, newest in tickets.pending_classes()
+            if victim_priority < priority and self._sheddable(sla_name)
+        ]
+        return -min(candidates)[1] if candidates else None
 
     def _on_full(self, backend, tickets, request):
         priority = request.effective_priority

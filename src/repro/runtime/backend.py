@@ -120,6 +120,10 @@ class ExecutionBackend(abc.ABC):
         #: failures that crossed a process pipe are reconstructed from
         #: the record's error text).
         self.failures: Dict[int, BaseException] = {}
+        #: Observer the owning server installs: called with the job id
+        #: the moment a job stops being pending, *after* the mark or
+        #: record that says so is written (state first, notify second).
+        self.on_terminal: Optional[Callable[[int], None]] = None
         self._fault_injector: Optional[FaultInjector] = None
 
     # ------------------------------------------------------------------
@@ -223,6 +227,8 @@ class ExecutionBackend(abc.ABC):
                 self._cancelled.add(job_id)
             else:
                 self.failures[job_id] = error
+            if self.on_terminal is not None:
+                self.on_terminal(job_id)
         channel = self._channels.get(job_id)
         if channel is not None:
             # Fail the channel *first*: a threaded producer parked in a
@@ -333,6 +339,8 @@ class ExecutionBackend(abc.ABC):
                 # leaves that to the caller's drain()/wait()/result().
                 self._absorb_stream(job_id)
         self.records[job_id] = record
+        if self.on_terminal is not None:
+            self.on_terminal(job_id)
         return record
 
     def _settle_fold(
@@ -448,6 +456,14 @@ class ExecutionBackend(abc.ABC):
         """Whether ``job_id`` was cancelled."""
         self._check_job(job_id)
         return job_id in self._cancelled
+
+    def terminal(self, job_id: int) -> bool:
+        """Whether ``job_id`` stopped being pending: settled or aborted."""
+        return (
+            job_id in self.records
+            or job_id in self.failures
+            or job_id in self._cancelled
+        )
 
     def failed(self, job_id: int) -> bool:
         """Whether ``job_id`` failed (exception, fault, deadline, shed)."""
@@ -658,8 +674,8 @@ class EpochBackend(ExecutionBackend):
         self._noise_sigma = noise_sigma
         self._environment_factory = environment_factory
         self._max_time = max_time
-        #: ``(arrival, spec, job id)`` in submission order.
-        self._pending: List[Tuple[float, QuerySpec, int]] = []
+        #: job id -> ``(arrival, spec, job id)``, in submission order.
+        self._pending: Dict[int, Tuple[float, QuerySpec, int]] = {}
         #: Jobs settled while pending; the next drain reports them.
         self._unreported_cancels: List[int] = []
         self._clock = VirtualClock()
@@ -675,7 +691,7 @@ class EpochBackend(ExecutionBackend):
         arrival = 0.0 if at is None else float(at)
         if arrival < 0.0:
             raise ReproError("arrival time must be non-negative")
-        self._pending.append((arrival, spec, job_id))
+        self._pending[job_id] = (arrival, spec, job_id)
 
     def _begin_epoch(self):
         """Open a drain: ``(records to report, pending in arrival order)``.
@@ -689,8 +705,8 @@ class EpochBackend(ExecutionBackend):
         """
         finished = [self.records[job_id] for job_id in self._unreported_cancels]
         self._unreported_cancels = []
-        pending = sorted(self._pending, key=lambda entry: entry[0])
-        self._pending = []
+        pending = sorted(self._pending.values(), key=lambda entry: entry[0])
+        self._pending = {}
         return finished, pending
 
     def _do_shutdown(self) -> None:
@@ -706,16 +722,13 @@ class EpochBackend(ExecutionBackend):
         # An abortable job is always still pending: remove it and record
         # the outcome at its arrival time (zero CPU, zero latency) so
         # counters settle and the next drain() reports it once.
-        for index, (arrival, spec, pending_id) in enumerate(self._pending):
-            if pending_id == job_id:
-                del self._pending[index]
-                record = self._synthetic_record(
-                    spec,
-                    arrival,
-                    arrival,
-                    cancelled=error is None,
-                    error="" if error is None else self._error_text(error),
-                )
-                self._settle(job_id, record, error)
-                self._unreported_cancels.append(job_id)
-                return
+        arrival, spec, _ = self._pending.pop(job_id)
+        record = self._synthetic_record(
+            spec,
+            arrival,
+            arrival,
+            cancelled=error is None,
+            error="" if error is None else self._error_text(error),
+        )
+        self._settle(job_id, record, error)
+        self._unreported_cancels.append(job_id)

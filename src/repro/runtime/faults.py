@@ -214,9 +214,15 @@ class FaultyEnvironment:
         return self._inner
 
     def __getattr__(self, name: str):
-        if name in FaultyEnvironment._HIDDEN:
+        # ``_inner`` is never delegated: unpickling probes ``__setstate__``
+        # before it exists, and reading it here would recurse forever.
+        if name == "_inner" or name in FaultyEnvironment._HIDDEN:
             raise AttributeError(name)
         return getattr(self._inner, name)
+
+    def __getstate__(self) -> dict:
+        # Result channels hold locks and belong to the finished epoch.
+        return {**self.__dict__, "_channels": {}}
 
     # The simulator wires its active-query callback through this
     # attribute; forward both directions so the wrapped cost model sees

@@ -16,15 +16,23 @@ backend job id:
 
 :class:`TicketRegistry` centralises that bookkeeping behind one small
 API, so the server is free to treat tickets as opaque and the cluster
-router can address any query as ``(shard, ticket)``.  The registry is
-deliberately dumb storage — it never talks to a backend — which keeps
-it trivially picklable and usable at both the shard and cluster layer.
+router can address any query as ``(shard, ticket)``.  Beside the
+per-ticket metadata it keeps the *pending ledger* of its namespace —
+which tickets are still pending, how many per tenant, which per
+``(priority, sla)`` class, which retry chains can still fire — updated
+only where a job changes state, so quota checks, shed decisions, retry
+sweeps and router settlement cost O(pending), never O(ever issued).
+The registry is told, it never asks: it holds no backend reference, its
+owner calls :meth:`~TicketRegistry.register` when a ticket is issued
+and :meth:`~TicketRegistry.settle` when its job stops being pending,
+which keeps it usable at both the shard and the cluster layer.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class ShardAddress(NamedTuple):
@@ -63,9 +71,18 @@ class TicketRegistry:
     def __init__(self) -> None:
         #: superseded ticket -> its replacement; chains.
         self._aliases: Dict[int, int] = {}
+        #: Per-ticket metadata, in registration order.
         self._states: Dict[int, TicketState] = {}
-        #: Tickets in registration order (deterministic iteration).
-        self._order: List[int] = []
+        #: The pending ledger (dicts as insertion-ordered sets): pending
+        #: tickets, their count per tenant, their ``(priority, sla)``
+        #: buckets (dropped when empty) and the armed retry chains.
+        self._pending: Dict[int, None] = {}
+        self._tenant_pending: Dict[Optional[str], int] = {}
+        self._classes: Dict[Tuple[int, Optional[str]], Dict[int, None]] = {}
+        self._armed: Dict[int, None] = {}
+        #: Leaf lock over the ledger: a threaded backend settles jobs on
+        #: worker threads while submitters register.  Calls nothing.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Registration and aliasing
@@ -79,13 +96,35 @@ class TicketRegistry:
         sla: Optional[str] = None,
         address: Optional[ShardAddress] = None,
     ) -> TicketState:
-        """Record a freshly issued ticket; returns its mutable state."""
+        """Record a freshly issued, pending ticket; returns its state."""
+        ticket = int(ticket)
         state = TicketState(
             priority=priority, tenant=tenant, sla=sla, address=address
         )
-        self._states[int(ticket)] = state
-        self._order.append(int(ticket))
+        with self._lock:
+            self._states[ticket] = state
+            self._pending[ticket] = None
+            self._tenant_pending[tenant] = self._tenant_pending.get(tenant, 0) + 1
+            self._classes.setdefault((priority, sla), {})[ticket] = None
         return state
+
+    def settle(self, ticket: int) -> None:
+        """The ticket's job stopped being pending; idempotent.
+
+        Also a no-op for a ticket not registered yet: on real threads a
+        job can finish before its submitter registers it, which is why
+        the owner re-checks the job right after :meth:`register`.
+        """
+        with self._lock:
+            if ticket not in self._pending:
+                return
+            del self._pending[ticket]
+            state = self._states[ticket]
+            self._tenant_pending[state.tenant] -= 1
+            key = (state.priority, state.sla)
+            del self._classes[key][ticket]
+            if not self._classes[key]:
+                del self._classes[key]
 
     def alias(self, old: int, new: int) -> None:
         """Point a superseded ticket at its replacement.
@@ -121,7 +160,27 @@ class TicketRegistry:
 
     def __iter__(self) -> Iterator[int]:
         """All registered tickets, oldest first (deterministic)."""
-        return iter(self._order)
+        return iter(self._states)
+
+    # ------------------------------------------------------------------
+    # The pending ledger's readers
+    # ------------------------------------------------------------------
+    def pending(self) -> List[int]:
+        """Tickets whose job is still pending, oldest first (a snapshot)."""
+        with self._lock:
+            return list(self._pending)
+
+    def tenant_pending(self, tenant: Optional[str]) -> int:
+        """How many pending tickets are charged to ``tenant``."""
+        return self._tenant_pending.get(tenant, 0)
+
+    def pending_classes(self) -> List[Tuple[int, Optional[str], int]]:
+        """``(priority, sla, newest pending ticket)`` per non-empty class."""
+        with self._lock:
+            return [
+                (priority, sla, next(reversed(bucket)))
+                for (priority, sla), bucket in self._classes.items()
+            ]
 
     # ------------------------------------------------------------------
     # Metadata (resolved through alias chains on lookup)
@@ -157,17 +216,6 @@ class TicketRegistry:
             raise KeyError(f"unknown ticket {ticket}")
         state.address = address
 
-    def tickets_at(self, shard: int) -> List[int]:
-        """Resolved tickets currently addressed to ``shard``, in order."""
-        out = []
-        for ticket in self._order:
-            if ticket in self._aliases:
-                continue
-            state = self._states[ticket]
-            if state.address is not None and state.address.shard == shard:
-                out.append(ticket)
-        return out
-
     # ------------------------------------------------------------------
     # Retry state (keyed on the chain's original ticket)
     # ------------------------------------------------------------------
@@ -189,6 +237,7 @@ class TicketRegistry:
             "attempt": 0,
             "backoff": backoff,
         }
+        self._armed[int(ticket)] = None
 
     def retry_state(self, ticket: int) -> Optional[dict]:
         state = self._states.get(int(ticket))
@@ -199,11 +248,12 @@ class TicketRegistry:
         state = self._states.get(int(ticket))
         if state is not None:
             state.retry = None
+            self.retire_retry(ticket)
+
+    def retire_retry(self, ticket: int) -> None:
+        """The chain can never fire again; its retry state stays readable."""
+        self._armed.pop(int(ticket), None)
 
     def retryable_tickets(self) -> List[int]:
-        """Original tickets that still carry an armed retry policy."""
-        return [
-            ticket
-            for ticket in self._order
-            if self._states[ticket].retry is not None
-        ]
+        """Original tickets whose retry chain can still fire, oldest first."""
+        return list(self._armed)

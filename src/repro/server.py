@@ -255,6 +255,7 @@ class AnalyticsServer:
         #: Ticket bookkeeping: alias chains, retry state, priorities,
         #: tenants and SLA classes (see :mod:`repro.runtime.tickets`).
         self._tickets = TicketRegistry()
+        self._backend.on_terminal = self._tickets.settle
         #: Deterministic backoff jitter (decorrelates retry storms
         #: without wall-clock randomness).
         self._retry_rng = np.random.default_rng(seed)
@@ -568,11 +569,18 @@ class AnalyticsServer:
             tenant=tenant,
             sla=sla_class.name if sla_class is not None else None,
         )
+        self._recheck(ticket)
         if retries > 0:
             self._tickets.arm_retry(
                 ticket, spec=spec, at=at, retries=retries, backoff=backoff
             )
         return handle
+
+    def _recheck(self, ticket: int) -> None:
+        """Register, then re-check: on real threads a job can finish (and
+        notify an empty ledger) before its submitter registered it."""
+        if self._backend.terminal(ticket):
+            self._tickets.settle(ticket)
 
     def _resolve_sla(
         self, sla: Optional[Union[str, SlaClass]]
@@ -637,13 +645,16 @@ class AnalyticsServer:
             return None
         current = self._resolve(original)
         backend = self._backend
-        if current not in backend.records or not backend.failed(current):
-            return None
-        if state["left"] <= 0 or self.retries_used >= self._retry_budget:
+        if current not in backend.records:
             return None
         error = backend.failure(current)
-        if error is None or not getattr(error, "transient", False):
-            return None  # permanent: plan errors, timeouts, shedding
+        if state["left"] <= 0 or not getattr(error, "transient", False):
+            # Completed, failed permanently (plan errors, timeouts,
+            # shedding) or out of attempts: the chain never fires again.
+            self._tickets.retire_retry(original)
+            return None
+        if self.retries_used >= self._retry_budget:
+            return None  # stays armed: the budget is a tunable
         delay = state["backoff"] * (2.0 ** state["attempt"])
         delay *= 1.0 + 0.25 * float(self._retry_rng.random())
         state["left"] -= 1
@@ -662,6 +673,7 @@ class AnalyticsServer:
         handle = backend.submit(spec, at=state["at"])
         replacement = int(handle)
         self._tickets.alias(current, replacement)
+        self._recheck(replacement)
         return replacement
 
     # ------------------------------------------------------------------
@@ -742,12 +754,7 @@ class AnalyticsServer:
         """
         backend = self._backend
         ticket = self._resolve(ticket)
-        if (
-            0 <= ticket < backend.submitted_count
-            and ticket not in backend.records
-            and not backend.cancelled(ticket)
-            and ticket not in backend.failures
-        ):
+        if 0 <= ticket < backend.submitted_count and not backend.terminal(ticket):
             raise ReproError(
                 f"ticket {ticket} has no result (did you run()?)"
             )

@@ -57,3 +57,15 @@ class TestTaggedPointer:
         pointer = TaggedPointer()
         pointer.store(None)
         assert not pointer.valid
+
+    def test_tag_invalid_compares_the_expected_payload(self):
+        """§2.3's tag is a CAS on the pointer to *this* task set: a
+        caller that read T1 before the slot was republished with T2 must
+        not tag T2 (the ABA behind "finalized twice")."""
+        pointer = TaggedPointer()
+        pointer.store("T1")
+        assert pointer.tag_invalid(expected="T1")
+        pointer.store("T2")
+        assert not pointer.tag_invalid(expected="T1")
+        assert pointer.load() == ("T2", True)
+        assert pointer.tag_invalid(expected="T2")

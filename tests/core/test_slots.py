@@ -81,8 +81,8 @@ class TestTaskSetPointers:
         group, ts = group_with_task_set()
         slot = slots.acquire(group)
         slots.store_task_set(slot, ts)
-        assert slots.tag_invalid(slot)
-        assert not slots.tag_invalid(slot)
+        assert slots.tag_invalid(slot, ts)
+        assert not slots.tag_invalid(slot, ts)
         read_ts, valid = slots.read(slot)
         assert read_ts is ts  # optimistic readers still see the pointer
         assert not valid

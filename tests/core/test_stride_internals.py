@@ -198,3 +198,44 @@ class TestSlotRecycling:
         drive_to_completion(scheduler)
         assert scheduler.slots.occupied == 0
         assert scheduler.completed_count == 5
+
+
+class TestFinalizationRace:
+    def test_late_tagger_does_not_finalize_a_republished_slot_twice(self):
+        """The §2.3 "finalized twice" ABA, interleaved without threads.
+
+        Worker 0 drains the first task set and is "preempted" between
+        the ``finalization_started`` check and the tag; meanwhile worker
+        1 notices the same exhaustion, finalizes T1 and publishes T2
+        into the slot.  Worker 0's tag must then fail — tagging whatever
+        the slot holds would invalidate T2 and finalize T1 again.
+        """
+        scheduler = make_sched(n_workers=2)
+        group = scheduler.make_group(make_query("q", work=0.004, pipelines=2), 0.0)
+        scheduler.admit(group, 0.0)
+        first = group.active_task_set
+        tag_invalid = scheduler._slots.tag_invalid
+        calls = []
+
+        def preempted_tag(slot, *expected):
+            calls.append(expected)
+            if len(calls) == 1:
+                # The competing worker's whole finalization runs here.
+                assert scheduler.worker_decide(1, now) is None
+                assert first.finalized
+                assert scheduler._slots.read(slot) == (group.active_task_set, True)
+            return tag_invalid(slot, *expected)
+
+        scheduler._slots.tag_invalid = preempted_tag
+        now = 0.0
+        while not first.finalized:
+            decision = scheduler.worker_decide(0, now)
+            now += decision.duration
+            now += scheduler.worker_finish(0, now, decision)
+        assert len(calls) == 2  # worker 0's tag, and worker 1's inside it
+        second = group.active_task_set
+        assert second is not first
+        assert scheduler._slots.read(0) == (second, True)
+        assert not second.finalization_started
+        drive_to_completion(scheduler)
+        assert scheduler.completed_count == 1

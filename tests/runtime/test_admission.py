@@ -169,7 +169,7 @@ class TestSlaWeights:
     def test_sla_weight_scales_user_priority(self, server_db):
         server = make_server(server_db)
         ticket = server.submit("Q6", sla="latency")
-        arrival, spec, job_id = server.backend._pending[0]
+        arrival, spec, job_id = server.backend._pending[int(ticket)]
         assert job_id == int(ticket)
         assert spec.user_priority == LATENCY_CRITICAL.weight
         assert "sla:latency" in spec.tags

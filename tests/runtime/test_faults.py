@@ -19,8 +19,10 @@ The acceptance tests of the fault-tolerance work:
 """
 
 import os
+import pickle
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,16 +39,22 @@ from repro.errors import (
     ReproError,
     UnknownTicketError,
 )
-from repro.runtime import ThreadedBackend
+from repro.runtime import ProcessBackend, ThreadedBackend
+from repro.runtime.channel import ResultChannel
 from repro.runtime.faults import (
     CONSUMER_GONE,
     OPERATOR_RAISE,
     WORKER_DEATH,
     WORKER_STALL,
+    FaultInjector,
     FaultPlan,
     FaultSpec,
+    FaultyEnvironment,
 )
 from repro.server import AnalyticsServer
+
+from tests.conftest import make_query
+from tests.runtime.test_backend_protocol import _CountingEnv
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +234,6 @@ class TestDeadlines:
         from dataclasses import replace
 
         from repro.runtime import SimulatedBackend
-        from tests.conftest import make_query
 
         backend = SimulatedBackend(
             lambda: make_scheduler(
@@ -544,6 +551,40 @@ class TestProcessFaults:
             )
         finally:
             server.shutdown()
+
+
+class TestFaultyEnvironmentPickling:
+    def test_round_trip(self):
+        """Unpickling probes ``__setstate__`` before ``_inner`` exists;
+        delegating that lookup recursed forever."""
+        injector = FaultInjector(FaultPlan(faults=()), realtime=False)
+        wrapped = FaultyEnvironment(_CountingEnv(), injector)
+        wrapped.open_channel(0, ResultChannel(4))  # holds a lock: not shipped
+        clone = pickle.loads(pickle.dumps(wrapped))
+        assert isinstance(clone.inner, _CountingEnv)
+        assert clone._channels == {}
+        assert clone.run_morsel is not None and clone.executed_tuples == 0
+        assert not hasattr(clone, "no_such_attribute")
+
+    def test_process_epoch_returns_its_wrapped_environment(self):
+        backend = ProcessBackend(
+            partial(make_scheduler, "stride", SchedulerConfig(n_workers=2)),
+            noise_sigma=0.0,
+            environment_factory=_CountingEnv,
+            return_environment=True,
+        )
+        backend.install_faults(operator_fault("victim", morsel=1))
+        try:
+            victim = backend.submit(make_query("victim", work=0.01))
+            keeper = backend.submit(make_query("keeper", work=0.01))
+            backend.drain()
+            assert backend.failed(victim) and not backend.failed(keeper)
+            environment = backend.last_environment
+            assert isinstance(environment, FaultyEnvironment)
+            assert environment.executed_tuples >= 10_000  # the keeper ran whole
+            assert backend.fault_injector.fired == [(0, OPERATOR_RAISE, "victim", 1)]
+        finally:
+            backend.shutdown()
 
 
 _DETERMINISM_SCRIPT = """
