@@ -122,7 +122,12 @@ class AtomicBitmask:
                 self._words[word_index] = 0
                 self.exchange_count += 1
             base = word_index * WORD_BITS
-            drained.extend(base + b for b in iter_set_bits(old))
+            # iter_set_bits without its generator frames: a drain runs
+            # once per scheduling decision that saw an update.
+            while old:
+                low = old & -old
+                drained.append(base + low.bit_length() - 1)
+                old ^= low
         return drained
 
     def drain_word(self, word_index: int) -> List[int]:

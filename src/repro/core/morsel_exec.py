@@ -108,6 +108,7 @@ class MorselExecutor:
         "_cached_fast_noise",
         "_t_max",
         "_t_min",
+        "_c0",
         "_alpha",
         "_one_minus_alpha",
         "_shutdown_threshold",
@@ -123,6 +124,7 @@ class MorselExecutor:
         # constants can be precomputed once.
         self._t_max = config.t_max
         self._t_min = config.t_min
+        self._c0 = config.c0
         self._alpha = config.ewma_alpha
         self._one_minus_alpha = 1.0 - config.ewma_alpha
         self._shutdown_threshold = config.n_workers * config.t_max
@@ -141,7 +143,7 @@ class MorselExecutor:
     # ------------------------------------------------------------------
     # Environment capability detection (batched cost-model environments)
     # ------------------------------------------------------------------
-    def _probe_environment(self, env: ExecutionEnvironment):
+    def _probe_environment(self, env: ExecutionEnvironment) -> None:
         """Detect (once per environment) the optional fast-cost interface.
 
         ``morsel_cost_factors`` marks cost-model environments whose
@@ -150,8 +152,6 @@ class MorselExecutor:
         :class:`~repro.simcore.simulator.SimulationEnvironment` contract
         (pre-drawn noise buffer plus the cache-pressure knobs) lets the
         hot loop compute factors and noise by direct attribute access.
-        Detected once and cached, so the per-task path does a single
-        identity check instead of ``getattr`` probes.
         """
         factors = getattr(env, "morsel_cost_factors", None)
         self._cached_env = env
@@ -161,7 +161,6 @@ class MorselExecutor:
             and getattr(env, "_noise_buffer", _MISSING) is not _MISSING
             and getattr(env, "cache_pressure", _MISSING) is not _MISSING
         )
-        return factors
 
     # ------------------------------------------------------------------
     # Entry point
@@ -173,13 +172,11 @@ class MorselExecutor:
         is already exhausted when called, returns an empty task with
         ``exhausted_work=True`` so the scheduler can enter finalization.
 
-        The adaptive path (the common case — it runs once per scheduler
-        task) is inlined into this method body: the default/shutdown
-        morsel logic, carving and EWMA bookkeeping live directly in the
-        loop below rather than in the reference methods
-        :meth:`_run_default_morsel` / :meth:`_run_shutdown_morsel`, whose
-        behaviour it reproduces exactly (guarded by the determinism
-        tests).
+        The adaptive state machine is the one loop below: its three
+        states differ only in how the next morsel is sized and in what
+        its measured throughput feeds; carving, costing and recording
+        are shared.  ``tests/core/reference_morsel_exec.py`` keeps the
+        per-morsel formulation it is compared against.
         """
         if task_set.resource_group.aborted:
             # A cancel or failure tagged the group after this worker
@@ -188,27 +185,19 @@ class MorselExecutor:
             # finalization.
             task_set.cancel_remaining()
             return ExecutedTask(task_set, _NO_MORSELS, 0.0, True, 0)
-        if self._static_mode:
-            morsels = self._run_static(task_set, env)
-            return ExecutedTask(
-                task_set=task_set,
-                morsels=morsels,
-                duration=morsels[0].duration if morsels else 0.0,
-                exhausted_work=task_set.remaining_tuples == 0,
-            )
-        if not task_set.profile.supports_adaptive:
-            morsels = self._run_fixed_until_budget(task_set, env)
+        if self._static_mode or not task_set.profile.supports_adaptive:
+            if self._static_mode:
+                morsels = self._run_static(task_set, env)
+            else:
+                morsels = self._run_fixed_until_budget(task_set, env)
             duration = 0.0
             for morsel in morsels:
                 duration += morsel.duration
             return ExecutedTask(
-                task_set=task_set,
-                morsels=morsels,
-                duration=duration,
-                exhausted_work=task_set.remaining_tuples == 0,
+                task_set, morsels, duration, task_set.remaining_tuples == 0
             )
 
-        # ---- adaptive state machine (§3.1), flattened ----------------
+        # ---- adaptive state machine (§3.1) ---------------------------
         # Work-sharing folds do NOT scale this budget: a fold's summed
         # share is granted through its stride weight (more scheduling
         # passes), because a larger per-task budget would change morsel
@@ -229,11 +218,9 @@ class MorselExecutor:
             morsels = _NO_MORSELS
         n_morsels = 0
         elapsed = 0.0
-        factors_fn = (
-            self._cached_factors
-            if env is self._cached_env
-            else self._probe_environment(env)
-        )
+        if env is not self._cached_env:
+            self._probe_environment(env)
+        factors_fn = self._cached_factors
         #: noise_mode 3: buffer read inline; 2: noise disabled (factor
         #: 1.0); 1: factors + next_noise() per morsel; 0: run_morsel.
         if factors_fn is None:
@@ -259,46 +246,48 @@ class MorselExecutor:
             rate, contention, pressure = factors_fn(task_set)
             next_noise = env.next_noise
             noise_mode = 1
-        DEFAULT = _DEFAULT
-        SHUTDOWN = _SHUTDOWN
-        STARTUP = _STARTUP
         ts_lock = task_set.lock
+        #: Next startup probe size; 0 until this task enters startup.
+        probe = 0
+        last_duration = 0.0
+        last_measured = 0.0
         while elapsed < budget and task_set.remaining_tuples:
-            throughput = task_set.throughput_estimate
-            state = task_set.state
-            # Inlined _maybe_enter_shutdown: default -> shutdown once the
-            # predicted remaining pipeline time drops below W * t_max.
-            if state is DEFAULT and throughput is not None and throughput > 0.0:
-                if task_set.remaining_tuples / throughput < shutdown_threshold:
-                    task_set.state = state = SHUTDOWN
-            if state is STARTUP:
-                startup_morsels, elapsed = self._run_startup(
-                    task_set, env, morsels_elapsed=elapsed
-                )
-                n_morsels += len(startup_morsels)
-                if collect:
-                    morsels.extend(startup_morsels)
-                # Startup consumes the whole budget by construction.
-                break
-            if throughput is None or throughput <= 0.0:
-                # Lost the estimate (should not happen); fall back to
-                # startup on the next task.
-                task_set.state = STARTUP
-                break
-            if state is SHUTDOWN:
-                # Photo-finish morsel: duration max(remaining / W, t_min).
-                remaining_seconds = task_set.remaining_tuples / throughput
-                target = remaining_seconds / shutdown_div
-                if target < t_min:
-                    target = t_min
-                phase = "shutdown"
+            if probe:
+                # Startup: exponentially growing probes while the next
+                # doubling still fits in the remaining budget.
+                if 2.0 * last_duration > budget - elapsed:
+                    break
+                want = probe
             else:
-                remaining_budget = budget - elapsed
-                target = remaining_budget if remaining_budget < budget else budget
-                phase = "default"
-            want = int(throughput * target)
-            if want < 1:
-                want = 1
+                throughput = task_set.throughput_estimate
+                state = task_set.state
+                # Default -> shutdown once the predicted remaining
+                # pipeline time drops below W * t_max.
+                if state is _DEFAULT and throughput is not None and throughput > 0.0:
+                    if task_set.remaining_tuples / throughput < shutdown_threshold:
+                        task_set.state = state = _SHUTDOWN
+                if state is _STARTUP:
+                    want = probe = self._c0
+                    phase = "startup"
+                elif throughput is None or throughput <= 0.0:
+                    # Lost the estimate (should not happen); fall back to
+                    # startup on the next task.
+                    task_set.state = _STARTUP
+                    break
+                else:
+                    if state is _SHUTDOWN:
+                        # Photo-finish morsel: max(remaining / W, t_min).
+                        target = task_set.remaining_tuples / throughput / shutdown_div
+                        if target < t_min:
+                            target = t_min
+                        phase = "shutdown"
+                    else:
+                        # One morsel sized to exhaust the remaining budget.
+                        target = budget - elapsed
+                        phase = "default"
+                    want = int(throughput * target)
+                    if want < 1:
+                        want = 1
             # Inlined TaskSet.carve (the only work-consuming primitive).
             # With a carve lock installed (threaded backend) the locked
             # method runs instead, so concurrent workers never claim the
@@ -322,9 +311,7 @@ class MorselExecutor:
                     buf = env._noise_buffer
                     pos = 0
                 env._noise_pos = pos + 1
-                duration = (
-                    tuples / rate * contention * pressure * float(buf[pos])
-                )
+                duration = tuples / rate * contention * pressure * float(buf[pos])
             elif noise_mode == 2:
                 # Noise disabled: next_noise() would return exactly 1.0.
                 duration = tuples / rate * contention * pressure * 1.0
@@ -332,9 +319,14 @@ class MorselExecutor:
                 duration = tuples / rate * contention * pressure * next_noise()
             else:
                 duration = run_morsel(task_set, tuples)
-            # Inlined TaskSet.observe_throughput (estimate is non-None).
-            measured = tuples / duration
-            if measured > 0.0:
+            # A morsel that reports no duration measures no throughput.
+            measured = tuples / duration if duration > 0.0 else 0.0
+            if probe:
+                probe += probe
+                last_duration = duration
+                last_measured = measured
+            elif measured > 0.0:
+                # Inlined TaskSet.observe_throughput (estimate is non-None).
                 task_set.throughput_estimate = (
                     alpha * measured + one_minus_alpha * throughput
                 )
@@ -345,14 +337,25 @@ class MorselExecutor:
             # A default-state morsel is sized to exhaust the budget; only
             # continue looping if it came back much shorter than planned
             # (clipped carve, noise) — the §3.1 "Optimizations" rule.
-            if state is not SHUTDOWN and elapsed >= budget_cutoff:
+            if state is _DEFAULT and elapsed >= budget_cutoff:
                 break
+        if last_measured > 0.0:
+            # The final startup probe seeds the throughput estimate.
+            estimate = task_set.throughput_estimate
+            task_set.throughput_estimate = (
+                last_measured
+                if estimate is None
+                else alpha * last_measured + one_minus_alpha * estimate
+            )
+            if task_set.state is _STARTUP:
+                task_set.state = _DEFAULT
         return ExecutedTask(
             task_set, morsels, elapsed, task_set.remaining_tuples == 0, n_morsels
         )
 
     # ------------------------------------------------------------------
-    # Static policy (HyPer-style, Figure 5a)
+    # Fixed-size morsels: the static policy (HyPer-style, Figure 5a) and
+    # non-adaptive pipelines, looped until t_max
     # ------------------------------------------------------------------
     def _run_static(self, task_set: TaskSet, env: ExecutionEnvironment) -> List[Morsel]:
         """One fixed-size morsel per task — the classic 1:1 mapping."""
@@ -360,27 +363,26 @@ class MorselExecutor:
         if tuples == 0:
             return []
         duration = env.run_morsel(task_set, tuples)
-        task_set.observe_throughput(tuples / duration, self.config.ewma_alpha)
+        task_set.observe_throughput(tuples / duration, self._alpha)
         return [Morsel(tuples=tuples, duration=duration, phase="static")]
 
-    # ------------------------------------------------------------------
-    # Fixed morsels looped until t_max (non-adaptive pipelines)
-    # ------------------------------------------------------------------
     def _run_fixed_until_budget(
         self, task_set: TaskSet, env: ExecutionEnvironment
     ) -> List[Morsel]:
-        if getattr(env, "peek_noise", None) is not None and getattr(
-            env, "morsel_cost_factors", None
-        ) is not None:
+        if env is not self._cached_env:
+            self._probe_environment(env)
+        if self._cached_fast_noise:
             return self._run_fixed_batched(task_set, env)
+        t_max = self._t_max
+        alpha = self._alpha
         morsels: List[Morsel] = []
         elapsed = 0.0
-        while elapsed < self.config.t_max:
+        while elapsed < t_max:
             tuples = task_set.carve(task_set.profile.fixed_morsel_tuples)
             if tuples == 0:
                 break
             duration = env.run_morsel(task_set, tuples)
-            task_set.observe_throughput(tuples / duration, self.config.ewma_alpha)
+            task_set.observe_throughput(tuples / duration, alpha)
             morsels.append(Morsel(tuples=tuples, duration=duration, phase="fixed"))
             elapsed += duration
         return morsels
@@ -400,8 +402,8 @@ class MorselExecutor:
         """
         rate, contention, pressure = env.morsel_cost_factors(task_set)
         fixed = task_set.profile.fixed_morsel_tuples
-        t_max = self.config.t_max
-        alpha = self.config.ewma_alpha
+        t_max = self._t_max
+        alpha = self._alpha
         morsels: List[Morsel] = []
         elapsed = 0.0
         while elapsed < t_max and not task_set.exhausted:
@@ -426,90 +428,3 @@ class MorselExecutor:
                 task_set.carve(morsel.tuples)
                 task_set.observe_throughput(morsel.tuples / morsel.duration, alpha)
         return morsels
-
-    # ------------------------------------------------------------------
-    # Adaptive policy (§3.1) — reference methods.  The hot loop in
-    # run_task() inlines these; they remain the readable specification
-    # and serve subclasses and tests.
-    # ------------------------------------------------------------------
-    def _maybe_enter_shutdown(self, task_set: TaskSet) -> None:
-        """Transition default → shutdown near the end of the pipeline."""
-        if task_set.state is not PipelineState.DEFAULT:
-            return
-        threshold = self.config.n_workers * self.config.t_max
-        if task_set.predicted_remaining_seconds() < threshold:
-            task_set.state = PipelineState.SHUTDOWN
-
-    def _run_startup(
-        self,
-        task_set: TaskSet,
-        env: ExecutionEnvironment,
-        morsels_elapsed: float,
-    ) -> "tuple[List[Morsel], float]":
-        """Exponentially growing probe morsels until the budget is used."""
-        morsels: List[Morsel] = []
-        elapsed = morsels_elapsed
-        budget = self.config.t_max
-        size = self.config.c0
-        last_duration = 0.0
-        last_throughput = 0.0
-        first = True
-        while not task_set.exhausted:
-            if not first and 2.0 * last_duration > budget - elapsed:
-                break
-            tuples = task_set.carve(size)
-            if tuples == 0:
-                break
-            duration = env.run_morsel(task_set, tuples)
-            morsels.append(Morsel(tuples=tuples, duration=duration, phase="startup"))
-            elapsed += duration
-            last_duration = duration
-            last_throughput = tuples / duration if duration > 0.0 else 0.0
-            size *= 2
-            first = False
-        if last_throughput > 0.0:
-            # The final startup morsel seeds the throughput estimate.
-            if task_set.throughput_estimate is None:
-                task_set.throughput_estimate = last_throughput
-            else:
-                task_set.observe_throughput(last_throughput, self.config.ewma_alpha)
-            if task_set.state is PipelineState.STARTUP:
-                task_set.state = PipelineState.DEFAULT
-        return morsels, elapsed
-
-    def _run_default_morsel(
-        self,
-        task_set: TaskSet,
-        env: ExecutionEnvironment,
-        remaining_budget: float,
-    ) -> "Morsel | None":
-        """One morsel sized to exhaust the remaining budget."""
-        throughput = task_set.throughput_estimate
-        if throughput is None or throughput <= 0.0:
-            # Lost the estimate (should not happen); fall back to startup.
-            task_set.state = PipelineState.STARTUP
-            return None
-        target = min(remaining_budget, self.config.t_max)
-        tuples = task_set.carve(max(1, int(throughput * target)))
-        if tuples == 0:
-            return None
-        duration = env.run_morsel(task_set, tuples)
-        task_set.observe_throughput(tuples / duration, self.config.ewma_alpha)
-        return Morsel(tuples=tuples, duration=duration, phase="default")
-
-    def _run_shutdown_morsel(
-        self, task_set: TaskSet, env: ExecutionEnvironment
-    ) -> "Morsel | None":
-        """Photo-finish morsel: duration max(remaining / W, t_min)."""
-        throughput = task_set.throughput_estimate or 0.0
-        if throughput <= 0.0:
-            task_set.state = PipelineState.STARTUP
-            return None
-        remaining = task_set.predicted_remaining_seconds()
-        target = max(remaining / self.config.n_workers, self.config.t_min)
-        tuples = task_set.carve(max(1, int(throughput * target)))
-        if tuples == 0:
-            return None
-        duration = env.run_morsel(task_set, tuples)
-        task_set.observe_throughput(tuples / duration, self.config.ewma_alpha)
-        return Morsel(tuples=tuples, duration=duration, phase="shutdown")

@@ -146,9 +146,6 @@ class SimulationEnvironment:
         self._noise_pos += 1
         return value
 
-    #: Backwards-compatible alias for the pre-batching private name.
-    _next_noise = next_noise
-
     def peek_noise(self, count: int) -> Optional[np.ndarray]:
         """The next ``count`` noise factors *without* consuming them.
 
@@ -156,7 +153,7 @@ class SimulationEnvironment:
         batched morsel executor to decide how many morsels fit a task
         budget before committing to the RNG draws; combined with
         :meth:`consume_noise` this reproduces the exact per-morsel stream
-        of sequential :meth:`_next_noise` calls.
+        of sequential :meth:`next_noise` calls.
         """
         if self.noise_sigma <= 0.0:
             return None

@@ -122,6 +122,42 @@ class TestShutdownState:
                     assert morsel.duration >= 0.00025 * 0.9
 
 
+class ZeroOnceEnv(FixedRateEnv):
+    """Fixed rate, except that call number ``zero_at`` reports 0.0 s."""
+
+    def __init__(self, zero_at=None) -> None:
+        super().__init__(rate=1e6)
+        self.zero_at = zero_at
+
+    def run_morsel(self, task_set, tuples):
+        duration = super().run_morsel(task_set, tuples)
+        return 0.0 if len(self.calls) - 1 == self.zero_at else duration
+
+
+class TestZeroDurationMorsel:
+    """A model environment may report 0.0 s: no throughput was measured,
+    so the estimate keeps its value, but the morsel's tuples are done."""
+
+    def _run(self, zero_at=None):
+        env = ZeroOnceEnv(zero_at)
+        ts = make_task_set(tuples=30_000)
+        exec_ = executor(t_max=0.002, n_workers=4)
+        morsels = []
+        while not ts.exhausted:
+            morsels.extend(exec_.run_task(ts, env).morsels)
+            assert ts.throughput_estimate == pytest.approx(1e6)
+        return morsels
+
+    @pytest.mark.parametrize("phase", ["startup", "default", "shutdown"])
+    def test_second_morsel_of_each_state(self, phase):
+        phases = [m.phase for m in self._run()]
+        zero_at = [i for i, p in enumerate(phases) if p == phase][1]
+        morsels = self._run(zero_at)
+        assert (morsels[zero_at].duration, morsels[zero_at].phase) == (0.0, phase)
+        assert sum(m.tuples for m in morsels) == 30_000
+        assert all(m.duration > 0.0 for m in morsels if m is not morsels[zero_at])
+
+
 class TestNonAdaptivePipelines:
     def test_fixed_morsels_loop_until_budget(self):
         """§3.1 optimizations: short fixed morsels repeat within a task."""

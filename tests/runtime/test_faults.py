@@ -28,6 +28,9 @@ import numpy as np
 import pytest
 
 from repro.core import SchedulerConfig, make_scheduler
+from repro.core.morsel_exec import MorselExecutor, MorselExecutorConfig
+from repro.core.resource_group import ResourceGroup
+from repro.core.task import PipelineState, TaskSet
 from repro.engine import generate_tpch
 from repro.engine.execution import EngineEnvironment, engine_query_spec
 from repro.engine.queries import build_engine_query
@@ -52,6 +55,8 @@ from repro.runtime.faults import (
     FaultyEnvironment,
 )
 from repro.server import AnalyticsServer
+from repro.simcore.rng import RngFactory
+from repro.simcore.simulator import SimulationEnvironment
 
 from tests.conftest import make_query
 from tests.runtime.test_backend_protocol import _CountingEnv
@@ -213,6 +218,44 @@ class TestSimulatedIsolation:
         assert not server.failed(second)
         assert len(injector.fired) == 1
         server.shutdown()
+
+
+class TestFaultMorselIndex:
+    def test_startup_probes_and_the_first_default_morsel_are_counted_alike(self):
+        """``FaultSpec.morsel`` numbers every executed morsel of a query,
+        startup probes included: the wrapper sees each of them once."""
+        injector = FaultInjector(
+            FaultPlan(
+                faults=(
+                    FaultSpec(kind=WORKER_STALL, morsel=3, stall_seconds=0.0001),
+                    FaultSpec(kind=OPERATOR_RAISE, morsel=6),
+                )
+            )
+        )
+        env = injector.wrap(SimulationEnvironment(RngFactory(1), noise_sigma=0.0))
+        spec = make_query("q", work=0.05, pipelines=1)
+        task_set = TaskSet(spec.pipelines[0], ResourceGroup(spec, 0, 0.0), 0)
+        executor = MorselExecutor(MorselExecutorConfig(t_max=0.002, c0=16))
+
+        startup = executor.run_task(task_set, env)
+        # 16 + 32 + 64 + 128 (stalled) + 256 + 512 tuples at 1e6 tuples/s:
+        # 1.108 ms used, and a 1 024-tuple probe no longer fits in 2 ms.
+        assert [m.tuples for m in startup.morsels] == [16, 32, 64, 128, 256, 512]
+        assert {m.phase for m in startup.morsels} == {"startup"}
+        assert startup.morsels[3].duration == 128 / 1e6 + 0.0001
+        assert injector.fired == [(0, WORKER_STALL, "q", 3)]
+        assert env._morsel_counts == {0: 6}
+        assert task_set.state is PipelineState.DEFAULT
+
+        with pytest.raises(InjectedFault, match="at morsel 6"):
+            executor.run_task(task_set, env)
+        assert injector.fired == [
+            (0, WORKER_STALL, "q", 3),
+            (1, OPERATOR_RAISE, "q", 6),
+        ]
+        assert env._morsel_counts == {0: 7}
+        # The raising morsel had been carved: a whole 2 ms default morsel.
+        assert task_set.carved_tuples == 1_008 + 2_000
 
 
 class TestDeadlines:
