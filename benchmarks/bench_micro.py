@@ -2,9 +2,9 @@
 
 These complement the figure benchmarks: they measure the raw cost of
 the building blocks — scheduling-decision throughput of the simulator,
-atomic-bitmask operations, the self-simulation loop, the optimizer, and
-the mini engine's scan rate — so regressions in any layer are visible
-in isolation.
+atomic-bitmask operations, the self-simulation loop, the knob replay,
+workload compression, the optimizer, and the mini engine's scan rate —
+so regressions in any layer are visible in isolation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,14 @@ from repro.core import SchedulerConfig, make_scheduler
 from repro.core.decay import DecayParameters
 from repro.engine import build_engine_query, generate_tpch
 from repro.simcore import RngFactory, Simulator
-from repro.tuning import TrackedQuery, optimize, simulate_policy
+from repro.tuning import (
+    TrackedQuery,
+    compress_workload,
+    default_knob_space,
+    optimize,
+    replay_workload,
+    simulate_policy,
+)
 from repro.workloads import generate_workload, tpch_mix
 
 
@@ -60,6 +67,36 @@ def test_self_simulation_speed(benchmark):
     params = DecayParameters(decay=0.8, d_start=3)
     cost, steps = benchmark(simulate_policy, tracked, params, 0.002)
     assert steps > 100
+
+
+def _bursts(n: int):
+    """``n`` tracked queries in bursts of 64 simultaneous arrivals."""
+    return [
+        TrackedQuery(
+            group_id=i,
+            name=f"q{i}",
+            scale_factor=1.0,
+            arrival_offset=0.5 * (i // 64),
+            work=0.003 + 0.001 * (i % 7) + (0.05 if i % 13 == 0 else 0.0),
+        )
+        for i in range(n)
+    ]
+
+
+def test_knob_replay_speed(benchmark):
+    """One knob-vector replay of 256 tracked queries, >= 64 active at once."""
+    tracked = _bursts(256)
+    values = default_knob_space().current_values()
+    result = benchmark(replay_workload, tracked, values)
+    assert len(result.pairs) == 256
+    assert result.steps > 1000
+
+
+def test_compress_speed(benchmark):
+    """Greedy compression of 256 tracked queries to the search's 12."""
+    tracked = _bursts(256)
+    compressed = benchmark(compress_workload, tracked, 12)
+    assert len(compressed.representatives) == 12
 
 
 def test_optimizer_run(benchmark):

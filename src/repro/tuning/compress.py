@@ -176,24 +176,29 @@ def compress_workload(
         for q in queries
     ]
     mean_work = total_work / len(queries)
+    # Each cluster's own displacement and, per adjacent pair, the merged
+    # cluster, its displacement and the merge's penalty: a merge changes
+    # only the two pairs beside it, so only those are recomputed.
+    own = [c.displacement(span, mean_work) for c in clusters]
+    merged: List[_Cluster] = []
+    merged_own: List[float] = []
+    penalties: List[float] = []
+    for i in range(len(clusters) - 1):
+        merged.append(_merge(clusters[i], clusters[i + 1]))
+        merged_own.append(merged[i].displacement(span, mean_work))
+        penalties.append(merged_own[i] - own[i] - own[i + 1])
     while len(clusters) > max_queries:
-        best_index = 0
-        best_penalty = float("inf")
-        for i in range(len(clusters) - 1):
-            a, b = clusters[i], clusters[i + 1]
-            merged = _merge(a, b)
-            penalty = (
-                merged.displacement(span, mean_work)
-                - a.displacement(span, mean_work)
-                - b.displacement(span, mean_work)
-            )
-            if penalty < best_penalty:
-                best_penalty = penalty
-                best_index = i
-        clusters[best_index : best_index + 2] = [
-            _merge(clusters[best_index], clusters[best_index + 1])
-        ]
-    displacement = sum(c.displacement(span, mean_work) for c in clusters)
+        # The first minimum: ties resolve to the earliest pair.
+        best = penalties.index(min(penalties))
+        clusters[best : best + 2] = [merged.pop(best)]
+        own[best : best + 2] = [merged_own.pop(best)]
+        del penalties[best]
+        for i in (best - 1, best):
+            if 0 <= i < len(penalties):
+                merged[i] = _merge(clusters[i], clusters[i + 1])
+                merged_own[i] = merged[i].displacement(span, mean_work)
+                penalties[i] = merged_own[i] - own[i] - own[i + 1]
+    displacement = sum(own)
     fidelity = (
         max(0.0, 1.0 - displacement / total_work) if total_work > 0.0 else 1.0
     )

@@ -1,13 +1,10 @@
 """Whole-system workload replay: the knob tuner's cost model.
 
-The §4 self-simulation (:mod:`repro.tuning.self_sim`) replays the
-tracked workload under candidate *decay* parameters only.  This module
-generalizes it into a parameterized replay that responds to the whole
-knob surface of :mod:`repro.tuning.knobs` — the same discretized
-single-worker loop, extended with the mechanisms the knobs control:
+The replay runs the §4 self-simulation's loop
+(:func:`repro.tuning.self_sim._stride_loop`) with every mechanism of the
+knob surface (:mod:`repro.tuning.knobs`) switched on:
 
-* ``core.decay`` / ``core.d_start`` — priority decay, exactly as in the
-  legacy self-simulation;
+* ``core.decay`` / ``core.d_start`` — priority decay, as in §4;
 * ``core.t_max`` — the scheduling quantum.  Every decision costs a fixed
   scheduling overhead on top of the useful work, so a smaller quantum
   interleaves short queries better but burns more time on decisions —
@@ -36,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.worker import STRIDE_SCALE
+from repro.core.decay import DEFAULT_P0, DEFAULT_PMIN
 from repro.tuning.cost import CostFunction, mean_slowdown_cost
+from repro.tuning.self_sim import _stride_loop
 from repro.tuning.tracker import TrackedQuery
 
 #: Scheduling overhead charged per decision (seconds).  Calibrated so
@@ -100,153 +98,30 @@ def replay_workload(
     if not tracked:
         return ReplayResult(pairs=[], steps=0)
 
-    decay = float(values.get("core.decay", 0.9))
-    d_start = int(values.get("core.d_start", 7))
-    t_max = float(values.get("core.t_max", 0.002))
-    slot_limit = int(values.get("core.slot_limit", 128))
-    channel_capacity = int(values.get("runtime.channel_capacity", 8))
-    retry_budget = int(values.get("runtime.retry_budget", 16))
-    retry_backoff = float(values.get("runtime.retry_backoff", 0.05))
-    max_pending = int(values.get("admission.max_pending", 4096))
-
-    quantum = max(t_max, min_quantum or 0.0)
-    p0 = 10_000.0
-    p_min = 100.0
-
+    capacity = int(values.get("runtime.channel_capacity", 8))
     queries = sorted(tracked, key=lambda q: (q.arrival_offset, q.group_id))
-    n_queries = len(queries)
-
-    remaining: List[float] = [q.work for q in queries]
-    arrival: List[float] = [q.arrival_offset for q in queries]
-    pass_value: List[float] = [0.0] * n_queries
-    quanta_done: List[int] = [0] * n_queries
-    priority: List[float] = [p0] * n_queries
-    #: Whether this query's one transient failure is still pending.
-    will_fail: List[bool] = [
-        _fails_transiently(q.group_id) for q in queries
-    ]
-
-    active: List[int] = []   # holding a slot
-    waiting: List[int] = []  # admitted, queueing for a slot (FIFO)
-    #: Retried queries parked until their backoff elapses, as
-    #: (ready_time, index) in ready order.
-    parked: List[Tuple[float, int]] = []
-    next_arrival_index = 0
-    time = 0.0
-    global_pass = 0.0
-    pairs: List[Tuple[float, float]] = []
-    finished = 0
-    steps = 0
-    shed = 0
-    retried = 0
-    failed = 0
-
-    def in_system() -> int:
-        return len(active) + len(waiting) + len(parked)
-
-    def finish(index: int, latency: float) -> None:
-        nonlocal finished
-        finished += 1
-        base = queries[index].work
-        # Channel effects: stalls beyond capacity plus the buffer touch.
-        chunks = max(1, int(base / CHUNK_WORK_SECONDS) + 1)
-        stall = max(0, chunks - channel_capacity) * CHANNEL_STALL_SECONDS
-        latency += stall + channel_capacity * BUFFER_TOUCH_SECONDS
-        pairs.append((latency, base))
-
-    while finished < n_queries:
-        # Admit everything that has arrived by now.
-        while (
-            next_arrival_index < n_queries
-            and arrival[next_arrival_index] <= time
-        ):
-            index = next_arrival_index
-            next_arrival_index += 1
-            if remaining[index] <= 0.0:
-                finished += 1
-                continue
-            if in_system() >= max_pending:
-                # Overloaded: shed the newcomer at the admission edge.
-                shed += 1
-                failed += 1
-                finished += 1
-                base = queries[index].work
-                pairs.append((SHED_SLOWDOWN * base, base))
-                continue
-            pass_value[index] = global_pass
-            if len(active) < slot_limit:
-                active.append(index)
-            else:
-                waiting.append(index)
-        # Wake parked retries whose backoff elapsed.
-        while parked and parked[0][0] <= time:
-            _, index = parked.pop(0)
-            pass_value[index] = global_pass
-            if len(active) < slot_limit:
-                active.append(index)
-            else:
-                waiting.append(index)
-        # Promote waiting queries into free slots (FIFO).
-        while waiting and len(active) < slot_limit:
-            active.append(waiting.pop(0))
-        if not active:
-            # Idle until the next arrival or parked wake-up.
-            horizons = []
-            if next_arrival_index < n_queries:
-                horizons.append(arrival[next_arrival_index])
-            if parked:
-                horizons.append(parked[0][0])
-            if not horizons:
-                break  # defensive: nothing left to run
-            time = min(horizons)
-            continue
-        # Pick the active query with minimal pass (stride scheduling).
-        best = active[0]
-        best_pass = pass_value[best]
-        for index in active[1:]:
-            if pass_value[index] < best_pass:
-                best_pass = pass_value[index]
-                best = index
-        # Execute one quantum (or the final sliver of work).
-        work = remaining[best]
-        slice_seconds = quantum if work > quantum else work
-        fraction = slice_seconds / quantum
-        time += slice_seconds + DECISION_OVERHEAD_SECONDS
-        steps += 1
-        remaining[best] = work - slice_seconds
-        # Stride pass updates (§2.1, non-preemptive fractional form).
-        stride = STRIDE_SCALE / priority[best]
-        pass_value[best] += fraction * stride
-        total_priority = 0.0
-        for index in active:
-            total_priority += priority[index]
-        global_pass += fraction * STRIDE_SCALE / total_priority
-        # Priority decay after each completed quantum (§3.2).
-        quanta_done[best] += 1
-        if quanta_done[best] > d_start:
-            decayed = decay * priority[best]
-            priority[best] = decayed if decayed > p_min else p_min
-        if remaining[best] <= 0.0:
-            active.remove(best)
-            if will_fail[best]:
-                will_fail[best] = False
-                if retry_budget > 0:
-                    # Transient failure, budget left: re-run after the
-                    # backoff; priority state persists (§4 closed form).
-                    retry_budget -= 1
-                    retried += 1
-                    remaining[best] = queries[best].work
-                    parked.append((time + retry_backoff, best))
-                    parked.sort()
-                else:
-                    failed += 1
-                    base = queries[best].work
-                    finish(best, FAILURE_SLOWDOWN * base)
-            else:
-                finish(best, time - arrival[best])
-    return ReplayResult(
-        pairs=pairs, steps=steps, shed=shed, retried=retried, failed=failed
-    )
+    # Channel effects, charged at finish: stalls beyond capacity plus
+    # the buffer touch.
+    channel: List[float] = []
+    for q in queries:
+        chunks = max(1, int(q.work / CHUNK_WORK_SECONDS) + 1)
+        stall = max(0, chunks - capacity) * CHANNEL_STALL_SECONDS
+        channel.append(stall + capacity * BUFFER_TOUCH_SECONDS)
+    return ReplayResult(*_stride_loop(
+        queries,
+        max(float(values.get("core.t_max", 0.002)), min_quantum or 0.0),
+        DEFAULT_P0, DEFAULT_PMIN,
+        float(values.get("core.decay", 0.9)),
+        int(values.get("core.d_start", 7)),
+        overhead=DECISION_OVERHEAD_SECONDS,
+        slot_limit=int(values.get("core.slot_limit", 128)),
+        max_pending=int(values.get("admission.max_pending", 4096)),
+        channel=channel,
+        will_fail=[_fails_transiently(q.group_id) for q in queries],
+        retry_budget=int(values.get("runtime.retry_budget", 16)),
+        retry_backoff=float(values.get("runtime.retry_backoff", 0.05)),
+        shed_slowdown=SHED_SLOWDOWN, failure_slowdown=FAILURE_SLOWDOWN,
+    ))
 
 
 def replay_cost(
