@@ -12,8 +12,10 @@ from __future__ import annotations
 from repro.atomics import AtomicBitmask
 from repro.core import SchedulerConfig, make_scheduler
 from repro.core.decay import DecayParameters
+from repro.core.specs import PipelineSpec, QuerySpec
 from repro.engine import build_engine_query, generate_tpch
 from repro.simcore import RngFactory, Simulator
+from repro.simcore.simulator import SimulationEnvironment
 from repro.tuning import (
     TrackedQuery,
     compress_workload,
@@ -90,6 +92,30 @@ def test_knob_replay_speed(benchmark):
     result = benchmark(replay_workload, tracked, values)
     assert len(result.pairs) == 256
     assert result.steps > 1000
+
+
+def test_decide_speed_many_active(benchmark):
+    """200 worker_decide + worker_finish pairs on one worker, 64 slots active."""
+    scheduler = make_scheduler("stride", SchedulerConfig(n_workers=1, slot_capacity=64))
+    scheduler.attach(
+        SimulationEnvironment(RngFactory(0), noise_sigma=0.0), wake_fn=lambda worker_id: None
+    )
+    spec = PipelineSpec(name="p", tuples=10**12, tuples_per_second=1e6)
+    for i in range(64):
+        query = QuerySpec(name=f"q{i}", scale_factor=1.0, pipelines=(spec,))
+        scheduler.admit(scheduler.make_group(query, 0.0), 0.0)
+    clock = [0.0]
+
+    def pairs():
+        now = clock[0]
+        for _ in range(200):
+            decision = scheduler.worker_decide(0, now)
+            now += decision.duration
+            scheduler.worker_finish(0, now, decision)
+        clock[0] = now
+
+    benchmark(pairs)
+    assert bin(scheduler.workers[0].active_mask).count("1") == 64
 
 
 def test_compress_speed(benchmark):

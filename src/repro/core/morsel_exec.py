@@ -104,6 +104,7 @@ class MorselExecutor:
         "config",
         "_static_mode",
         "_cached_env",
+        "_cached_faults",
         "_cached_factors",
         "_cached_fast_noise",
         "_t_max",
@@ -137,6 +138,7 @@ class MorselExecutor:
         #: Per-environment capability probe, cached because the executor
         #: sees the same environment object for a whole run.
         self._cached_env = None
+        self._cached_faults = None
         self._cached_factors = None
         self._cached_fast_noise = False
 
@@ -152,14 +154,20 @@ class MorselExecutor:
         :class:`~repro.simcore.simulator.SimulationEnvironment` contract
         (pre-drawn noise buffer plus the cache-pressure knobs) lets the
         hot loop compute factors and noise by direct attribute access.
+        A fault wrapper (``clean_morsels``) around such an environment
+        has its clean morsels costed through the wrapped one.
         """
-        factors = getattr(env, "morsel_cost_factors", None)
+        cost_env = env.inner if hasattr(env, "clean_morsels") else env
+        factors = getattr(cost_env, "morsel_cost_factors", None)
+        if factors is None:
+            cost_env = env
         self._cached_env = env
+        self._cached_faults = env if cost_env is not env else None
         self._cached_factors = factors
         self._cached_fast_noise = (
             factors is not None
-            and getattr(env, "_noise_buffer", _MISSING) is not _MISSING
-            and getattr(env, "cache_pressure", _MISSING) is not _MISSING
+            and getattr(cost_env, "_noise_buffer", _MISSING) is not _MISSING
+            and getattr(cost_env, "cache_pressure", _MISSING) is not _MISSING
         )
 
     # ------------------------------------------------------------------
@@ -220,6 +228,9 @@ class MorselExecutor:
         elapsed = 0.0
         if env is not self._cached_env:
             self._probe_environment(env)
+        faults = self._cached_faults
+        if faults is not None:
+            env = faults.inner
         factors_fn = self._cached_factors
         #: noise_mode 3: buffer read inline; 2: noise disabled (factor
         #: 1.0); 1: factors + next_noise() per morsel; 0: run_morsel.
@@ -247,6 +258,13 @@ class MorselExecutor:
             next_noise = env.next_noise
             noise_mode = 1
         ts_lock = task_set.lock
+        #: In-task index of the next morsel the fault wrapper must run, and
+        #: how many morsels its per-query count already includes.
+        fault_at = counted = 0
+        if faults is None:
+            fault_at = -1
+        elif ts_lock is None:
+            fault_at = faults.clean_morsels(task_set)
         #: Next startup probe size; 0 until this task enters startup.
         probe = 0
         last_duration = 0.0
@@ -302,7 +320,16 @@ class MorselExecutor:
                 if tuples == 0:
                     # Raced to exhaustion against another worker.
                     break
-            if noise_mode == 3:
+            if n_morsels == fault_at:
+                # A planned fault may arm or fire on this morsel.
+                if n_morsels > counted:
+                    faults.count_morsels(task_set, n_morsels - counted)
+                duration = faults.run_morsel(task_set, tuples)
+                counted = n_morsels + 1
+                fault_at = counted
+                if ts_lock is None:
+                    fault_at += faults.clean_morsels(task_set)
+            elif noise_mode == 3:
                 # Inlined SimulationEnvironment.next_noise.
                 pos = env._noise_pos
                 buf = env._noise_buffer
@@ -339,6 +366,8 @@ class MorselExecutor:
             # (clipped carve, noise) — the §3.1 "Optimizations" rule.
             if state is _DEFAULT and elapsed >= budget_cutoff:
                 break
+        if faults is not None and n_morsels > counted:
+            faults.count_morsels(task_set, n_morsels - counted)
         if last_measured > 0.0:
             # The final startup probe seeds the throughput estimate.
             estimate = task_set.throughput_estimate
@@ -371,7 +400,7 @@ class MorselExecutor:
     ) -> List[Morsel]:
         if env is not self._cached_env:
             self._probe_environment(env)
-        if self._cached_fast_noise:
+        if self._cached_fast_noise and self._cached_faults is None:
             return self._run_fixed_batched(task_set, env)
         t_max = self._t_max
         alpha = self._alpha

@@ -40,14 +40,12 @@ from repro.core.resource_group import ResourceGroup
 from repro.core.scheduler_base import SchedulerBase, SchedulerConfig, TaskDecision
 from repro.core.slots import GlobalSlotArray
 from repro.core.task import TaskSet
-from repro.core.worker import STRIDE_SCALE, WorkerLocalState
+from repro.core.worker import WorkerLocalState
 from repro.errors import SchedulerError, WorkerDiedError
 
 #: Global-state-array entry kinds.
 _RUNNING = "task"
 _FINAL_MARKER = "final"
-
-_INF = float("inf")
 
 
 class StrideScheduler(SchedulerBase):
@@ -76,9 +74,9 @@ class StrideScheduler(SchedulerBase):
         self._change_words = [local.change_mask._words for local in self._locals]
         self._return_words = [local.return_mask._words for local in self._locals]
         self._t_max = config.t_max
-        #: Whether worker_decide may use its inlined copy of the default
-        #: min-pass selection rule (subclasses overriding _pick_slot —
-        #: the lottery policy — keep the virtual call).
+        #: Whether worker_decide may call the min-pass heap pick directly
+        #: (subclasses overriding _pick_slot — the lottery policy — keep
+        #: the virtual call).
         self._default_pick = type(self)._pick_slot is StrideScheduler._pick_slot
         self._decay_params = config.effective_decay()
         self._tuner = None
@@ -130,6 +128,9 @@ class StrideScheduler(SchedulerBase):
             # the threaded backend (dict iteration would raise).
             for state in list(local.slot_states.values()):
                 state.decay.update_parameters(params)
+            # After the re-pricing: a worker summing concurrently read the
+            # old epoch, so its cached priority sum is discarded.
+            local.decay_epoch += 1
 
     # ------------------------------------------------------------------
     # Admission (§2.3: bounded slots + wait queue)
@@ -277,28 +278,9 @@ class StrideScheduler(SchedulerBase):
         """Slot selection rule: minimal pass value (stride scheduling).
 
         The lottery variant overrides this single method — the remaining
-        infrastructure stays in place, exactly as §2.3 promises.  The body
-        duplicates :meth:`WorkerLocalState.min_pass_slot` to save a call
-        frame per scheduling decision.
+        infrastructure stays in place, exactly as §2.3 promises.
         """
-        mask = local.active_mask
-        best_slot: Optional[int] = None
-        best_pass = _INF
-        states_get = local.slot_states.get
-        while mask:
-            low = mask & -mask
-            slot = low.bit_length() - 1
-            state = states_get(slot)
-            if state is None:
-                # Activity bit without state: treat as highest urgency so
-                # the inconsistency is repaired on the next pick.
-                return slot
-            pass_value = state.pass_value
-            if pass_value < best_pass:
-                best_pass = pass_value
-                best_slot = slot
-            mask ^= low
-        return best_slot
+        return local.min_pass_slot()
 
     def worker_decide(self, worker_id: int, now: float) -> Optional[TaskDecision]:
         self._idle_workers.discard(worker_id)  # inlined mark_busy (hot path)
@@ -307,8 +289,9 @@ class StrideScheduler(SchedulerBase):
         # is "no updates", checked here without entering _pull_updates.
         if any(self._change_words[worker_id]) or any(self._return_words[worker_id]):
             self._pull_updates(local)
-        if self._tuner is not None:
-            tuning_decision = self._tuner.maybe_tune(worker_id, now)
+        tuner = self._tuner
+        if tuner is not None and worker_id == tuner.tracked_worker:
+            tuning_decision = tuner.maybe_tune(worker_id, now)
             if tuning_decision is not None:
                 return tuning_decision
         # Only names used more than once per loop iteration are hoisted;
@@ -319,29 +302,9 @@ class StrideScheduler(SchedulerBase):
         #: holds slots < capacity, so the bounds check of
         #: GlobalSlotArray.read is redundant here.
         pointers = self._slots._pointers
-        states_get = local.slot_states.get
         default_pick = self._default_pick
         while True:
-            if default_pick:
-                # Inlined _pick_slot (kept in sync): saves one call frame
-                # per scheduling decision.
-                mask = local.active_mask
-                slot = None
-                best_pass = _INF
-                while mask:
-                    low = mask & -mask
-                    candidate = low.bit_length() - 1
-                    candidate_state = states_get(candidate)
-                    if candidate_state is None:
-                        slot = candidate
-                        break
-                    pass_value = candidate_state.pass_value
-                    if pass_value < best_pass:
-                        best_pass = pass_value
-                        slot = candidate
-                    mask ^= low
-            else:
-                slot = self._pick_slot(local)
+            slot = local.min_pass_slot() if default_pick else self._pick_slot(local)
             if slot is None:
                 self.mark_idle(worker_id)
                 return None
@@ -356,7 +319,7 @@ class StrideScheduler(SchedulerBase):
                 continue
             worker_running[worker_id] = (_RUNNING, slot, task_set)
             group = task_set.resource_group
-            state = states_get(slot)
+            state = local.slot_states.get(slot)
             if state is None or state.group_id != group.query_id:
                 # Missed notification: repair local state lazily.
                 self._init_local_slot(local, slot, group)
@@ -365,97 +328,53 @@ class StrideScheduler(SchedulerBase):
                 # the slot down exactly like an exhausted task set (the
                 # fail drained it).  One float compare on the hot path.
                 self.fail_group(group, self.deadline_error(group), now)
-                extra = self._wind_down_aborted(worker_id, local, slot, task_set, now)
-                if extra > 0.0:
-                    return TaskDecision(
-                        worker_id=worker_id,
-                        kind="finalize",
-                        duration=extra,
-                        slot=slot,
-                        group=group,
-                    )
-                continue
-            if task_set.remaining_tuples == 0:  # inlined TaskSet.exhausted
-                entry = self._clear_running(worker_id)
-                local.deactivate(slot)
-                if entry is not None and entry[0] is _FINAL_MARKER:
-                    # A concurrent coordinator counted this worker while
-                    # the entry was published; act as a marked worker.
-                    self.overhead.charge_finalization(1)
-                    extra = 0.0
-                    if task_set.finalization_counter.add_and_fetch(-1) == 0:
-                        extra = self._run_finalization(slot, task_set, now)
-                else:
-                    extra = self._notice_exhausted(slot, task_set, now)
-                if extra > 0.0:
-                    return TaskDecision(
-                        worker_id=worker_id,
-                        kind="finalize",
-                        duration=extra,
-                        slot=slot,
-                        group=group,
-                    )
-                continue
-            if task_set.lock is None:
-                task_set.pinned_workers += 1  # inlined TaskSet.pin
-            else:
-                task_set.pin()
-            try:
-                executed = self.executor.run_task(task_set, self._env)
-            except Exception as exc:
-                # Per-query failure isolation: the raising morsel fails
-                # only this query.  Its task sets drain and the slot
-                # winds down through the §2.3 finalization protocol; the
-                # worker (and every other in-flight query) carries on.
+            elif task_set.remaining_tuples:  # inlined TaskSet.exhausted
                 if task_set.lock is None:
-                    task_set.pinned_workers -= 1  # inlined TaskSet.unpin
+                    task_set.pinned_workers += 1  # inlined TaskSet.pin
                 else:
+                    task_set.pin()
+                try:
+                    executed = self.executor.run_task(task_set, self._env)
+                except Exception as exc:
+                    # Per-query failure isolation: the raising morsel fails
+                    # only this query.  Its task sets drain and the slot
+                    # winds down through the §2.3 finalization protocol;
+                    # the worker (and every other in-flight query) carries on.
+                    if task_set.lock is None:
+                        task_set.pinned_workers -= 1  # inlined TaskSet.unpin
+                    else:
+                        task_set.unpin()
+                    self.fail_group(group, exc, now)
+                    if isinstance(exc, WorkerDiedError):
+                        # The worker itself is dying: the query is already
+                        # failed and the protocol state is consistent, so
+                        # the hosting backend can retire the worker.
+                        self._wind_down(worker_id, local, slot, task_set, now)
+                        raise
+                else:
+                    if executed.morsel_count:
+                        if self.trace.enabled:
+                            self.record_task_trace(worker_id, now, executed)
+                        if self._state_lock is None:
+                            self.tasks_executed += 1
+                        else:
+                            with self._state_lock:
+                                self.tasks_executed += 1
+                        return TaskDecision(
+                            worker_id, _RUNNING, executed.duration, slot, executed, group
+                        )
+                    # Raced to exhaustion between the read and the carve.
                     task_set.unpin()
-                self.fail_group(group, exc, now)
-                extra = self._wind_down_aborted(worker_id, local, slot, task_set, now)
-                if isinstance(exc, WorkerDiedError):
-                    # The worker itself is dying: the query is already
-                    # failed and the protocol state is consistent, so the
-                    # hosting backend can retire and replace the worker.
-                    raise
-                if extra > 0.0:
-                    return TaskDecision(
-                        worker_id=worker_id,
-                        kind="finalize",
-                        duration=extra,
-                        slot=slot,
-                        group=group,
-                    )
-                continue
-            if executed.morsel_count == 0:
-                # Raced to exhaustion between the read and the carve.
-                task_set.unpin()
-                entry = self._clear_running(worker_id)
-                local.deactivate(slot)
-                if entry is not None and entry[0] is _FINAL_MARKER:
-                    self.overhead.charge_finalization(1)
-                    extra = 0.0
-                    if task_set.finalization_counter.add_and_fetch(-1) == 0:
-                        extra = self._run_finalization(slot, task_set, now)
-                else:
-                    extra = self._notice_exhausted(slot, task_set, now)
-                if extra > 0.0:
-                    return TaskDecision(
-                        worker_id=worker_id,
-                        kind="finalize",
-                        duration=extra,
-                        slot=slot,
-                        group=group,
-                    )
-                continue
-            if self.trace.enabled:
-                self.record_task_trace(worker_id, now, executed)
-            if self._state_lock is None:
-                self.tasks_executed += 1
-            else:
-                with self._state_lock:
-                    self.tasks_executed += 1
-            return TaskDecision(worker_id, _RUNNING, executed.duration, slot, executed, group)
+            # The task set is drained (or its query just failed).
+            extra = self._wind_down(worker_id, local, slot, task_set, now)
+            if extra > 0.0:
+                return TaskDecision(
+                    worker_id=worker_id,
+                    kind="finalize",
+                    duration=extra,
+                    slot=slot,
+                    group=group,
+                )
 
     # ------------------------------------------------------------------
     # Task completion
@@ -481,8 +400,7 @@ class StrideScheduler(SchedulerBase):
             task_set.unpin()
 
         # --- accounting: busy time, CPU charge, stride pass, decay ----
-        # (charge_busy / charge_cpu / account_execution inlined: this
-        # runs once per task and dominated the completion path.)
+        # (charge_busy / charge_cpu inlined: this runs once per task.)
         if self._state_lock is None:
             self.overhead.busy_seconds += duration
             group.cpu_seconds += duration
@@ -499,14 +417,13 @@ class StrideScheduler(SchedulerBase):
             params = decay._params
             quantum = params.quantum
             accum = decay._accum + duration
+            priority = held = decay.priority
             if accum < quantum:
                 decay._accum = accum
-                priority = decay.priority
             else:
                 quanta = decay._quanta
                 if decay._static is not None:
                     # Pinned static priority never decays.
-                    priority = decay.priority
                     while accum >= quantum:
                         accum -= quantum
                         quanta += 1
@@ -514,7 +431,6 @@ class StrideScheduler(SchedulerBase):
                     d_start = params.d_start
                     decay_factor = params.decay
                     floor = params.p_min * decay._scale
-                    priority = decay.priority
                     while accum >= quantum:
                         accum -= quantum
                         quanta += 1
@@ -524,17 +440,10 @@ class StrideScheduler(SchedulerBase):
                     decay.priority = priority
                 decay._accum = accum
                 decay._quanta = quanta
-            fraction = duration / self._t_max
-            state.pass_value += fraction * (STRIDE_SCALE / priority)
-            mask = local.active_mask
-            total_priority = 0.0
-            for slot_index, slot_state in local.slot_states.items():
-                if (mask >> slot_index) & 1:
-                    total_priority += slot_state.decay.priority
-            if total_priority > 0.0:
-                local.global_pass += fraction * STRIDE_SCALE / total_priority
-        if self._tuner is not None:
-            self._tuner.record_task(worker_id, group, duration, now)
+            local.advance(slot, state, duration / self._t_max, priority, priority != held)
+        tuner = self._tuner
+        if tuner is not None and worker_id == tuner.tracked_worker:
+            tuner.record_task(worker_id, group, duration, now)
 
         extra = 0.0
         # --- finalization marker handling (§2.3) -----------------------
@@ -550,21 +459,14 @@ class StrideScheduler(SchedulerBase):
     # ------------------------------------------------------------------
     # Finalization protocol (§2.3)
     # ------------------------------------------------------------------
-    def _wind_down_aborted(
-        self,
-        worker_id: int,
-        local: WorkerLocalState,
-        slot: int,
-        task_set: TaskSet,
-        now: float,
+    def _wind_down(
+        self, worker_id: int, local: WorkerLocalState, slot: int, task_set: TaskSet, now: float
     ) -> float:
-        """Release an aborted (failed / timed-out) slot through §2.3.
+        """Release a drained (exhausted, failed or timed-out) slot via §2.3.
 
-        The caller already drained the task set via ``fail_group``; this
-        is the same clear/deactivate/marker dance as the exhausted
-        branches of :meth:`worker_decide`: if a concurrent coordinator
-        counted this worker while its entry was published, act as a
-        marked worker, otherwise coordinate the finalization ourselves.
+        Clear this worker's entry and deactivate the slot.  If a concurrent
+        coordinator counted this worker while its entry was published,
+        act as a marked worker; otherwise coordinate the finalization.
         """
         entry = self._clear_running(worker_id)
         local.deactivate(slot)
@@ -630,17 +532,7 @@ class StrideScheduler(SchedulerBase):
         if lock is None:
             self.record_completion(group, now)
             self._slots.release(slot)
-            while self.wait_queue:
-                waiting = self.wait_queue.popleft()
-                if now > waiting.deadline_time:
-                    # Expired while waiting: fail it on the spot instead
-                    # of wasting the freed slot on a guaranteed timeout.
-                    waiting.fail(self.deadline_error(waiting))
-                    self.record_completion(waiting, now)
-                    continue
-                waiting.admit_time = now
-                self._install_group(waiting)
-                break
+            self._install_waiting(now)
             return cost
         # Concurrent variant: slot release and wait-queue pop must be
         # atomic with respect to admissions; the completion record (and
@@ -650,14 +542,20 @@ class StrideScheduler(SchedulerBase):
         # precedent as cancel_group, which also records while holding it.)
         with lock:
             self._slots.release(slot)
-            while self.wait_queue:
-                waiting = self.wait_queue.popleft()
-                if now > waiting.deadline_time:
-                    waiting.fail(self.deadline_error(waiting))
-                    self.record_completion(waiting, now)
-                    continue
-                waiting.admit_time = now
-                self._install_group(waiting)
-                break
+            self._install_waiting(now)
         self.record_completion(group, now)
         return cost
+
+    def _install_waiting(self, now: float) -> None:
+        """Give a freed slot to the first waiting group still in time."""
+        while self.wait_queue:
+            waiting = self.wait_queue.popleft()
+            if now > waiting.deadline_time:
+                # Expired while waiting: fail it on the spot instead of
+                # wasting the freed slot on a guaranteed timeout.
+                waiting.fail(self.deadline_error(waiting))
+                self.record_completion(waiting, now)
+                continue
+            waiting.admit_time = now
+            self._install_group(waiting)
+            return

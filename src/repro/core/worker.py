@@ -4,7 +4,8 @@ Apart from the global slot array, *all* scheduling metadata lives inside
 each worker:
 
 * a bitmask tracking which global slots the worker believes are active;
-* a mapping from slots to pass values and (decaying) priorities;
+* a mapping from slots to pass values and (decaying) priorities, with a
+  lazily repaired min-pass heap and a cached active-priority sum;
 * the worker's own copy of the global pass;
 * two shared atomic *update masks* — the change mask (a new resource
   group's first task set landed in a slot) and the return mask (a further
@@ -22,6 +23,8 @@ the same lazy repair the paper uses for finished task sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
 from typing import Dict, Iterator, Optional
 
 from repro.atomics import AtomicBitmask, iter_set_bits
@@ -29,6 +32,10 @@ from repro.core.decay import DecayParameters, PriorityDecay
 
 #: Scale applied to strides so a fresh query (p = p0 = 10^4) has stride 1.
 STRIDE_SCALE = 10_000.0
+
+#: Pass of the heap entry for an active bit without slot state: such a
+#: slot is picked before any other, so the inconsistency is repaired.
+_UNKNOWN = float("-inf")
 
 
 @dataclass(slots=True)
@@ -62,6 +69,12 @@ class WorkerLocalState:
         "slot_states",
         "global_pass",
         "idle",
+        "pass_heap",
+        "_entry_seq",
+        "_heap_limit",
+        "_total",
+        "_total_stamp",
+        "decay_epoch",
     )
 
     def __init__(self, worker_id: int, n_slots: int) -> None:
@@ -78,17 +91,35 @@ class WorkerLocalState:
         self.global_pass = 0.0
         #: Whether the worker is parked waiting for work.
         self.idle = False
+        #: Min-heap of ``(pass, slot, seq, state)``, one entry per pass
+        #: write.  An entry is live while its slot is active, still holds
+        #: ``state`` and that state's pass is unchanged; the pick discards
+        #: dead entries as they surface.
+        self.pass_heap: list = []
+        self._entry_seq = count()
+        self._heap_limit = 16
+        #: Active-priority sum, valid while ``_total_stamp == decay_epoch``.
+        self._total = 0.0
+        self._total_stamp = -1
+        #: Bumped by every decay-parameter broadcast, possibly from another
+        #: thread, *after* it re-priced this worker's slot states.
+        self.decay_epoch = 0
 
     # ------------------------------------------------------------------
     # Activity mask
     # ------------------------------------------------------------------
     def activate(self, slot: int) -> None:
-        """Mark a slot as active in the local mask."""
+        """Mark a slot as active in the local mask and offer it to the pick."""
         self.active_mask |= 1 << slot
+        self._total_stamp = -1
+        heappush(self.pass_heap, self._entry(slot))
+        if len(self.pass_heap) > self._heap_limit:
+            self._rebuild_heap()
 
     def deactivate(self, slot: int) -> None:
         """Mark a slot as inactive in the local mask."""
         self.active_mask &= ~(1 << slot)
+        self._total_stamp = -1
 
     def is_active(self, slot: int) -> bool:
         """Whether the local mask currently considers the slot active."""
@@ -150,53 +181,91 @@ class WorkerLocalState:
     # ------------------------------------------------------------------
     # Stride accounting
     # ------------------------------------------------------------------
+    def _entry(self, slot: int) -> tuple:
+        """A live heap entry for ``slot``'s current state."""
+        state = self.slot_states.get(slot)
+        pass_value = _UNKNOWN if state is None else state.pass_value
+        return (pass_value, slot, next(self._entry_seq), state)
+
+    def _rebuild_heap(self) -> None:
+        """Drop every dead entry once they outnumber the live ones."""
+        live = [self._entry(slot) for slot in iter_set_bits(self.active_mask)]
+        heapify(live)
+        self.pass_heap = live
+        self._heap_limit = 4 * len(live) + 16
+
     def min_pass_slot(self) -> Optional[int]:
-        """The active slot with minimal pass (deterministic tie-break).
+        """The active slot with minimal pass, the lowest slot on ties.
 
-        Runs once per scheduling decision, so the scan extracts set bits
-        with integer arithmetic instead of the generator in
-        :func:`iter_set_bits` — same ascending order, no frame per bit.
+        An active bit without state comes first.  Dead heap entries are
+        popped as they surface: O(log n) amortised instead of a scan.
         """
+        heap = self.pass_heap
         mask = self.active_mask
-        best_slot: Optional[int] = None
-        best_pass = float("inf")
-        states = self.slot_states
-        while mask:
-            low = mask & -mask
-            slot = low.bit_length() - 1
-            state = states.get(slot)
-            if state is None:
-                # Activity bit without state: treat as highest urgency so
-                # the inconsistency is repaired on the next pick.
+        states_get = self.slot_states.get
+        while heap:
+            pass_value, slot, _seq, state = heap[0]
+            if (mask >> slot) & 1 and states_get(slot) is state and (
+                state is None or state.pass_value == pass_value
+            ):
                 return slot
-            pass_value = state.pass_value
-            if pass_value < best_pass:
-                best_pass = pass_value
-                best_slot = slot
-            mask ^= low
-        return best_slot
+            heappop(heap)
+        return None
 
-    def account_execution(self, slot: int, fraction: float) -> None:
-        """Advance the slot pass and the global pass after a task.
+    def advance(
+        self, slot: int, state: SlotState, fraction: float, priority: float, repriced: bool = False
+    ) -> None:
+        """Advance ``slot``'s pass and the global pass after a task.
 
         ``fraction`` is f = task duration / time slice; it may exceed one
-        for overlong tasks (§2.1, non-preemptive extension).
+        for overlong tasks (§2.1, non-preemptive extension).  ``priority``
+        is the slot's priority after the task; ``repriced`` says it
+        differs from the one the cached active-priority sum saw.
         """
+        pass_value = state.pass_value + fraction * (STRIDE_SCALE / priority)
+        state.pass_value = pass_value
+        heap = self.pass_heap
+        entry = (pass_value, slot, next(self._entry_seq), state)
+        if heap and heap[0][3] is state:
+            # The entry this write supersedes is the top (the slot was
+            # just picked): replace it instead of leaving it to the pick.
+            heapreplace(heap, entry)
+        else:
+            heappush(heap, entry)
+            if len(heap) > self._heap_limit:
+                self._rebuild_heap()
+        if repriced:
+            self._total_stamp = -1
+        if self._total_stamp == self.decay_epoch:
+            total = self._total
+        else:
+            total = self.total_active_priority()
+        if total > 0.0:
+            self.global_pass += fraction * STRIDE_SCALE / total
+
+    def account_execution(self, slot: int, fraction: float) -> None:
+        """:meth:`advance` at the slot's current priority (no-op if unknown)."""
         state = self.slot_states.get(slot)
-        if state is None:
-            return
-        state.pass_value += fraction * state.stride
-        total_priority = self.total_active_priority()
-        if total_priority > 0.0:
-            self.global_pass += fraction * STRIDE_SCALE / total_priority
+        if state is not None:
+            self.advance(slot, state, fraction, state.decay.priority)
 
     def total_active_priority(self) -> float:
-        """Sum of priorities over locally active slots (global stride)."""
+        """Sum of priorities over locally active slots (global stride).
+
+        Cached until the mask, a slot's priority or the decay parameters
+        change.  The epoch is read *before* summing, so a broadcast that
+        lands mid-sum leaves a stale stamp and the next call re-sums.
+        """
+        epoch = self.decay_epoch
+        if self._total_stamp == epoch:
+            return self._total
         mask = self.active_mask
         total = 0.0
         for slot_index, state in self.slot_states.items():
             if (mask >> slot_index) & 1:
                 total += state.decay.priority
+        self._total = total
+        self._total_stamp = epoch
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -10,18 +10,21 @@ planned morsels.
 
 Determinism contract: on :class:`~repro.runtime.simulated.SimulatedBackend`
 the same plan produces bit-for-bit identical failure records and
-survivor results.  The wrapper intentionally does **not** expose the
-batched fast-cost interface (``morsel_cost_factors`` / ``peek_noise``),
-so the executor takes the per-morsel ``run_morsel`` path — which
-consumes the shared noise stream one draw per morsel, exactly like the
-batched paths it replaces (guarded by the determinism tests).  Virtual
-time sees stalls as deterministic duration inflation and worker death
-as a query failure (there is no worker to kill); real-thread backends
-sleep and raise :class:`~repro.errors.WorkerDiedError` respectively.
+survivor results.  The wrapper tells the executor how many of a
+query's morsels no armed fault can fire on
+(:meth:`FaultyEnvironment.clean_morsels`); the executor costs those
+through the wrapped environment's batched interface, counts them back,
+and sends every other morsel through :meth:`FaultyEnvironment.run_morsel`
+— the shared noise stream sees one draw per morsel either way (guarded
+by ``tests/core/test_morsel_exec_reference.py``).  Virtual time sees
+stalls as deterministic duration inflation and worker death as a query
+failure (there is no worker to kill); real-thread backends sleep and
+raise :class:`~repro.errors.WorkerDiedError` respectively.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -179,27 +182,11 @@ class FaultInjector:
 class FaultyEnvironment:
     """Execution-environment wrapper that fires planned faults.
 
-    Delegates everything except the batched fast-cost interface to the
-    wrapped environment (see the module docstring for why that interface
-    is hidden).  ``open_channel`` is always provided so consumer-gone
-    faults can arm result channels even on environments that do not
-    stream results themselves.
+    Delegates everything else to the wrapped environment.
+    ``open_channel`` is always provided so consumer-gone faults can arm
+    result channels even on environments that do not stream results
+    themselves.
     """
-
-    #: The batched cost-model interface the wrapper must NOT expose:
-    #: its absence forces the executor onto the per-morsel path.
-    _HIDDEN = frozenset(
-        {
-            "morsel_cost_factors",
-            "next_noise",
-            "peek_noise",
-            "consume_noise",
-            "_noise_buffer",
-            "_noise_pos",
-            "cache_pressure",
-            "cache_pressure_cap",
-        }
-    )
 
     def __init__(self, inner, injector: FaultInjector) -> None:
         self._inner = inner
@@ -216,7 +203,7 @@ class FaultyEnvironment:
     def __getattr__(self, name: str):
         # ``_inner`` is never delegated: unpickling probes ``__setstate__``
         # before it exists, and reading it here would recurse forever.
-        if name == "_inner" or name in FaultyEnvironment._HIDDEN:
+        if name == "_inner":
             raise AttributeError(name)
         return getattr(self._inner, name)
 
@@ -260,6 +247,29 @@ class FaultyEnvironment:
                 armed.append((index, fault))
         self._armed[query_id] = armed
         return armed
+
+    def clean_morsels(self, task_set) -> int:
+        """How many of the query's next morsels no armed fault fires on.
+
+        0 before the query's first morsel (which arms it in
+        :meth:`run_morsel`) and when a fault is due.  The executor may
+        cost that many morsels itself and report them to
+        :meth:`count_morsels`.
+        """
+        query_id = task_set.resource_group.query_id
+        n = self._morsel_counts.get(query_id)
+        if n is None:
+            return 0
+        spent = self._injector.spent
+        clean = sys.maxsize
+        for index, fault in self._armed[query_id]:
+            if index not in spent and fault.morsel - n < clean:
+                clean = fault.morsel - n
+        return clean if clean > 0 else 0
+
+    def count_morsels(self, task_set, morsels: int) -> None:
+        """Count morsels the executor ran without :meth:`run_morsel`."""
+        self._morsel_counts[task_set.resource_group.query_id] += morsels
 
     def run_morsel(self, task_set, tuples: int) -> float:
         group = task_set.resource_group

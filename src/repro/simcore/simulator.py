@@ -324,12 +324,10 @@ class Simulator:
         inf = math.inf
         ev_ready = _EV_READY
         ev_done = _EV_DONE
-        end_time = 0.0
         truncated = 0
         while heap:
             time, _tie, kind, worker_id, payload = heappop(heap)
             if time > time_limit:
-                end_time = max_time
                 truncated = 1
                 break
             # Inlined SimClock.advance_to (hot path).
@@ -338,24 +336,7 @@ class Simulator:
                     f"clock moving backwards: {time:.9f} < {clock._now:.9f}"
                 )
             clock._now = time
-            if kind == ev_ready:
-                pending[worker_id] = False
-                decision = decide(worker_id, time)
-                if decision is None:
-                    continue  # parked; the scheduler will wake it
-                duration = decision.duration
-                # Chained comparison rejects negatives, inf and NaN in one
-                # expression (NaN fails every comparison).
-                if not 0.0 <= duration < inf:
-                    raise SimulationError(
-                        f"worker {worker_id}: invalid task duration {duration}"
-                    )
-                busy[worker_id] += duration
-                pending[worker_id] = True
-                heappush(
-                    heap, (time + duration, next(seq), ev_done, worker_id, decision)
-                )
-            elif kind == ev_done:
+            if kind == ev_done:
                 # A DONE handler always queues the follow-up READY, so the
                 # pending flag stays True throughout (and worker_finish can
                 # never wake this non-idle worker) — no flag writes needed.
@@ -365,13 +346,37 @@ class Simulator:
                         f"worker {worker_id}: invalid extra time {extra}"
                     )
                 busy[worker_id] += extra
-                heappush(heap, (time + extra, next(seq), ev_ready, worker_id, None))
-            else:  # _EV_ARRIVAL
+                time += extra
+                if heap and heap[0][0] <= time:
+                    heappush(heap, (time, next(seq), ev_ready, worker_id, None))
+                    continue
+                # Nothing precedes the READY (its sequence number is the
+                # largest), so it would be popped next: handle it in place.
+                next(seq)
+                if time > time_limit:
+                    truncated = 1
+                    break
+                clock._now = time
+            elif kind != ev_ready:  # _EV_ARRIVAL
                 admit(make_group(payload, time), time)
-        if not truncated:
-            # The clock stopped on the last processed event, so no
-            # per-event end_time store is needed in the loop.
-            end_time = clock._now
+                continue
+            pending[worker_id] = False
+            decision = decide(worker_id, time)
+            if decision is None:
+                continue  # parked; the scheduler will wake it
+            duration = decision.duration
+            # Chained comparison rejects negatives, inf and NaN in one
+            # expression (NaN fails every comparison).
+            if not 0.0 <= duration < inf:
+                raise SimulationError(
+                    f"worker {worker_id}: invalid task duration {duration}"
+                )
+            busy[worker_id] += duration
+            pending[worker_id] = True
+            heappush(heap, (time + duration, next(seq), ev_done, worker_id, decision))
+        # The clock stopped on the last processed event, so no per-event
+        # end_time store is needed in the loop.
+        end_time = max_time if truncated else clock._now
         # Every pushed event was either popped (and, unless it was the one
         # that crossed max_time, processed) or is still in the heap, so the
         # counts reconcile without a per-event increment in the loop.

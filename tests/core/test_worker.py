@@ -46,8 +46,8 @@ class TestSlotState:
 
     def test_return_slot_keeps_larger_pass(self):
         worker = make_worker()
+        worker.global_pass = 20.0
         worker.init_slot(1, group_id=0, params=DecayParameters())
-        worker.slot_states[1].pass_value = 20.0
         worker.global_pass = 10.0
         worker.return_slot(1)
         assert worker.slot_states[1].pass_value == 20.0
@@ -70,8 +70,10 @@ class TestStrideAccounting:
         worker = make_worker()
         a = worker.init_slot(0, group_id=0, params=DecayParameters())
         b = worker.init_slot(1, group_id=1, params=DecayParameters())
-        a.pass_value = 5.0
-        b.pass_value = 3.0
+        # A fresh query has stride 1, so fraction f advances its pass by f.
+        worker.account_execution(0, fraction=5.0)
+        worker.account_execution(1, fraction=3.0)
+        assert (a.pass_value, b.pass_value) == (5.0, 3.0)
         assert worker.min_pass_slot() == 1
 
     def test_min_pass_none_when_idle(self):

@@ -35,11 +35,20 @@ class TestEngineQuerySpec:
         assert spec.pipelines[0].tuples == tiny_db.table("lineitem").n_rows
 
 
+class RowsTimedEnvironment(EngineEnvironment):
+    """Runs the real operators but reports a morsel's duration in
+    proportion to its rows (at the spec's planned rate), not measured."""
+
+    def run_morsel(self, task_set, tuples):
+        super().run_morsel(task_set, tuples)
+        return tuples / task_set.profile.tuples_per_second
+
+
 class TestSchedulerDrivenExecution:
     """The paper's scheduler drives real engine morsels (measured time)."""
 
-    def _run(self, db, names, scheduler_name="stride", t_max=0.004):
-        env = EngineEnvironment(db)
+    def _run(self, db, names, scheduler_name="stride", t_max=0.004, env_cls=EngineEnvironment):
+        env = env_cls(db)
         scheduler = make_scheduler(
             scheduler_name, SchedulerConfig(n_workers=2, t_max=t_max)
         )
@@ -86,11 +95,15 @@ class TestSchedulerDrivenExecution:
         assert record.latency > 0.0
 
     def test_decay_scheduler_on_real_engine(self, small_db):
-        # Q18 (~100ms of numpy work at SF 0.01) vs Q6 (~1.5ms): the
-        # duration gap must dwarf wall-clock measurement noise.
+        # Measured, Q18 and Q6 take about as long at SF 0.01 (≈ 2.5 and
+        # 3.0 ms), so their order was noise.  By rows, Q18 is 1.5 x Q6
+        # (90k vs 60k tuples) and arrives first: the order is a property
+        # of the scheduler again, while the real operators still run.
         env, scheduler, result = self._run(
-            small_db, ["Q18", "Q6"], "stride", t_max=0.002
+            small_db, ["Q18", "Q6"], "stride", t_max=0.002, env_cls=RowsTimedEnvironment
         )
-        done = {r.name: r.completion_time for r in result.records.records}
+        done = {r.name: r for r in result.records.records}
         # The short query must finish before the long one (§3.2 (1)).
-        assert done["Q6"] < done["Q18"]
+        assert done["Q6"].completion_time < done["Q18"].completion_time
+        expected = build_engine_query("Q6", small_db).execute()
+        assert env.finish_query(done["Q6"].query_id) == pytest.approx(expected)
