@@ -107,23 +107,24 @@ class PriorityDecay:
         """Number of completed decay quanta."""
         return self._quanta
 
-    def charge(self, cpu_seconds: float) -> None:
+    def charge(self, cpu_seconds: float) -> float:
         """Account CPU time; apply decay steps for each completed quantum.
 
-        Runs once per completed scheduler task, so the per-quantum
-        stepping of :meth:`_step` is unrolled into local variables here.
-        The accumulator is advanced by *repeated subtraction* on purpose:
-        replacing it with a division would change the floating-point
-        rounding and break trace reproducibility.
+        Returns the priority after the charge.  Runs once per completed
+        scheduler task, so the per-quantum stepping is unrolled into
+        local variables.  The accumulator is advanced by *repeated
+        subtraction* on purpose: replacing it with a division would
+        change the floating-point rounding and break trace
+        reproducibility.
         """
         if cpu_seconds < 0.0:
-            return
+            return self.priority
         accum = self._accum + cpu_seconds
         params = self._params
         quantum = params.quantum
         if accum < quantum:
             self._accum = accum
-            return
+            return self.priority
         quanta = self._quanta
         if self._static is not None:
             # Pinned static priority never decays (§3.2, custom (1)).
@@ -144,16 +145,7 @@ class PriorityDecay:
             self.priority = priority
         self._accum = accum
         self._quanta = quanta
-
-    def _step(self) -> None:
-        """Reference single-quantum step (kept for tests; see charge())."""
-        self._quanta += 1
-        if self._static is not None:
-            return  # pinned static priority never decays (§3.2, custom (1))
-        if self._quanta <= self._params.d_start:
-            return
-        floor = self._params.p_min * self._scale
-        self.priority = max(floor, self._params.decay * self.priority)
+        return self.priority
 
     def update_parameters(self, params: DecayParameters) -> None:
         """Adopt newly tuned parameters without resetting progress.

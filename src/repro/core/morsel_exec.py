@@ -19,7 +19,9 @@ machine:
   ``max(remaining / W, t_min)`` so all workers photo-finish together.
 
 Pipelines that do not support adaptive sizes run fixed-size morsels in a
-loop until the budget is exhausted (the §3.1 "Optimizations" paragraph).
+loop until the budget is exhausted (the §3.1 "Optimizations" paragraph);
+the HyPer-style static policy (Figure 5a) is the same fixed size with one
+morsel per task.
 The whole executor is policy-free: it only needs a way to *execute a
 morsel and learn its duration*, provided by the
 :class:`ExecutionEnvironment` protocol, so the identical code serves the
@@ -51,12 +53,10 @@ _NO_MORSELS: List[Morsel] = []
 class ExecutionEnvironment(Protocol):
     """Anything that can execute a morsel and report its duration.
 
-    Environments may additionally expose the *batched cost* interface of
-    :class:`~repro.simcore.simulator.SimulationEnvironment`
-    (``morsel_cost_factors`` / ``peek_noise`` / ``consume_noise`` /
-    ``next_noise``); the executor detects it per task and uses it to cost
-    several morsels per Python call.  The fallback path below is all an
-    environment must implement.
+    A :class:`~repro.simcore.simulator.SimulationEnvironment` is detected
+    and costed inline (its task-constant ``morsel_cost_factors`` and its
+    pre-drawn noise buffer), without a Python call per morsel;
+    ``run_morsel`` is all any other environment must implement.
     """
 
     def run_morsel(self, task_set: TaskSet, tuples: int) -> float:
@@ -105,8 +105,7 @@ class MorselExecutor:
         "_static_mode",
         "_cached_env",
         "_cached_faults",
-        "_cached_factors",
-        "_cached_fast_noise",
+        "_cached_model",
         "_t_max",
         "_t_min",
         "_c0",
@@ -139,36 +138,31 @@ class MorselExecutor:
         #: sees the same environment object for a whole run.
         self._cached_env = None
         self._cached_faults = None
-        self._cached_factors = None
-        self._cached_fast_noise = False
+        self._cached_model = None
 
     # ------------------------------------------------------------------
-    # Environment capability detection (batched cost-model environments)
+    # Environment capability detection (the cost-model environment)
     # ------------------------------------------------------------------
     def _probe_environment(self, env: ExecutionEnvironment) -> None:
-        """Detect (once per environment) the optional fast-cost interface.
+        """Detect (once per environment) the simulator's cost model.
 
-        ``morsel_cost_factors`` marks cost-model environments whose
-        ``(rate, contention, pressure)`` triple is constant for one task.
-        An environment carrying the full
+        An environment carrying the
         :class:`~repro.simcore.simulator.SimulationEnvironment` contract
-        (pre-drawn noise buffer plus the cache-pressure knobs) lets the
-        hot loop compute factors and noise by direct attribute access.
-        A fault wrapper (``clean_morsels``) around such an environment
-        has its clean morsels costed through the wrapped one.
+        (``morsel_cost_factors`` plus the pre-drawn noise buffer) lets
+        the hot loop cost a morsel by direct attribute access.  A fault
+        wrapper (``clean_morsels``) around such an environment has its
+        clean morsels costed through the wrapped one.  Every other
+        environment is costed through ``run_morsel``.
         """
-        cost_env = env.inner if hasattr(env, "clean_morsels") else env
-        factors = getattr(cost_env, "morsel_cost_factors", None)
-        if factors is None:
-            cost_env = env
+        model = env.inner if hasattr(env, "clean_morsels") else env
+        if (
+            getattr(model, "morsel_cost_factors", None) is None
+            or getattr(model, "_noise_buffer", _MISSING) is _MISSING
+        ):
+            model = None
         self._cached_env = env
-        self._cached_faults = env if cost_env is not env else None
-        self._cached_factors = factors
-        self._cached_fast_noise = (
-            factors is not None
-            and getattr(cost_env, "_noise_buffer", _MISSING) is not _MISSING
-            and getattr(cost_env, "cache_pressure", _MISSING) is not _MISSING
-        )
+        self._cached_model = model
+        self._cached_faults = env if model is not None and model is not env else None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -180,11 +174,13 @@ class MorselExecutor:
         is already exhausted when called, returns an empty task with
         ``exhausted_work=True`` so the scheduler can enter finalization.
 
-        The adaptive state machine is the one loop below: its three
-        states differ only in how the next morsel is sized and in what
-        its measured throughput feeds; carving, costing and recording
-        are shared.  ``tests/core/reference_morsel_exec.py`` keeps the
-        per-morsel formulation it is compared against.
+        Every pipeline kind runs the one loop below: the adaptive states
+        differ only in how the next morsel is sized and in what its
+        measured throughput feeds, and a fixed-size pipeline (or the
+        static policy, which stops after one morsel) sizes every morsel
+        ``fixed_morsel_tuples``; carving, costing and recording are
+        shared.  ``tests/core/reference_morsel_exec.py`` keeps the
+        per-morsel formulations it is compared against.
         """
         if task_set.resource_group.aborted:
             # A cancel or failure tagged the group after this worker
@@ -193,19 +189,6 @@ class MorselExecutor:
             # finalization.
             task_set.cancel_remaining()
             return ExecutedTask(task_set, _NO_MORSELS, 0.0, True, 0)
-        if self._static_mode or not task_set.profile.supports_adaptive:
-            if self._static_mode:
-                morsels = self._run_static(task_set, env)
-            else:
-                morsels = self._run_fixed_until_budget(task_set, env)
-            duration = 0.0
-            for morsel in morsels:
-                duration += morsel.duration
-            return ExecutedTask(
-                task_set, morsels, duration, task_set.remaining_tuples == 0
-            )
-
-        # ---- adaptive state machine (§3.1) ---------------------------
         # Work-sharing folds do NOT scale this budget: a fold's summed
         # share is granted through its stride weight (more scheduling
         # passes), because a larger per-task budget would change morsel
@@ -218,6 +201,12 @@ class MorselExecutor:
         shutdown_div = self._shutdown_div
         t_min = self._t_min
         budget_cutoff = self._budget_cutoff
+        static = self._static_mode
+        #: Size of every morsel of a fixed-size task; 0 for adaptive ones.
+        fixed = 0
+        if static or not task_set.profile.supports_adaptive:
+            fixed = task_set.profile.fixed_morsel_tuples
+            phase = "static" if static else "fixed"
         collect = self.collect_morsels
         if collect:
             morsels: List[Morsel] = []
@@ -229,34 +218,16 @@ class MorselExecutor:
         if env is not self._cached_env:
             self._probe_environment(env)
         faults = self._cached_faults
-        if faults is not None:
-            env = faults.inner
-        factors_fn = self._cached_factors
-        #: noise_mode 3: buffer read inline; 2: noise disabled (factor
-        #: 1.0); 1: factors + next_noise() per morsel; 0: run_morsel.
-        if factors_fn is None:
+        model = self._cached_model
+        #: noise_mode 2: noise buffer read inline; 1: noise disabled
+        #: (factor 1.0); 0: run_morsel.
+        if model is None:
             run_morsel = env.run_morsel
             noise_mode = 0
-        elif self._cached_fast_noise:
-            # Inlined SimulationEnvironment.morsel_cost_factors (kept in
-            # sync with that method; the triple is task-constant).
-            profile = task_set.profile
-            rate = profile.tuples_per_second
-            extra_pinned = task_set.pinned_workers - 1
-            contention = 1.0 + profile.parallel_efficiency * (
-                extra_pinned if extra_pinned > 0 else 0
-            )
-            pressure = 1.0
-            active_count_fn = env.active_count_fn
-            if env.cache_pressure > 0.0 and active_count_fn is not None:
-                active = min(active_count_fn(), env.cache_pressure_cap)
-                if active > 1:
-                    pressure = 1.0 + env.cache_pressure * (active - 1)
-            noise_mode = 3 if env.noise_sigma > 0.0 else 2
         else:
-            rate, contention, pressure = factors_fn(task_set)
-            next_noise = env.next_noise
-            noise_mode = 1
+            env = model
+            rate, contention, pressure = model.morsel_cost_factors(task_set)
+            noise_mode = 2 if model.noise_sigma > 0.0 else 1
         ts_lock = task_set.lock
         #: In-task index of the next morsel the fault wrapper must run, and
         #: how many morsels its per-query count already includes.
@@ -269,6 +240,7 @@ class MorselExecutor:
         probe = 0
         last_duration = 0.0
         last_measured = 0.0
+        state = None
         while elapsed < budget and task_set.remaining_tuples:
             if probe:
                 # Startup: exponentially growing probes while the next
@@ -276,6 +248,11 @@ class MorselExecutor:
                 if 2.0 * last_duration > budget - elapsed:
                     break
                 want = probe
+            elif fixed:
+                if static and n_morsels:
+                    break
+                want = fixed
+                throughput = task_set.throughput_estimate
             else:
                 throughput = task_set.throughput_estimate
                 state = task_set.state
@@ -329,8 +306,8 @@ class MorselExecutor:
                 fault_at = counted
                 if ts_lock is None:
                     fault_at += faults.clean_morsels(task_set)
-            elif noise_mode == 3:
-                # Inlined SimulationEnvironment.next_noise.
+            elif noise_mode == 2:
+                # SimulationEnvironment.next_noise, read inline per morsel.
                 pos = env._noise_pos
                 buf = env._noise_buffer
                 if buf is None or pos >= len(buf):
@@ -339,11 +316,9 @@ class MorselExecutor:
                     pos = 0
                 env._noise_pos = pos + 1
                 duration = tuples / rate * contention * pressure * float(buf[pos])
-            elif noise_mode == 2:
+            elif noise_mode:
                 # Noise disabled: next_noise() would return exactly 1.0.
                 duration = tuples / rate * contention * pressure * 1.0
-            elif noise_mode == 1:
-                duration = tuples / rate * contention * pressure * next_noise()
             else:
                 duration = run_morsel(task_set, tuples)
             # A morsel that reports no duration measures no throughput.
@@ -353,9 +328,12 @@ class MorselExecutor:
                 last_duration = duration
                 last_measured = measured
             elif measured > 0.0:
-                # Inlined TaskSet.observe_throughput (estimate is non-None).
+                # Inlined TaskSet.observe_throughput (only a fixed-size
+                # task can start without an estimate).
                 task_set.throughput_estimate = (
-                    alpha * measured + one_minus_alpha * throughput
+                    measured
+                    if throughput is None
+                    else alpha * measured + one_minus_alpha * throughput
                 )
             n_morsels += 1
             if collect:
@@ -381,79 +359,3 @@ class MorselExecutor:
         return ExecutedTask(
             task_set, morsels, elapsed, task_set.remaining_tuples == 0, n_morsels
         )
-
-    # ------------------------------------------------------------------
-    # Fixed-size morsels: the static policy (HyPer-style, Figure 5a) and
-    # non-adaptive pipelines, looped until t_max
-    # ------------------------------------------------------------------
-    def _run_static(self, task_set: TaskSet, env: ExecutionEnvironment) -> List[Morsel]:
-        """One fixed-size morsel per task — the classic 1:1 mapping."""
-        tuples = task_set.carve(task_set.profile.fixed_morsel_tuples)
-        if tuples == 0:
-            return []
-        duration = env.run_morsel(task_set, tuples)
-        task_set.observe_throughput(tuples / duration, self._alpha)
-        return [Morsel(tuples=tuples, duration=duration, phase="static")]
-
-    def _run_fixed_until_budget(
-        self, task_set: TaskSet, env: ExecutionEnvironment
-    ) -> List[Morsel]:
-        if env is not self._cached_env:
-            self._probe_environment(env)
-        if self._cached_fast_noise and self._cached_faults is None:
-            return self._run_fixed_batched(task_set, env)
-        t_max = self._t_max
-        alpha = self._alpha
-        morsels: List[Morsel] = []
-        elapsed = 0.0
-        while elapsed < t_max:
-            tuples = task_set.carve(task_set.profile.fixed_morsel_tuples)
-            if tuples == 0:
-                break
-            duration = env.run_morsel(task_set, tuples)
-            task_set.observe_throughput(tuples / duration, alpha)
-            morsels.append(Morsel(tuples=tuples, duration=duration, phase="fixed"))
-            elapsed += duration
-        return morsels
-
-    def _run_fixed_batched(
-        self, task_set: TaskSet, env: ExecutionEnvironment
-    ) -> List[Morsel]:
-        """Fixed-size morsels costed in vectorized look-ahead chunks.
-
-        The sequential loop above consumes one noise draw per executed
-        morsel.  Here the noise factors for a whole chunk are *peeked*
-        from the environment's pre-drawn buffer, durations are computed
-        until the budget is crossed, and exactly the executed draws are
-        then committed with ``consume_noise`` — so carve decisions, EWMA
-        updates and the RNG stream all match the sequential path
-        bit-for-bit (guarded by the determinism tests).
-        """
-        rate, contention, pressure = env.morsel_cost_factors(task_set)
-        fixed = task_set.profile.fixed_morsel_tuples
-        t_max = self._t_max
-        alpha = self._alpha
-        morsels: List[Morsel] = []
-        elapsed = 0.0
-        while elapsed < t_max and not task_set.exhausted:
-            remaining = task_set.remaining_tuples
-            chunks_left = -(-remaining // fixed)
-            chunk = chunks_left if chunks_left < 16 else 16
-            noise = env.peek_noise(chunk)
-            executed = 0
-            for i in range(chunk):
-                tuples = fixed if remaining >= fixed else remaining
-                remaining -= tuples
-                factor = 1.0 if noise is None else float(noise[i])
-                duration = tuples / rate * contention * pressure * factor
-                morsels.append(Morsel(tuples=tuples, duration=duration, phase="fixed"))
-                elapsed += duration
-                executed += 1
-                if elapsed >= t_max or remaining == 0:
-                    break
-            env.consume_noise(executed)
-            # Commit carves and EWMA updates in execution order.
-            for morsel in morsels[len(morsels) - executed :]:
-                task_set.carve(morsel.tuples)
-                task_set.observe_throughput(morsel.tuples / morsel.duration, alpha)
-        return morsels

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.core.specs import QuerySpec
 from repro.core.task import TaskSet
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, error_text
 
 
 class ResourceGroup:
@@ -161,7 +161,7 @@ class ResourceGroup:
         if not self.failed:
             self.failed = True
             self.failure = exc
-            self.failure_text = f"{type(exc).__name__}: {exc}"
+            self.failure_text = error_text(exc)
         self.aborted = True
         task_set = self._active_task_set
         if task_set is not None:

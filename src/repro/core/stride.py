@@ -410,36 +410,9 @@ class StrideScheduler(SchedulerBase):
             group.charge_cpu(duration)
         state = local.slot_states.get(slot)
         if state is not None and state.group_id == group.query_id:
-            # Inlined PriorityDecay.charge (keep in sync with that
-            # method): tasks are sized near one quantum, so stepping runs
-            # on most completions and the call overhead adds up.
             decay = state.decay
-            params = decay._params
-            quantum = params.quantum
-            accum = decay._accum + duration
-            priority = held = decay.priority
-            if accum < quantum:
-                decay._accum = accum
-            else:
-                quanta = decay._quanta
-                if decay._static is not None:
-                    # Pinned static priority never decays.
-                    while accum >= quantum:
-                        accum -= quantum
-                        quanta += 1
-                else:
-                    d_start = params.d_start
-                    decay_factor = params.decay
-                    floor = params.p_min * decay._scale
-                    while accum >= quantum:
-                        accum -= quantum
-                        quanta += 1
-                        if quanta > d_start:
-                            decayed = decay_factor * priority
-                            priority = decayed if decayed > floor else floor
-                    decay.priority = priority
-                decay._accum = accum
-                decay._quanta = quanta
+            held = decay.priority
+            priority = decay.charge(duration)
             local.advance(slot, state, duration / self._t_max, priority, priority != held)
         tuner = self._tuner
         if tuner is not None and worker_id == tuner.tracked_worker:

@@ -243,12 +243,6 @@ class WorkerLocalState:
         if total > 0.0:
             self.global_pass += fraction * STRIDE_SCALE / total
 
-    def account_execution(self, slot: int, fraction: float) -> None:
-        """:meth:`advance` at the slot's current priority (no-op if unknown)."""
-        state = self.slot_states.get(slot)
-        if state is not None:
-            self.advance(slot, state, fraction, state.decay.priority)
-
     def total_active_priority(self) -> float:
         """Sum of priorities over locally active slots (global stride).
 

@@ -31,6 +31,7 @@ __all__ = [
     "CalibrationError",
     "TuningError",
     "error_from_text",
+    "error_text",
 ]
 
 
@@ -182,6 +183,11 @@ class CalibrationError(ReproError):
 
 class TuningError(ReproError):
     """Raised by the self-tuning optimizer on invalid parameter spaces."""
+
+
+def error_text(exc: BaseException) -> str:
+    """The ``"ClassName: message"`` form :func:`error_from_text` reads."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def error_from_text(text: str) -> ReproError:

@@ -191,11 +191,9 @@ class LatencyCollector:
         completions = payload["completion_times"]
         cpu = payload["cpu_seconds"]
         bases = payload["base_latencies"]
-        # Older payloads (pre-streaming / pre-fault-tolerance) lack the
-        # cancelled and failed/errors columns.
-        cancelled = payload.get("cancelled")
-        failed = payload.get("failed")
-        errors = payload.get("errors")
+        cancelled = payload["cancelled"]
+        failed = payload["failed"]
+        errors = payload["errors"]
         add = out.add
         for i in range(len(query_ids)):
             add(
@@ -207,9 +205,9 @@ class LatencyCollector:
                     completion_time=float(completions[i]),
                     cpu_seconds=float(cpu[i]),
                     base_latency=float(bases[i]),
-                    cancelled=bool(cancelled[i]) if cancelled is not None else False,
-                    failed=bool(failed[i]) if failed is not None else False,
-                    error=errors[i] if errors is not None else "",
+                    cancelled=bool(cancelled[i]),
+                    failed=bool(failed[i]),
+                    error=errors[i],
                 )
             )
         return out

@@ -66,6 +66,7 @@ from repro.errors import (
     ReproError,
     UnknownTicketError,
     error_from_text,
+    error_text,
 )
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.channel import (
@@ -239,7 +240,7 @@ class ExecutionBackend(abc.ABC):
                     QueryCancelledError(f"query job {job_id} was cancelled")
                 )
             else:
-                self._fail_channel(job_id, error, self._error_text(error))
+                self._fail_channel(job_id, error, error_text(error))
             if not channel.failed:
                 # The job completed in the race window; its clean close
                 # won, so the result stands and the abort is a no-op.
@@ -257,11 +258,6 @@ class ExecutionBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Settlement: the one place a finished job's outcome becomes visible
     # ------------------------------------------------------------------
-    @staticmethod
-    def _error_text(error: BaseException) -> str:
-        """``"ClassName: message"`` — the inverse of ``error_from_text``."""
-        return f"{type(error).__name__}: {error}"
-
     @staticmethod
     def _synthetic_record(
         spec: QuerySpec,
@@ -373,7 +369,7 @@ class ExecutionBackend(abc.ABC):
                     f"attached query {spec.name!r} missed its {spec.deadline}s "
                     f"deadline: the shared execution completed at {completion}"
                 )
-                error = self._error_text(cause)
+                error = error_text(cause)
             record = self._synthetic_record(spec, arrival, completion, error=error)
             settled.append(self._settle(job_id, record, cause, chunks))
         return settled
@@ -532,7 +528,7 @@ class ExecutionBackend(abc.ABC):
         if job_id in self.failures or (record is not None and record.failed):
             cause = self.failure(job_id)
             raise QueryFailedError(
-                f"query job {job_id} failed: {self._error_text(cause)}"
+                f"query job {job_id} failed: {error_text(cause)}"
             ) from cause
         if job_id in self.results:
             return self.results[job_id]
@@ -728,7 +724,7 @@ class EpochBackend(ExecutionBackend):
             arrival,
             arrival,
             cancelled=error is None,
-            error="" if error is None else self._error_text(error),
+            error="" if error is None else error_text(error),
         )
         self._settle(job_id, record, error)
         self._unreported_cancels.append(job_id)

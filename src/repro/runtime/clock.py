@@ -43,7 +43,8 @@ class Clock(Protocol):
 class VirtualClock:
     """A monotonically advancing virtual clock (discrete-event time).
 
-    Functionally equivalent to :class:`repro.simcore.clock.SimClock` but
+    The one virtual clock: the discrete-event
+    :class:`~repro.simcore.simulator.Simulator` advances it, and it
     exposes time through the :class:`Clock` protocol (``now()`` as a
     method) so schedulers can hold a clock without knowing whether it is
     virtual or real.

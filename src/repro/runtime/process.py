@@ -34,7 +34,7 @@ from __future__ import annotations
 from concurrent.futures import BrokenExecutor
 from typing import Callable, List, Optional
 
-from repro.errors import WorkerFailedError
+from repro.errors import WorkerFailedError, error_text
 from repro.metrics.latency import LatencyCollector, LatencyRecord
 from repro.runtime.backend import EpochBackend
 from repro.runtime.channel import (
@@ -345,7 +345,7 @@ class ProcessBackend(EpochBackend):
 
     def _fail_epoch(self, run, error: BaseException) -> List[LatencyRecord]:
         """Fail every job of one lost epoch (retries exhausted)."""
-        text = self._error_text(error)
+        text = error_text(error)
         return [
             self._settle(
                 job_id,

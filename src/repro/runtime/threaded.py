@@ -38,6 +38,7 @@ from repro.errors import (
     ReproError,
     WorkerDiedError,
     WorkerFailedError,
+    error_text,
 )
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.backend import ExecutionBackend
@@ -440,7 +441,7 @@ class ThreadedBackend(ExecutionBackend):
             cause = self.failures.get(job_id)
             if cause is not None:
                 outcome = replace(
-                    record, failed=True, error=self._error_text(cause)
+                    record, failed=True, error=error_text(cause)
                 )
             else:
                 outcome = replace(record, cancelled=True)
@@ -513,7 +514,7 @@ class ThreadedBackend(ExecutionBackend):
             arrival,
             self._clock.now(),
             cancelled=error is None,
-            error="" if error is None else self._error_text(error),
+            error="" if error is None else error_text(error),
         )
         with self._done:
             self._settle(job_id, record, error)

@@ -29,7 +29,6 @@ from repro.sharing.fold import (
     LiveFold,
     SharingStats,
     TeeChannel,
-    fold_size_from_tags,
     max_fold_priority,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "LiveFold",
     "SharingStats",
     "TeeChannel",
-    "fold_size_from_tags",
     "fragment_fingerprint",
     "max_fold_priority",
     "pipeline_fingerprint",

@@ -144,17 +144,6 @@ class TeeChannel:
         self.inner.fail(error)
 
 
-def fold_size_from_tags(tags) -> int:
-    """Parse a ``fold:N`` tag; 1 (unshared) when absent or malformed."""
-    for tag in tags:
-        if tag.startswith("fold:"):
-            try:
-                return max(1, int(tag[5:]))
-            except ValueError:
-                return 1
-    return 1
-
-
 def max_fold_priority(specs) -> Optional[float]:
     """§3.2 fairness for folds: the group's weight is the members' max.
 

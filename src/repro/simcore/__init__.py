@@ -10,26 +10,23 @@ time of a morsel comes from a calibrated cost model instead of a CPU.
 
 Key pieces:
 
-* :class:`~repro.simcore.clock.SimClock` — the virtual clock.
-* :class:`~repro.simcore.events.EventQueue` — a deterministic event heap.
+* :class:`~repro.simcore.simulator.Simulator` — drives workers, arrivals
+  and the scheduler until the workload is done, over one event heap of
+  ``(time, seq, kind, worker, payload)`` tuples and a
+  :class:`~repro.runtime.clock.VirtualClock`;
+* :class:`~repro.simcore.simulator.SimulationEnvironment` — the cost
+  model a morsel's virtual duration comes from;
 * :class:`~repro.simcore.rng.RngFactory` — named deterministic RNG streams.
 * :class:`~repro.runtime.trace.TraceRecorder` — morsel/task/query spans.
-* :class:`~repro.simcore.simulator.Simulator` — drives workers, arrivals
-  and the scheduler until the workload is done.
 """
 
-from repro.simcore.clock import SimClock
-from repro.simcore.events import Event, EventQueue
 from repro.simcore.rng import RngFactory
 from repro.simcore.simulator import SimulationResult, Simulator
 from repro.runtime.trace import MorselSpan, TraceRecorder
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "MorselSpan",
     "RngFactory",
-    "SimClock",
     "SimulationResult",
     "Simulator",
     "TraceRecorder",

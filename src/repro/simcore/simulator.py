@@ -20,14 +20,12 @@ insertion order, so a (scheduler, workload, seed) triple always yields
 the identical trace.
 
 Performance: the event loop is the hottest code in the repository — every
-scheduling decision of every figure flows through it.  Instead of
-allocating an :class:`~repro.simcore.events.Event` object plus a closure
-per event, the loop keeps a raw heap of ``(time, seq, kind, worker_id,
-payload)`` tuples and dispatches on the integer ``kind`` inline.  Tuple
-comparison happens in C, there is no per-event allocation beyond the
-tuple itself, and the three handlers are inlined into the loop body.
-Event ordering — ``(time, insertion sequence)`` — is identical to the
-previous object-based queue, so traces are bit-for-bit unchanged.
+scheduling decision of every figure flows through it.  It keeps a raw
+heap of ``(time, seq, kind, worker_id, payload)`` tuples and dispatches
+on the integer ``kind`` inline: tuple comparison happens in C, there is
+no per-event allocation beyond the tuple itself, and the three handlers
+are inlined into the loop body.  Events are ordered by ``(time,
+insertion sequence)``.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.metrics.latency import LatencyCollector
-from repro.simcore.clock import SimClock
 from repro.simcore.rng import RngFactory
+from repro.runtime.clock import VirtualClock
 from repro.runtime.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - avoid a core <-> simcore cycle
@@ -116,22 +114,11 @@ class SimulationEnvironment:
     # Noise stream
     # ------------------------------------------------------------------
     def _refill_noise(self) -> None:
-        """Draw the next noise block, keeping any unconsumed values.
-
-        The underlying RNG stream always advances in fixed-size blocks,
-        so the sequence of noise values is independent of *how* callers
-        consume the buffer (one at a time or in batched look-aheads).
-        """
+        """Draw the next noise block (the stream advances in fixed blocks)."""
         mu = -0.5 * self.noise_sigma * self.noise_sigma
-        block = self._noise_rng.lognormal(
+        self._noise_buffer = self._noise_rng.lognormal(
             mean=mu, sigma=self.noise_sigma, size=_NOISE_BLOCK
         )
-        if self._noise_buffer is None or self._noise_pos >= len(self._noise_buffer):
-            self._noise_buffer = block
-        else:
-            self._noise_buffer = np.concatenate(
-                [self._noise_buffer[self._noise_pos :], block]
-            )
         self._noise_pos = 0
 
     def next_noise(self) -> float:
@@ -146,30 +133,6 @@ class SimulationEnvironment:
         self._noise_pos += 1
         return value
 
-    def peek_noise(self, count: int) -> Optional[np.ndarray]:
-        """The next ``count`` noise factors *without* consuming them.
-
-        Returns ``None`` when noise is disabled (factor 1.0).  Used by the
-        batched morsel executor to decide how many morsels fit a task
-        budget before committing to the RNG draws; combined with
-        :meth:`consume_noise` this reproduces the exact per-morsel stream
-        of sequential :meth:`next_noise` calls.
-        """
-        if self.noise_sigma <= 0.0:
-            return None
-        while (
-            self._noise_buffer is None
-            or len(self._noise_buffer) - self._noise_pos < count
-        ):
-            self._refill_noise()
-        return self._noise_buffer[self._noise_pos : self._noise_pos + count]
-
-    def consume_noise(self, count: int) -> None:
-        """Commit ``count`` previously peeked noise factors."""
-        if self.noise_sigma <= 0.0:
-            return
-        self._noise_pos += count
-
     # ------------------------------------------------------------------
     # Cost model
     # ------------------------------------------------------------------
@@ -178,16 +141,20 @@ class SimulationEnvironment:
 
         All three factors are constant while a single task executes (the
         simulation is sequential, so no pin/unpin or admission can
-        interleave), which lets the morsel executor cost a whole batch of
-        morsels without re-deriving them per morsel.
+        interleave), so the morsel executor derives them once per task.
         """
         profile = task_set.profile
-        contention = 1.0 + profile.parallel_efficiency * max(
-            0, task_set.pinned_workers - 1
+        # Conditional expressions rather than max() / min(): the morsel
+        # executor calls this once per task.
+        extra_pinned = task_set.pinned_workers - 1
+        contention = 1.0 + profile.parallel_efficiency * (
+            extra_pinned if extra_pinned > 0 else 0
         )
         pressure = 1.0
         if self.cache_pressure > 0.0 and self.active_count_fn is not None:
-            active = min(self.active_count_fn(), self.cache_pressure_cap)
+            active = self.active_count_fn()
+            if active > self.cache_pressure_cap:
+                active = self.cache_pressure_cap
             if active > 1:
                 pressure = 1.0 + self.cache_pressure * (active - 1)
         return profile.tuples_per_second, contention, pressure
@@ -261,7 +228,7 @@ class Simulator:
         self.scheduler = scheduler
         self.workload = sorted(workload, key=lambda item: item[0])
         self.max_time = max_time
-        self.clock = SimClock()
+        self.clock = VirtualClock()
         self.rng_factory = RngFactory(seed)
         self.environment = environment or SimulationEnvironment(
             self.rng_factory, noise_sigma=noise_sigma
@@ -272,7 +239,6 @@ class Simulator:
         #: Monotone insertion sequence shared by run() and _wake(); a C
         #: iterator is cheaper than a Python attribute increment.
         self._seq = count()
-        self._events_processed = 0
         self._pending_worker_event = [False] * scheduler.n_workers
         self._busy_seconds = [0.0] * scheduler.n_workers
         scheduler.attach(self.environment, wake_fn=self._wake, trace=self.trace)
@@ -330,7 +296,7 @@ class Simulator:
             if time > time_limit:
                 truncated = 1
                 break
-            # Inlined SimClock.advance_to (hot path).
+            # Inlined VirtualClock.advance_to (hot path).
             if time < clock._now:
                 raise SimulationError(
                     f"clock moving backwards: {time:.9f} < {clock._now:.9f}"
@@ -381,7 +347,6 @@ class Simulator:
         # that crossed max_time, processed) or is still in the heap, so the
         # counts reconcile without a per-event increment in the loop.
         processed = next(seq) - len(heap) - truncated
-        self._events_processed = processed
         collector = LatencyCollector()
         for record in scheduler.completed:
             collector.add(record)

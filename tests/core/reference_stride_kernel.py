@@ -10,6 +10,11 @@
   advance` is the former pass / global-pass arithmetic around it.
 * :func:`run_event_loop` is the former ``Simulator.run``, in which every
   READY, even one nothing precedes, goes through the event heap.
+* :func:`inlined_charge` is the former copy of ``PriorityDecay.charge``
+  that ``StrideScheduler.worker_finish`` ran in place of the call
+  (``tests/core/test_decay_reference.py``); the kernel comparison cannot
+  see it, because :class:`ScanningStrideScheduler` inherits
+  ``worker_finish``.
 
 :class:`ScanningStrideScheduler` swaps the scanning state into an
 otherwise unchanged :class:`~repro.core.stride.StrideScheduler`, so the
@@ -169,3 +174,38 @@ def run_event_loop(self) -> SimulationResult:
         worker_busy_seconds=list(busy),
         events_processed=processed,
     )
+
+
+def inlined_charge(decay, duration):
+    """The former inlined decay block of ``worker_finish``, verbatim.
+
+    Returns ``(priority, held)``: the priority ``advance`` was given and
+    the one before the charge.
+    """
+    params = decay._params
+    quantum = params.quantum
+    accum = decay._accum + duration
+    priority = held = decay.priority
+    if accum < quantum:
+        decay._accum = accum
+    else:
+        quanta = decay._quanta
+        if decay._static is not None:
+            # Pinned static priority never decays.
+            while accum >= quantum:
+                accum -= quantum
+                quanta += 1
+        else:
+            d_start = params.d_start
+            decay_factor = params.decay
+            floor = params.p_min * decay._scale
+            while accum >= quantum:
+                accum -= quantum
+                quanta += 1
+                if quanta > d_start:
+                    decayed = decay_factor * priority
+                    priority = decayed if decayed > floor else floor
+            decay.priority = priority
+        decay._accum = accum
+        decay._quanta = quanta
+    return priority, held

@@ -71,8 +71,8 @@ class TestStrideAccounting:
         a = worker.init_slot(0, group_id=0, params=DecayParameters())
         b = worker.init_slot(1, group_id=1, params=DecayParameters())
         # A fresh query has stride 1, so fraction f advances its pass by f.
-        worker.account_execution(0, fraction=5.0)
-        worker.account_execution(1, fraction=3.0)
+        worker.advance(0, a, 5.0, a.priority)
+        worker.advance(1, b, 3.0, b.priority)
         assert (a.pass_value, b.pass_value) == (5.0, 3.0)
         assert worker.min_pass_slot() == 1
 
@@ -94,7 +94,7 @@ class TestStrideAccounting:
     def test_account_execution_advances_passes(self):
         worker = make_worker()
         state = worker.init_slot(0, group_id=0, params=DecayParameters())
-        worker.account_execution(0, fraction=1.0)
+        worker.advance(0, state, 1.0, state.priority)
         assert state.pass_value == pytest.approx(state.stride)
         # Single active slot: the global stride equals the slot stride.
         assert worker.global_pass == pytest.approx(state.stride)
@@ -103,18 +103,14 @@ class TestStrideAccounting:
         """§2.1: f may exceed one for overlong tasks."""
         worker = make_worker()
         state = worker.init_slot(0, group_id=0, params=DecayParameters())
-        worker.account_execution(0, fraction=2.5)
+        worker.advance(0, state, 2.5, state.priority)
         assert state.pass_value == pytest.approx(2.5 * state.stride)
 
     def test_global_stride_uses_priority_sum(self):
         worker = make_worker()
-        worker.init_slot(0, group_id=0, params=DecayParameters())
+        state = worker.init_slot(0, group_id=0, params=DecayParameters())
         worker.init_slot(1, group_id=1, params=DecayParameters())
-        worker.account_execution(0, fraction=1.0)
+        worker.advance(0, state, 1.0, state.priority)
         total = worker.total_active_priority()
         assert worker.global_pass == pytest.approx(STRIDE_SCALE / total)
 
-    def test_account_unknown_slot_is_noop(self):
-        worker = make_worker()
-        worker.account_execution(7, fraction=1.0)
-        assert worker.global_pass == 0.0

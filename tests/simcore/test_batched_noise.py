@@ -1,10 +1,10 @@
-"""Determinism of the batched execution fast paths.
+"""Determinism of the executor's fast paths.
 
-The morsel executor costs morsels in vectorized batches (peeking the
-pre-drawn noise buffer) and skips per-morsel record collection when
-tracing is off.  Neither optimization may change a carve decision, an
-EWMA update, or the RNG stream — these tests pin the batched paths to
-the plain sequential reference bit-for-bit.
+The morsel executor costs a simulated morsel inline (task-constant cost
+factors, one read of the pre-drawn noise buffer) and skips per-morsel
+record collection when tracing is off.  Neither may change a carve
+decision, an EWMA update, or the RNG stream — these tests pin them to
+the plain ``run_morsel`` path bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.workloads import generate_workload, tpch_mix
 
 
 class _PlainEnv:
-    """Proxy exposing only ``run_morsel`` — forces the sequential path."""
+    """Proxy exposing only ``run_morsel`` — forces the per-call path."""
 
     def __init__(self, env: SimulationEnvironment) -> None:
         self._env = env
@@ -69,19 +69,6 @@ class TestBatchedFixedPath:
         assert ts_sequential.exhausted
         # Both paths consumed the identical number of noise draws.
         assert repr(env_batched.next_noise()) == repr(env_sequential.next_noise())
-
-    def test_noise_block_boundary_is_transparent(self):
-        """Peeks that straddle a buffer refill keep the stream aligned."""
-        env_a = SimulationEnvironment(RngFactory(3), noise_sigma=0.1)
-        env_b = SimulationEnvironment(RngFactory(3), noise_sigma=0.1)
-        # Drain most of a block one draw at a time, then peek across the
-        # boundary: the peeked values must equal sequential draws.
-        for _ in range(4090):
-            assert repr(env_a.next_noise()) == repr(env_b.next_noise())
-        peeked = [float(x) for x in env_a.peek_noise(12)]
-        env_a.consume_noise(12)
-        drawn = [env_b.next_noise() for _ in range(12)]
-        assert [repr(x) for x in peeked] == [repr(x) for x in drawn]
 
 
 class TestMorselCollectionToggle:
