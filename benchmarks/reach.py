@@ -4,7 +4,7 @@ Usage::
 
     python3 benchmarks/reach.py                       # all four entries
     python3 benchmarks/reach.py --entries smoke,experiments,examples \\
-        -o /tmp/reach.md --json /tmp/reach.json
+        -o /tmp/reach.md --justify docs/reachability.md
 
 Each entry point runs in a subprocess whose ``PYTHONPATH`` starts with a
 generated ``sitecustomize`` module.  It installs a ``sys.setprofile`` /
@@ -28,9 +28,14 @@ For every function under ``src/repro`` (methods and nested functions
 included) the report gives its line count and one label: *reached by a
 non-test entry*, *tests only* (reached from ``tier1`` alone) or *never*.
 The Markdown report summarises per package and lists the *tests only*
-and *never* rows; ``--json`` writes every row.  Justifications of the
-listed rows are carried over from the ``--justify`` file (by default the
-output file itself), so regenerating the report keeps them.
+and *never* rows.  Justifications of the listed rows are carried over
+from the ``--justify`` file (by default the output file itself), so
+regenerating the report keeps them.
+
+If any command of an entry exits non-zero or runs longer than
+``TIMEOUT`` seconds, the script reports the failure and exits 1 without
+writing the report: a run cut short would relabel everything it did not
+reach as *tests only* or *never*.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ REACHED = "reached by a non-test entry"
 TESTS_ONLY = "tests only"
 NEVER = "never"
 LABELS = (REACHED, TESTS_ONLY, NEVER)
+
+#: Seconds one entry command may run before it counts as hung.
+TIMEOUT = 3600.0
 
 #: The generated ``sitecustomize``: the hook every entry's processes run.
 HOOK = '''
@@ -125,7 +133,7 @@ ENTRIES = ("smoke", "experiments", "examples", "tier1")
 NON_TEST_ENTRIES = ("smoke", "experiments", "examples")
 
 
-def run_entry(name: str, hook_dir: Path, timeout: float) -> tuple:
+def run_entry(name: str, hook_dir: Path) -> tuple:
     """Run one entry point; return (reached keys, exit codes, seconds)."""
     out = Path(tempfile.mkdtemp(prefix=f"reach-{name}-"))
     env = dict(
@@ -142,7 +150,7 @@ def run_entry(name: str, hook_dir: Path, timeout: float) -> tuple:
     for command in entry_commands(name):
         try:
             done = subprocess.run(
-                command, cwd=str(ROOT), env=env, timeout=timeout,
+                command, cwd=str(ROOT), env=env, timeout=TIMEOUT,
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
             )
             codes.append(done.returncode)
@@ -151,6 +159,8 @@ def run_entry(name: str, hook_dir: Path, timeout: float) -> tuple:
                       f"{done.stderr[-2000:]}", file=sys.stderr)
         except subprocess.TimeoutExpired:
             codes.append("timeout")
+            print(f"  {' '.join(command[1:])}: timed out after {TIMEOUT:.0f} s",
+                  file=sys.stderr)
     reached = set()
     for part in out.glob("*.txt"):
         for line in part.read_text().splitlines():
@@ -335,9 +345,6 @@ def main(argv=None) -> int:
     parser.add_argument("--justify", default=None,
                         help="earlier report to take justifications from "
                              "(default: the output file)")
-    parser.add_argument("--json", default=None, help="also write every row here")
-    parser.add_argument("--timeout", type=float, default=3600.0,
-                        help="seconds per command")
     args = parser.parse_args(argv)
     entries = [name for name in args.entries.split(",") if name]
     rows = function_table()
@@ -349,22 +356,22 @@ def main(argv=None) -> int:
         (Path(hook_dir) / "reach_pytest_plugin.py").write_text(PYTEST_PLUGIN)
         for name in entries:
             print(f"running {name} ...", file=sys.stderr)
-            reached, codes, seconds = run_entry(name, Path(hook_dir), args.timeout)
+            reached, codes, seconds = run_entry(name, Path(hook_dir))
             runs[name] = (codes, seconds)
             for key in reached:
                 if key in rows:
                     rows[key]["entries"].append(name)
+    failed = {name: codes for name, (codes, _) in runs.items()
+              if any(code != 0 for code in codes)}
+    if failed:
+        print(f"entries failed, {args.output} not written: {json.dumps(failed)}",
+              file=sys.stderr)
+        return 1
     for row in rows.values():
         row["label"] = label_of(row["entries"])
     justify = Path(args.justify or args.output)
     report = render(rows, runs, *read_justifications(justify))
     Path(args.output).write_text(report)
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            [{k: v for k, v in row.items() if k not in ("parent", "package")}
-             for row in rows.values()],
-            indent=1,
-        ))
     counts = {label: sum(1 for row in rows.values() if row["label"] == label)
               for label in LABELS}
     print(json.dumps({"entries": {k: v[0] for k, v in runs.items()}, **counts}))
