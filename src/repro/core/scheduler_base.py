@@ -81,7 +81,7 @@ class SchedulerConfig:
     tuning_objective: str = "mean"
     #: Tuning-time budget in simulated seconds per cycle.  ``None`` keeps
     #: the paper's exact (lambda, d_start) search; a budget switches the
-    #: controller to the cost-bounded whole-knob-space search, which
+    #: controller to the cost-bounded knob-space search, which
     #: compresses the tracked workload and bounds its replay spend so the
     #: tuning task never exceeds this duration.
     tuning_budget: Optional[float] = None

@@ -101,11 +101,6 @@ class ExperimentConfig:
 _ISOLATED_LATENCY_CACHE: Dict[tuple, Dict[str, float]] = {}
 
 
-def clear_isolated_latency_cache() -> None:
-    """Drop memoized base latencies (tests; config-independent reruns)."""
-    _ISOLATED_LATENCY_CACHE.clear()
-
-
 def measure_isolated_latencies(
     queries: Iterable[QuerySpec],
     config: ExperimentConfig,

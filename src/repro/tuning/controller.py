@@ -9,12 +9,12 @@ charged to the tuning worker (it appears as a "tuning" task in the
 simulation) and to the overhead accounting of Figure 10.
 
 With a ``tuning_budget`` the controller switches from the paper's exact
-(lambda, d_start) search to the cost-bounded whole-knob-space search
-(:func:`repro.tuning.optimizer.search_knob_space`): the tracked workload
-is compressed, candidates are ranked by the tuning-history surrogate,
-and the replay spend — and therefore the tuning task's duration — is
-bounded by the budget.  Without a budget the legacy path is untouched
-and bit-identical.
+(lambda, d_start) search to the cost-bounded knob-space search
+(:func:`repro.tuning.optimizer.search_knob_space`) over the same two
+knobs: the tracked workload is compressed, candidates are ranked by the
+tuning-history surrogate, and the replay spend — and therefore the
+tuning task's duration — is bounded by the budget.  Without a budget
+the legacy path is untouched and bit-identical.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ class TuningController:
             min_quantum=self.sim_quantum,
             history=self.tuning_history,
         )
-        # Applying the tuned vector IS the broadcast: bound knobs push
-        # through their live targets, unbound ones are skipped.
+        # Applying the tuned vector IS the broadcast: every knob of the
+        # space pushes through its live target.
         space.apply(result.values)
         tuning_seconds = max(
             MIN_TUNING_SECONDS, result.simulated_steps * PER_STEP_COST
@@ -268,10 +268,11 @@ class TuningController:
 def scheduler_knob_space(scheduler: "StrideScheduler") -> KnobSpace:
     """Core-layer knobs bound to a live stride scheduler.
 
-    ``decay`` and ``d_start`` apply through the §4 parameter broadcast;
-    ``t_max`` and the slot limit are read-only at this layer (they are
-    construction-time in the scheduler — the server layer owns applying
-    them by rebuilding backends).
+    Only ``decay`` and ``d_start`` are registered: they are what the §4
+    parameter broadcast can push into running workers.  ``t_max`` and the
+    slot limit are construction-time in the scheduler, so a cycle that
+    moved them would report values that are not in effect; the replay
+    sees them at their stock values (the scheduler defaults).
     """
     space = KnobSpace()
 
@@ -299,14 +300,6 @@ def scheduler_knob_space(scheduler: "StrideScheduler") -> KnobSpace:
             "core.d_start",
             read=lambda: scheduler.decay_parameters.d_start,
             apply=apply_dstart,
-        )
-    )
-    space.register(
-        stock_knob("core.t_max", read=lambda: scheduler.config.t_max)
-    )
-    space.register(
-        stock_knob(
-            "core.slot_limit", read=lambda: scheduler.config.slot_capacity
         )
     )
     return space

@@ -41,6 +41,7 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     UnknownTicketError,
+    WorkerFailedError,
 )
 from repro.runtime import ProcessBackend, ThreadedBackend
 from repro.runtime.channel import ResultChannel
@@ -594,6 +595,35 @@ class TestProcessFaults:
             )
         finally:
             server.shutdown()
+
+    def test_worker_death_without_retries_fails_the_epoch(self):
+        backend = ProcessBackend(
+            partial(make_scheduler, "stride", SchedulerConfig(n_workers=2)),
+            noise_sigma=0.0,
+            max_epoch_retries=0,
+        )
+        backend.install_faults(
+            FaultPlan(faults=(FaultSpec(kind=WORKER_DEATH),))
+        )
+        try:
+            lost = [
+                backend.submit(make_query(name, work=0.01))
+                for name in ("a", "b")
+            ]
+            records = backend.drain()
+            # No retry allowed: every job of the epoch settles failed
+            # with the worker failure as its cause.
+            assert backend.pool_rebuilds == 1
+            assert [r.failed for r in records] == [True, True]
+            for job in lost:
+                assert isinstance(backend.failure(job), WorkerFailedError)
+            # The rebuilt pool serves the next epoch normally.
+            after = backend.submit(make_query("c", work=0.01))
+            backend.drain()
+            assert not backend.failed(after)
+            assert backend.pool_rebuilds == 1
+        finally:
+            backend.shutdown()
 
 
 class TestFaultyEnvironmentPickling:

@@ -388,6 +388,27 @@ class TestProcessBackend:
         assert server.record(second).name == "Q13"
         assert server.completed_count == 2
 
+    def test_config_change_reaches_the_next_epoch(self, server_db):
+        # The worker builds each epoch's scheduler from the factory the
+        # server swapped in.  One worker and one slot serialise the
+        # epoch: every query finishes exactly when its own work and that
+        # of the queries before it is done (interleaved, the first of
+        # three finishes ~2.5x its own work after arrival).
+        server = self.make_process(server_db, n_workers=1)
+        try:
+            server.submit("Q6")
+            server.drain()
+            server._update_config(slot_capacity=1)
+            tickets = [server.submit("Q1") for _ in range(3)]
+            server.drain()
+        finally:
+            server.shutdown()
+        work_done = 0.0
+        for ticket in tickets:
+            record = server.record(ticket)
+            work_done += record.cpu_seconds
+            assert record.latency == pytest.approx(work_done)
+
     def test_hand_built_database_is_shipped_whole(self, server_db):
         """A database without a generation profile still works: the
         environment falls back to pickling the relations across."""
