@@ -166,17 +166,10 @@ class PredictivePlacement(PlacementPolicy):
     ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ReproError("alpha must be in (0, 1]")
-        if not 0.0 <= sharing_affinity < 1.0:
-            raise ReproError("sharing_affinity must be in [0, 1)")
+        #: Calibration EMA step (``cluster.placement_alpha``): a retune
+        #: takes effect on the next completion settlement; the estimates
+        #: accumulated so far are kept.
         self.alpha = alpha
-        #: Work-sharing affinity: how strongly to prefer a shard that
-        #: already has this query's leading plan fragment in flight
-        #: (its scan can be folded there instead of run twice).  The
-        #: candidate's own work estimate is discounted by this factor
-        #: when the fragment is live on the shard; 0.0 (the default)
-        #: tracks nothing and is bit-identical to the pre-sharing
-        #: predictor.
-        self.sharing_affinity = sharing_affinity
         #: Calibrated work estimate per query name (EMA of cpu_seconds).
         self._work: Dict[str, float] = {}
         #: Per shard: scheduling weight -> predicted busy-until time.
@@ -184,39 +177,37 @@ class PredictivePlacement(PlacementPolicy):
         #: Per shard: fragment fingerprint -> predicted busy-until time
         #: (only maintained when ``sharing_affinity > 0``).
         self._fragments: Optional[List[Dict[str, float]]] = None
+        self.sharing_affinity = sharing_affinity
 
     def bind(self, n_shards: int, n_workers: int) -> None:
         super().bind(n_shards, n_workers)
         self._busy = [dict() for _ in range(n_shards)]
-        if self.sharing_affinity > 0.0:
+        if self._sharing_affinity > 0.0:
             self._fragments = [dict() for _ in range(n_shards)]
 
-    def set_alpha(self, alpha: float) -> None:
-        """Retune the calibration EMA step (``cluster.placement_alpha``).
+    @property
+    def sharing_affinity(self) -> float:
+        """Work-sharing affinity (``cluster.sharing_affinity``).
 
-        Takes effect on the next completion settlement; the calibrated
-        estimates accumulated so far are kept.
+        How strongly to prefer a shard that already has this query's
+        leading plan fragment in flight (its scan can be folded there
+        instead of run twice): the candidate's own work estimate is
+        discounted by this factor when the fragment is live on the
+        shard.  0.0 (the default) tracks nothing and is bit-identical to
+        the pre-sharing predictor.  Turning it on after :meth:`bind`
+        starts the fragment-horizon tracking it needs.
         """
-        if not 0.0 < alpha <= 1.0:
-            raise ReproError("alpha must be in (0, 1]")
-        self.alpha = float(alpha)
+        return self._sharing_affinity
 
-    def set_sharing_affinity(self, affinity: float) -> None:
-        """Retune the fragment-affinity discount mid-run.
-
-        Turning affinity on after :meth:`bind` initializes the
-        fragment-horizon tracking it needs; turning it off keeps the
-        (now unused) state so flipping back is cheap.
-        """
+    @sharing_affinity.setter
+    def sharing_affinity(self, affinity: float) -> None:
         if not 0.0 <= affinity < 1.0:
             raise ReproError("sharing_affinity must be in [0, 1)")
-        self.sharing_affinity = float(affinity)
-        if self.sharing_affinity > 0.0 and self._fragments is None:
-            n_shards = getattr(self, "n_shards", None)
-            if n_shards is not None:
-                self._fragments = [dict() for _ in range(n_shards)]
-        elif self.sharing_affinity == 0.0:
+        self._sharing_affinity = float(affinity)
+        if affinity == 0.0:
             self._fragments = None
+        elif self._fragments is None and self._busy is not None:
+            self._fragments = [dict() for _ in self._busy]
 
     def estimate(self, spec: QuerySpec) -> float:
         """Expected CPU-seconds of one run of ``spec``."""
@@ -246,7 +237,7 @@ class PredictivePlacement(PlacementPolicy):
                 spec_fragment_fingerprint(spec)
             )
             if horizon is not None and horizon > at:
-                estimate = estimate * (1.0 - self.sharing_affinity)
+                estimate = estimate * (1.0 - self._sharing_affinity)
         return estimate + delay
 
     def choose(
@@ -333,7 +324,7 @@ class PredictivePlacement(PlacementPolicy):
             "calibrated_work": dict(sorted(self._work.items())),
         }
         if self._fragments is not None:
-            snap["sharing_affinity"] = self.sharing_affinity
+            snap["sharing_affinity"] = self._sharing_affinity
             snap["fragments_in_flight"] = [
                 dict(sorted(fragments.items()))
                 for fragments in self._fragments

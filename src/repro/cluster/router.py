@@ -689,29 +689,17 @@ class ClusterRouter:
         its work-sharing affinity discount.  Empty for policies without
         those coefficients (round-robin has nothing to tune).
         """
-        from repro.tuning.knobs import KnobSpace, stock_knob
+        from repro.tuning.knobs import KNOBS, KnobSpace
 
-        space = KnobSpace()
         placement = self._placement
-        if getattr(placement, "set_alpha", None) is not None:
-            space.register(
-                stock_knob(
-                    "cluster.placement_alpha",
-                    read=lambda: placement.alpha,
-                    apply=placement.set_alpha,
-                    default=placement.alpha,
-                )
+        return KnobSpace(
+            KNOBS[name].attribute(placement, attribute)
+            for name, attribute in (
+                ("cluster.placement_alpha", "alpha"),
+                ("cluster.sharing_affinity", "sharing_affinity"),
             )
-        if getattr(placement, "set_sharing_affinity", None) is not None:
-            space.register(
-                stock_knob(
-                    "cluster.sharing_affinity",
-                    read=lambda: placement.sharing_affinity,
-                    apply=placement.set_sharing_affinity,
-                    default=placement.sharing_affinity,
-                )
-            )
-        return space
+            if hasattr(placement, attribute)
+        )
 
     def tune_placement(self) -> dict:
         """Fit the placement EMA step to the observed completion log.
@@ -726,14 +714,16 @@ class ClusterRouter:
         log is too short).
         """
         placement = self._placement
-        set_alpha = getattr(placement, "set_alpha", None)
         log = self._completion_log
-        if set_alpha is None or len(log) < self.MIN_TUNING_COMPLETIONS:
+        if not hasattr(placement, "alpha") or (
+            len(log) < self.MIN_TUNING_COMPLETIONS
+        ):
             return {}
+        from repro.tuning.knobs import KNOBS
+
         best_alpha = placement.alpha
         best_error = None
-        for step in range(1, 21):
-            alpha = step * 0.05
+        for alpha in KNOBS["cluster.placement_alpha"].domain.grid():
             error = 0.0
             estimates: Dict[str, float] = {}
             for name, observed in log:
@@ -746,7 +736,7 @@ class ClusterRouter:
             if best_error is None or error < best_error:
                 best_error = error
                 best_alpha = alpha
-        set_alpha(best_alpha)
+        placement.alpha = best_alpha
         return {
             "cluster.placement_alpha": best_alpha,
             "prediction_error": best_error,

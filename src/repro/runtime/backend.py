@@ -56,7 +56,7 @@ from __future__ import annotations
 import abc
 import enum
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.specs import QuerySpec
 from repro.errors import (
@@ -375,30 +375,6 @@ class ExecutionBackend(abc.ABC):
         return settled
 
     # ------------------------------------------------------------------
-    # Knob broadcast (§4 generalized: mid-run tuning updates)
-    # ------------------------------------------------------------------
-    def broadcast_knobs(self, changes: Mapping[str, object]) -> List[str]:
-        """Push tuned runtime knob values into this backend mid-run.
-
-        The base class handles the knob every backend shares —
-        ``runtime.channel_capacity``, read at each subsequent submit;
-        subclasses extend with substrate-specific broadcast (the
-        threaded backend pushes decay parameters into its live
-        scheduler, the process backend swaps the factory shipped to
-        workers).  Unknown names are ignored so one tuned vector can be
-        broadcast through heterogeneous backends.  Returns the names
-        that took effect.
-        """
-        applied: List[str] = []
-        if "runtime.channel_capacity" in changes:
-            capacity = int(changes["runtime.channel_capacity"])
-            if capacity < 1:
-                raise ReproError("channel capacity must be at least 1")
-            self.channel_capacity = capacity
-            applied.append("runtime.channel_capacity")
-        return applied
-
-    # ------------------------------------------------------------------
     # Fault injection
     # ------------------------------------------------------------------
     def install_faults(
@@ -682,6 +658,15 @@ class EpochBackend(ExecutionBackend):
     def clock(self) -> VirtualClock:
         """Virtual time of the most recent epoch."""
         return self._clock
+
+    def set_scheduler_factory(self, factory: Callable) -> None:
+        """Build every later epoch's scheduler from ``factory``.
+
+        Epochs already run keep their configuration.  The process
+        backend pickles the factory into its worker at each drain, so it
+        must be a picklable zero-argument callable.
+        """
+        self._scheduler_factory = factory
 
     def _do_submit(self, job_id: int, spec: QuerySpec, at: Optional[float]) -> None:
         arrival = 0.0 if at is None else float(at)

@@ -214,17 +214,6 @@ class ProcessBackend(EpochBackend):
     # ------------------------------------------------------------------
     # ExecutionBackend contract
     # ------------------------------------------------------------------
-    def set_scheduler_factory(self, factory: Callable) -> None:
-        """Swap the scheduler factory shipped to workers on later drains.
-
-        The knob-broadcast path for process execution: the factory is
-        pickled into the worker at each drain, so epochs already in
-        flight keep their configuration and every subsequent drain
-        builds its scheduler from the new one.  Must stay a picklable
-        zero-argument callable.
-        """
-        self._scheduler_factory = factory
-
     def _get_pool(self):
         if self._pool is not None:
             return self._pool

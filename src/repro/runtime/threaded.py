@@ -126,29 +126,6 @@ class ThreadedBackend(ExecutionBackend):
         """The scheduler this backend drives (for tests and stats)."""
         return self._scheduler
 
-    def broadcast_knobs(self, changes) -> list:
-        """Push tuned knobs into the *live* scheduler mid-run.
-
-        Extends the base broadcast with the core decay knobs: the
-        scheduler keeps running, so new parameters go through the §4
-        broadcast path (every worker's decay state is recomputed from
-        the closed form).
-        """
-        applied = super().broadcast_knobs(changes)
-        if "core.decay" in changes or "core.d_start" in changes:
-            params = getattr(self._scheduler, "decay_parameters", None)
-            setter = getattr(self._scheduler, "set_decay_parameters", None)
-            if params is not None and setter is not None:
-                decay = float(changes.get("core.decay", params.decay))
-                d_start = int(changes.get("core.d_start", params.d_start))
-                setter(params.with_values(decay, d_start))
-                applied.extend(
-                    name
-                    for name in ("core.decay", "core.d_start")
-                    if name in changes
-                )
-        return applied
-
     def install_faults(
         self, plan: FaultPlan, *, spent=(), skip_kinds=()
     ) -> FaultInjector:

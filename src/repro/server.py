@@ -96,6 +96,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -115,7 +116,7 @@ from repro.runtime.admission import (
     SlaClass,
     make_admission_policy,
 )
-from repro.runtime.backend import BackendState, ExecutionBackend
+from repro.runtime.backend import BackendState, EpochBackend, ExecutionBackend
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.handle import QueryHandle
 from repro.runtime.process import ProcessBackend, engine_environment_factory
@@ -261,17 +262,6 @@ class AnalyticsServer:
         self._retry_rng = np.random.default_rng(seed)
 
     def _make_backend(self) -> ExecutionBackend:
-        if self._environment == "model":
-            # Pure virtual time over the paper's cost model: the
-            # simulator builds its own SimulationEnvironment, so runs
-            # are bit-identical across repeats and hash seeds.
-            return SimulatedBackend(
-                lambda: make_scheduler(self._scheduler_name, self._config),
-                seed=self._seed,
-                sharing=self._sharing,
-                sharing_cache_entries=self._sharing_cache_entries,
-                sharing_attach_buffer=self._sharing_attach_buffer,
-            )
         if self._backend_name == "threaded":
             return ThreadedBackend(
                 make_scheduler(self._scheduler_name, self._config),
@@ -279,9 +269,23 @@ class AnalyticsServer:
                 sharing=self._sharing,
                 sharing_attach_buffer=self._sharing_attach_buffer,
             )
+        # The epoch backends build each drain's scheduler from this
+        # factory; :meth:`_update_config` swaps it for the next epoch.
+        scheduler_factory = partial(
+            make_scheduler, self._scheduler_name, self._config
+        )
+        if self._environment == "model":
+            # Pure virtual time over the paper's cost model: the
+            # simulator builds its own SimulationEnvironment, so runs
+            # are bit-identical across repeats and hash seeds.
+            return SimulatedBackend(
+                scheduler_factory,
+                seed=self._seed,
+                sharing=self._sharing,
+                sharing_cache_entries=self._sharing_cache_entries,
+                sharing_attach_buffer=self._sharing_attach_buffer,
+            )
         if self._backend_name == "process":
-            from functools import partial
-
             db = self.database
             if db.generated:
                 # Pure function of (scale_factor, seed): regenerate in
@@ -293,12 +297,12 @@ class AnalyticsServer:
             else:
                 environment_factory = partial(_environment_from_database, db)
             return ProcessBackend(
-                partial(make_scheduler, self._scheduler_name, self._config),
+                scheduler_factory,
                 seed=self._seed,
                 environment_factory=environment_factory,
             )
         return SimulatedBackend(
-            lambda: make_scheduler(self._scheduler_name, self._config),
+            scheduler_factory,
             seed=self._seed,
             environment_factory=lambda: EngineEnvironment(self.database),
             sharing=self._sharing,
@@ -792,165 +796,54 @@ class AnalyticsServer:
     # Self-tuning over the knob space
     # ------------------------------------------------------------------
     def _update_config(self, **changes) -> None:
-        """Update the scheduler configuration and rebroadcast it.
-
-        The config object is frozen, so tuned core knobs produce a new
-        one; the backends pick it up each by their own mechanism — the
-        simulated backend's factory closes over ``self`` and reads the
-        config at the next drain, the threaded backend receives live
-        parameters through :meth:`ExecutionBackend.broadcast_knobs`,
-        and the process backend gets a freshly bound factory for its
-        next epoch.
-        """
+        """Rebuild the config every later epoch's scheduler is built from."""
         self._config = replace(self._config, **changes)
-        swap = getattr(self._backend, "set_scheduler_factory", None)
-        if swap is not None:
-            from functools import partial
-
-            swap(
-                partial(make_scheduler, self._scheduler_name, self._config)
-            )
+        self._backend.set_scheduler_factory(
+            partial(make_scheduler, self._scheduler_name, self._config)
+        )
 
     def knob_space(self):
-        """The live tunable surface of this server, across all layers.
+        """The live tunable surface of this server: only knobs it runs.
 
-        Every knob is bound to its real target, so
-        :meth:`~repro.tuning.knobs.KnobSpace.apply` — and therefore
-        :meth:`tune` — broadcasts mid-run: core knobs flow through the
-        scheduler config and the backend's §4 parameter broadcast,
-        runtime knobs mutate the backend and the retry machinery,
-        and the admission queue depth mutates the policy in place (only
-        registered when the policy actually bounds pending queries).
-        Cluster-level knobs are registered by
-        :meth:`repro.cluster.ClusterRouter.knob_space`, not here.
+        Each knob reads and sets the object that runs its value, so
+        :meth:`~repro.tuning.knobs.KnobSpace.apply` — and :meth:`tune` —
+        takes effect mid-run.  The threaded backend keeps one scheduler
+        across drains: the decay pair goes to it live, and ``t_max`` and
+        the slot limit, fixed when it was built, are left out.  The epoch
+        backends build a scheduler per drain, so core knobs rewrite the
+        config the next one is built from.  The admission queue depth is
+        registered only when the policy bounds pending queries.
         """
-        from repro.tuning.knobs import KnobSpace, stock_knob
-
-        space = KnobSpace()
-        config = self._config
-
-        def apply_decay(value) -> None:
-            params = self._config.effective_decay()
-            self._update_config(
-                decay=params.with_values(float(value), params.d_start)
-            )
-            self._backend.broadcast_knobs({"core.decay": float(value)})
-
-        def apply_dstart(value) -> None:
-            params = self._config.effective_decay()
-            self._update_config(
-                decay=params.with_values(params.decay, int(value))
-            )
-            self._backend.broadcast_knobs({"core.d_start": int(value)})
-
-        space.register(
-            stock_knob(
-                "core.decay",
-                read=lambda: self._config.effective_decay().decay,
-                apply=apply_decay,
-            )
-        )
-        space.register(
-            stock_knob(
-                "core.d_start",
-                read=lambda: self._config.effective_decay().d_start,
-                apply=apply_dstart,
-            )
-        )
-        space.register(
-            stock_knob(
-                "core.t_max",
-                read=lambda: self._config.t_max,
-                apply=lambda value: self._update_config(t_max=float(value)),
-            )
-        )
-        space.register(
-            stock_knob(
-                "core.slot_limit",
-                read=lambda: self._config.slot_capacity,
-                apply=lambda value: self._update_config(
-                    slot_capacity=int(value)
-                ),
-                default=config.slot_capacity,
-            )
-        )
-        space.register(
-            stock_knob(
-                "runtime.channel_capacity",
-                read=lambda: self._backend.channel_capacity,
-                apply=lambda value: self._backend.broadcast_knobs(
-                    {"runtime.channel_capacity": int(value)}
-                ),
-            )
+        from repro.tuning.knobs import (
+            KNOBS, KnobSpace, config_knobs, scheduler_knobs,
         )
 
-        def apply_retry_budget(value) -> None:
-            self._retry_budget = int(value)
-
-        def apply_retry_backoff(value) -> None:
-            self._retry_backoff = float(value)
-
-        space.register(
-            stock_knob(
-                "runtime.retry_budget",
-                read=lambda: self._retry_budget,
-                apply=apply_retry_budget,
+        backend, policy = self._backend, self._admission_policy
+        if isinstance(backend, EpochBackend):
+            knobs = config_knobs(
+                lambda: self._config,
+                self._update_config,
+                make_scheduler(self._scheduler_name, self._config),
             )
-        )
-        space.register(
-            stock_knob(
-                "runtime.retry_backoff",
-                read=lambda: self._retry_backoff,
-                apply=apply_retry_backoff,
-            )
-        )
-        policy = self._admission_policy
+        else:
+            knobs = scheduler_knobs(backend.scheduler)
+        knobs += [
+            KNOBS["runtime.channel_capacity"].attribute(backend, "channel_capacity"),
+            KNOBS["runtime.retry_budget"].attribute(self, "_retry_budget"),
+            KNOBS["runtime.retry_backoff"].attribute(self, "_retry_backoff"),
+        ]
         if policy.max_pending is not None:
-
-            def apply_max_pending(value) -> None:
-                policy.max_pending = int(value)
-
-            space.register(
-                stock_knob(
-                    "admission.max_pending",
-                    read=lambda: policy.max_pending,
-                    apply=apply_max_pending,
-                    default=policy.max_pending,
-                )
-            )
-        return space
+            knobs.append(KNOBS["admission.max_pending"].attribute(policy, "max_pending"))
+        return KnobSpace(knobs)
 
     def tracked_workload(self):
-        """Completed queries as a §4 tracked workload (single-worker form).
+        """Completed queries as a §4 tracked workload: input for :meth:`tune`
+        (see :func:`~repro.tuning.tracker.tracked_from_records`)."""
+        from repro.tuning.tracker import tracked_from_records
 
-        Work is each record's CPU time divided by the worker count — the
-        same one-worker reduction the paper's tracker performs — and
-        arrivals are offsets from the earliest completed arrival.  Input
-        for :meth:`tune`; shed and cancelled attempts are excluded.
-        """
-        from repro.tuning.tracker import TrackedQuery
-
-        records = [
-            r
-            for r in self._backend.records.values()
-            if not r.failed and not r.cancelled and r.cpu_seconds > 0.0
-        ]
-        if not records:
-            return []
-        t0 = min(r.arrival_time for r in records)
-        workers = max(1, self._config.n_workers)
-        return [
-            TrackedQuery(
-                group_id=r.query_id,
-                name=r.name,
-                scale_factor=r.scale_factor,
-                arrival_offset=r.arrival_time - t0,
-                work=r.cpu_seconds / workers,
-            )
-            for r in sorted(
-                records, key=lambda r: (r.arrival_time, r.query_id)
-            )
-        ]
+        return tracked_from_records(
+            self._backend.records.values(), self._config.n_workers
+        )
 
     def tune(
         self,

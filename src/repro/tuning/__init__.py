@@ -26,22 +26,17 @@ from repro.tuning.compress import (
     CompressedWorkload,
     compress_workload,
 )
-from repro.tuning.controller import (
-    TuningController,
-    TuningCycleStats,
-    scheduler_knob_space,
-)
+from repro.tuning.controller import TuningController, TuningCycleStats
 from repro.tuning.cost import COST_FUNCTIONS, get_cost_function
 from repro.tuning.history import HistoryEntry, TuningHistory, workload_signature
 from repro.tuning.knobs import (
-    ChoiceDomain,
+    KNOBS,
     ContinuousDomain,
     Domain,
     IntegerDomain,
     Knob,
     KnobSpace,
     default_knob_space,
-    stock_knob,
 )
 from repro.tuning.optimizer import (
     SIM_STEP_COST,
@@ -59,13 +54,13 @@ from repro.tuning.tracker import TrackedQuery, WorkloadTracker
 
 __all__ = [
     "COST_FUNCTIONS",
-    "ChoiceDomain",
     "CompressedWorkload",
     "ContinuousDomain",
     "Domain",
     "FIDELITY_ERROR_FACTOR",
     "HistoryEntry",
     "IntegerDomain",
+    "KNOBS",
     "Knob",
     "KnobSearchResult",
     "KnobSpace",
@@ -86,10 +81,8 @@ __all__ = [
     "optimize_multivariate",
     "replay_cost",
     "replay_workload",
-    "scheduler_knob_space",
     "search_knob_space",
     "simulate_policy",
     "simulate_policy_pairs",
-    "stock_knob",
     "workload_signature",
 ]

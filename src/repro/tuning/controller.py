@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.core.resource_group import ResourceGroup
 from repro.core.scheduler_base import TaskDecision
 from repro.tuning.history import TuningHistory
-from repro.tuning.knobs import KnobSpace, stock_knob
+from repro.tuning.knobs import KnobSpace, scheduler_knobs
 from repro.tuning.optimizer import (
     OptimizationResult,
     SIM_STEP_COST,
@@ -102,7 +102,6 @@ class TuningController:
         max_sim_steps_per_eval: int = 2000,
         objective: str = "mean",
         tuning_budget: Optional[float] = None,
-        knob_space: Optional[KnobSpace] = None,
         tuning_history: Optional[TuningHistory] = None,
     ) -> None:
         if tracking_duration <= 0.0 or refresh_duration <= 0.0:
@@ -132,9 +131,7 @@ class TuningController:
         #: Simulated seconds one tuning cycle may spend; ``None`` keeps
         #: the paper's exact unbounded (lambda, d_start) search.
         self.tuning_budget = tuning_budget
-        #: The knob space the budgeted search optimizes (built lazily
-        #: from the scheduler's core knobs when not supplied).
-        self._knob_space = knob_space
+        self._knob_space: Optional[KnobSpace] = None
         #: Tuning history feeding the candidate-ranking surrogate.
         self.tuning_history = tuning_history or TuningHistory()
         self.tracker = WorkloadTracker()
@@ -146,9 +143,15 @@ class TuningController:
 
     @property
     def knob_space(self) -> KnobSpace:
-        """The knob space of the budgeted search (built on first use)."""
+        """The knob space of the budgeted search (built on first use).
+
+        Only the decay pair: it is what the §4 broadcast pushes into
+        running workers.  ``t_max`` and the slot limit are fixed when
+        the scheduler is built, so the replay sees them at their table
+        defaults (the scheduler defaults).
+        """
         if self._knob_space is None:
-            self._knob_space = scheduler_knob_space(self.scheduler)
+            self._knob_space = KnobSpace(scheduler_knobs(self.scheduler))
         return self._knob_space
 
     # ------------------------------------------------------------------
@@ -264,42 +267,3 @@ class TuningController:
         )
         return tuning_seconds
 
-
-def scheduler_knob_space(scheduler: "StrideScheduler") -> KnobSpace:
-    """Core-layer knobs bound to a live stride scheduler.
-
-    Only ``decay`` and ``d_start`` are registered: they are what the §4
-    parameter broadcast can push into running workers.  ``t_max`` and the
-    slot limit are construction-time in the scheduler, so a cycle that
-    moved them would report values that are not in effect; the replay
-    sees them at their stock values (the scheduler defaults).
-    """
-    space = KnobSpace()
-
-    def apply_decay(value) -> None:
-        params = scheduler.decay_parameters
-        scheduler.set_decay_parameters(
-            params.with_values(float(value), params.d_start)
-        )
-
-    def apply_dstart(value) -> None:
-        params = scheduler.decay_parameters
-        scheduler.set_decay_parameters(
-            params.with_values(params.decay, int(value))
-        )
-
-    space.register(
-        stock_knob(
-            "core.decay",
-            read=lambda: scheduler.decay_parameters.decay,
-            apply=apply_decay,
-        )
-    )
-    space.register(
-        stock_knob(
-            "core.d_start",
-            read=lambda: scheduler.decay_parameters.d_start,
-            apply=apply_dstart,
-        )
-    )
-    return space

@@ -1,44 +1,41 @@
-"""Declarative knob registry: the tunable surface of the whole system.
+"""The knob table: the tunable surface of the whole system, declared once.
 
 The paper's §4 tuner optimizes exactly two parameters, ``(lambda,
-d_start)``.  The system has since grown many more hand-set constants —
-scheduler slot counts, morsel-growth constants, channel capacities,
-retry budgets, admission bounds, placement coefficients.  This module
-turns them into *data*: a :class:`Knob` describes one tunable (its
-domain, the layer it lives in, and how to read/apply it on a live
-target), and a :class:`KnobSpace` is an ordered registry of knobs that
-any search procedure can optimize over
-(:func:`repro.tuning.optimizer.search_knob_space`).
+d_start)``.  The system has since grown more hand-set constants —
+scheduler slot counts, the target task duration, channel capacities,
+retry budgets, admission bounds, placement coefficients.  :data:`KNOBS`
+declares each of them once: name, domain, default and description.  The
+name's prefix is the layer the knob lives in (``core``, ``runtime``,
+``admission``, ``cluster``).
 
-Layers mirror the system's architecture:
+A :class:`KnobSpace` is built by *binding* table entries to a live
+target: ``read`` returns the value the target runs, ``apply`` changes
+it.  Each owner registers only the knobs its target will run, so
+applying a tuned vector is the broadcast and reading it back is the
+check:
 
-* ``core`` — the scheduler itself: priority decay ``(lambda, d_start)``,
-  the target task duration ``t_max``, morsel-growth constants;
-* ``runtime`` — the execution backends: result-channel capacity, the
-  server-wide retry budget and backoff;
-* ``admission`` — the admission policy: queue depth (``max_pending``),
-  per-tenant quota defaults;
-* ``cluster`` — the router: predictive-placement EMA ``alpha`` and the
-  work-sharing affinity ``gamma``.
+* :meth:`repro.server.AnalyticsServer.knob_space` — core knobs go to the
+  live scheduler (threaded) or to the config the next epoch's scheduler
+  is built from (simulated, process); runtime and admission knobs are
+  attributes of the backend, the server and the admission policy;
+* :meth:`repro.cluster.ClusterRouter.knob_space` — the predictive
+  placement's coefficients;
+* :attr:`repro.tuning.controller.TuningController.knob_space` — the
+  §4 decay pair of the scheduler the controller runs in.
 
-A knob binds to its live target through ``read``/``apply`` callables, so
-applying a tuned vector *is* the broadcast: core knobs push through the
-scheduler's §4 parameter broadcast, runtime knobs mutate the backend,
-admission knobs mutate the policy, cluster knobs mutate the placement
-policy.  Everything is deterministic: knobs iterate in registration
-order, and domains generate candidate neighbours in a fixed order.
+:func:`default_knob_space` is the unbound space the replay cost model
+(:mod:`repro.tuning.replay`) can search on its own; it cannot apply.
+Everything is deterministic: knobs iterate in table order, and domains
+generate candidate neighbours in a fixed order.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import TuningError
-
-#: The architectural layers a knob may belong to.
-LAYERS = ("core", "runtime", "admission", "cluster")
 
 
 class Domain(abc.ABC):
@@ -64,10 +61,6 @@ class Domain(abc.ABC):
     @abc.abstractmethod
     def normalize(self, value) -> float:
         """Map ``value`` into [0, 1] for surrogate distance metrics."""
-
-    @abc.abstractmethod
-    def sample(self, fraction: float):
-        """The domain value at normalized position ``fraction`` ∈ [0, 1]."""
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,11 @@ class ContinuousDomain(Domain):
     def normalize(self, value) -> float:
         return (float(value) - self.lo) / (self.hi - self.lo)
 
-    def sample(self, fraction: float):
-        return self.clamp(self.lo + fraction * (self.hi - self.lo))
+    def grid(self) -> List[float]:
+        """The multiples of ``step`` from ``lo`` to ``hi``, ascending."""
+        first = round(self.lo / self.step)
+        last = round(self.hi / self.step)
+        return [k * self.step for k in range(first, last + 1)]
 
 
 @dataclass(frozen=True)
@@ -145,85 +141,38 @@ class IntegerDomain(Domain):
     def normalize(self, value) -> float:
         return (int(value) - self.lo) / (self.hi - self.lo)
 
-    def sample(self, fraction: float):
-        return self.clamp(self.lo + fraction * (self.hi - self.lo))
-
 
 @dataclass(frozen=True)
-class ChoiceDomain(Domain):
-    """A small ordered set of admissible values."""
-
-    values: Tuple
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 2:
-            raise TuningError("a choice domain needs at least two values")
-
-    def _index(self, value) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise TuningError(
-                f"value {value!r} not in choices {self.values}"
-            ) from None
-
-    def clamp(self, value):
-        if value in self.values:
-            return value
-        # Nearest choice for numeric values; first choice otherwise.
-        try:
-            return min(self.values, key=lambda v: abs(v - value))
-        except TypeError:
-            return self.values[0]
-
-    def validate(self, value) -> None:
-        self._index(value)
-
-    def neighbors(self, value, width: float) -> List:
-        index = self._index(value)
-        out = []
-        for direction in (1, -1):
-            j = index + direction
-            if 0 <= j < len(self.values):
-                out.append(self.values[j])
-        return out
-
-    def normalize(self, value) -> float:
-        return self._index(value) / (len(self.values) - 1)
-
-    def sample(self, fraction: float):
-        index = int(round(fraction * (len(self.values) - 1)))
-        return self.values[max(0, min(len(self.values) - 1, index))]
-
-
-@dataclass
 class Knob:
-    """One tunable system parameter bound to a live target.
+    """One tunable parameter: a table entry, optionally bound to a target.
 
-    ``read``/``apply`` close over the owning object (a scheduler, a
-    backend, a policy).  Unbound knobs (``read``/``apply`` = ``None``)
-    are still searchable — the replay cost model sees their values — but
-    :meth:`KnobSpace.apply` skips them.
+    ``read``/``apply`` close over the object that runs the value (a
+    scheduler, a backend, a policy).  An unbound knob is searchable —
+    the replay cost model sees its value — but cannot be applied.
     """
 
     name: str
-    layer: str
     domain: Domain
     default: object
     description: str = ""
     read: Optional[Callable[[], object]] = None
     apply: Optional[Callable[[object], None]] = None
 
-    def __post_init__(self) -> None:
-        if self.layer not in LAYERS:
-            raise TuningError(
-                f"knob {self.name!r}: unknown layer {self.layer!r}; "
-                f"choose from {LAYERS}"
-            )
-        self.domain.validate(self.domain.clamp(self.default))
+    def bind(
+        self, read: Callable[[], object], apply: Callable[[object], None]
+    ) -> "Knob":
+        """This knob bound to a live target."""
+        return replace(self, read=read, apply=apply)
+
+    def attribute(self, target: object, name: str) -> "Knob":
+        """This knob bound to the attribute ``name`` of ``target``."""
+        return self.bind(
+            lambda: getattr(target, name),
+            lambda value: setattr(target, name, value),
+        )
 
     def current(self):
-        """The live value (falls back to the default when unbound)."""
+        """The live value (the default when unbound)."""
         if self.read is None:
             return self.default
         return self.domain.clamp(self.read())
@@ -233,14 +182,14 @@ class KnobSpace:
     """An ordered registry of knobs; the search space of the tuner.
 
     Registration order is the canonical knob order everywhere (vectors,
-    neighbours, normalization), so results never depend on dict or set
-    iteration order — the same discipline the rest of the system follows
-    for hash-seed determinism.
+    neighbours, history distances), so results never depend on dict or
+    set iteration order — the same discipline the rest of the system
+    follows for hash-seed determinism.
     """
 
-    def __init__(self, knobs: Optional[List[Knob]] = None) -> None:
+    def __init__(self, knobs: Iterable[Knob] = ()) -> None:
         self._knobs: Dict[str, Knob] = {}
-        for knob in knobs or []:
+        for knob in knobs:
             self.register(knob)
 
     def register(self, knob: Knob) -> Knob:
@@ -249,31 +198,11 @@ class KnobSpace:
         self._knobs[knob.name] = knob
         return knob
 
-    def extend(self, other: "KnobSpace", prefix: str = "") -> None:
-        """Merge another space's knobs (optionally name-prefixed)."""
-        for knob in other:
-            merged = Knob(
-                name=prefix + knob.name,
-                layer=knob.layer,
-                domain=knob.domain,
-                default=knob.default,
-                description=knob.description,
-                read=knob.read,
-                apply=knob.apply,
-            )
-            self.register(merged)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[Knob]:
         return iter(self._knobs.values())
 
     def __len__(self) -> int:
         return len(self._knobs)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._knobs
 
     def __getitem__(self, name: str) -> Knob:
         try:
@@ -286,201 +215,169 @@ class KnobSpace:
     def names(self) -> Tuple[str, ...]:
         return tuple(self._knobs)
 
-    def layer(self, layer: str) -> List[Knob]:
-        """The knobs registered for one architectural layer."""
-        return [k for k in self if k.layer == layer]
-
-    # ------------------------------------------------------------------
-    # Vectors
-    # ------------------------------------------------------------------
     def current_values(self) -> Dict[str, object]:
         """Read the live value of every knob, in registration order."""
         return {knob.name: knob.current() for knob in self}
 
-    def defaults(self) -> Dict[str, object]:
-        return {knob.name: knob.default for knob in self}
-
-    def validate(self, values: Mapping[str, object]) -> None:
-        for name, value in values.items():
-            self[name].domain.validate(value)
-
-    def clamp(self, values: Mapping[str, object]) -> Dict[str, object]:
-        return {
-            name: self[name].domain.clamp(value)
-            for name, value in values.items()
-        }
-
     def apply(self, values: Mapping[str, object]) -> List[str]:
         """Push ``values`` into the live system; returns applied names.
 
-        Knobs without an ``apply`` hook are skipped (their values only
-        exist inside the cost model); unknown names raise.
+        Each value is clamped onto its knob's domain first.  A name that
+        is not registered, or whose knob is unbound, raises before
+        anything is applied.
         """
+        for name in values:
+            if self[name].apply is None:
+                raise TuningError(
+                    f"knob {name!r} is not bound to a target; it exists "
+                    "only in the replay cost model"
+                )
         applied = []
         for knob in self:
-            if knob.name not in values:
-                continue
-            value = knob.domain.clamp(values[knob.name])
-            if knob.apply is not None:
-                knob.apply(value)
+            if knob.name in values:
+                knob.apply(knob.domain.clamp(values[knob.name]))
                 applied.append(knob.name)
-        unknown = [name for name in values if name not in self._knobs]
-        if unknown:
-            raise TuningError(f"unknown knobs in vector: {unknown}")
         return applied
 
-    def neighbors(
-        self, values: Mapping[str, object], width: float
-    ) -> List[Dict[str, object]]:
-        """Single-knob moves from ``values``, in registration order."""
-        out = []
-        for knob in self:
-            base = values[knob.name]
-            for candidate in knob.domain.neighbors(base, width):
-                moved = dict(values)
-                moved[knob.name] = candidate
-                out.append(moved)
-        return out
 
-    def normalize(self, values: Mapping[str, object]) -> Tuple[float, ...]:
-        """The vector mapped into the unit cube (surrogate distance)."""
-        return tuple(
-            knob.domain.normalize(
-                knob.domain.clamp(values[knob.name])
-            )
-            for knob in self
-        )
-
-    def distance(
-        self, a: Mapping[str, object], b: Mapping[str, object]
-    ) -> float:
-        """Normalized L1 distance between two vectors (mean per knob)."""
-        na, nb = self.normalize(a), self.normalize(b)
-        return sum(abs(x - y) for x, y in zip(na, nb)) / max(1, len(na))
-
-
-# ----------------------------------------------------------------------
-# Stock knob descriptors for the replay cost model
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Stock:
-    """Name + layer + domain + default for one well-known knob."""
-
-    name: str
-    layer: str
-    domain: Domain
-    default: object
-    description: str
-
-
-#: The well-known knobs of the whole system, in canonical order.  These
-#: are the names the replay cost model (:mod:`repro.tuning.replay`)
-#: understands; binding functions attach live read/apply hooks to them.
-STOCK_KNOBS: Tuple[_Stock, ...] = (
-    _Stock(
-        "core.decay",
-        "core",
-        ContinuousDomain(0.0, 1.0, step=0.05),
-        0.9,
-        "priority-decay factor lambda (§3.2)",
-    ),
-    _Stock(
-        "core.d_start",
-        "core",
-        IntegerDomain(0, 512),
-        7,
-        "quanta at full priority before decay begins (§3.2)",
-    ),
-    _Stock(
-        "core.t_max",
-        "core",
-        ContinuousDomain(0.0005, 0.016, step=0.0005),
-        0.002,
-        "target task duration / decay quantum (§2.2)",
-    ),
-    _Stock(
-        "core.slot_limit",
-        "core",
-        IntegerDomain(2, 256, step=2),
-        128,
-        "scheduler slot capacity: concurrently active queries (§2.3)",
-    ),
-    _Stock(
-        "runtime.channel_capacity",
-        "runtime",
-        IntegerDomain(1, 128),
-        8,
-        "bounded result-channel depth in chunks",
-    ),
-    _Stock(
-        "runtime.retry_budget",
-        "runtime",
-        IntegerDomain(0, 64),
-        16,
-        "server-wide transient-failure resubmission budget",
-    ),
-    _Stock(
-        "runtime.retry_backoff",
-        "runtime",
-        ContinuousDomain(0.0, 1.0, step=0.01),
-        0.05,
-        "base exponential backoff between retry attempts (seconds)",
-    ),
-    _Stock(
-        "admission.max_pending",
-        "admission",
-        IntegerDomain(4, 4096, step=4),
-        256,
-        "admission queue depth: pending queries before backpressure",
-    ),
-    _Stock(
-        "cluster.placement_alpha",
-        "cluster",
-        ContinuousDomain(0.05, 1.0, step=0.05),
-        0.3,
-        "predictive-placement work-estimate EMA step",
-    ),
-    _Stock(
-        "cluster.sharing_affinity",
-        "cluster",
-        ContinuousDomain(0.0, 0.95, step=0.05),
-        0.5,
-        "placement discount for shards already running a fragment",
-    ),
-)
-
-_STOCK_BY_NAME = {stock.name: stock for stock in STOCK_KNOBS}
+#: The table: every well-known knob of the system, in canonical order.
+#: These are the names the replay cost model (:mod:`repro.tuning.replay`)
+#: understands; owners bind entries to what runs them.
+KNOBS: Dict[str, Knob] = {
+    knob.name: knob
+    for knob in (
+        Knob(
+            "core.decay",
+            ContinuousDomain(0.0, 1.0, step=0.05),
+            0.9,
+            "priority-decay factor lambda (§3.2)",
+        ),
+        Knob(
+            "core.d_start",
+            IntegerDomain(0, 512),
+            7,
+            "quanta at full priority before decay begins (§3.2)",
+        ),
+        Knob(
+            "core.t_max",
+            ContinuousDomain(0.0005, 0.016, step=0.0005),
+            0.002,
+            "target task duration / decay quantum (§2.2)",
+        ),
+        Knob(
+            "core.slot_limit",
+            IntegerDomain(2, 256, step=2),
+            128,
+            "scheduler slot capacity: concurrently active queries (§2.3)",
+        ),
+        Knob(
+            "runtime.channel_capacity",
+            IntegerDomain(1, 128),
+            8,
+            "bounded result-channel depth in chunks",
+        ),
+        Knob(
+            "runtime.retry_budget",
+            IntegerDomain(0, 64),
+            16,
+            "server-wide transient-failure resubmission budget",
+        ),
+        Knob(
+            "runtime.retry_backoff",
+            ContinuousDomain(0.0, 1.0, step=0.01),
+            0.05,
+            "base exponential backoff between retry attempts (seconds)",
+        ),
+        Knob(
+            "admission.max_pending",
+            IntegerDomain(4, 4096, step=4),
+            256,
+            "admission queue depth: pending queries before backpressure",
+        ),
+        Knob(
+            "cluster.placement_alpha",
+            ContinuousDomain(0.05, 1.0, step=0.05),
+            0.3,
+            "predictive-placement work-estimate EMA step",
+        ),
+        Knob(
+            "cluster.sharing_affinity",
+            ContinuousDomain(0.0, 0.95, step=0.05),
+            0.5,
+            "placement discount for shards already running a fragment",
+        ),
+    )
+}
 
 
-def stock_knob(
-    name: str,
-    read: Optional[Callable[[], object]] = None,
-    apply: Optional[Callable[[object], None]] = None,
-    default: Optional[object] = None,
-) -> Knob:
-    """Instantiate a well-known knob, optionally bound to a live target."""
-    stock = _STOCK_BY_NAME.get(name)
-    if stock is None:
-        raise TuningError(
-            f"unknown stock knob {name!r}; known: "
-            f"{tuple(_STOCK_BY_NAME)}"
-        )
-    return Knob(
-        name=stock.name,
-        layer=stock.layer,
-        domain=stock.domain,
-        default=stock.default if default is None else default,
-        description=stock.description,
-        read=read,
-        apply=apply,
+def _decays(scheduler) -> bool:
+    """Whether ``scheduler`` runs the §3.2 priority decay.
+
+    True for the stride family (stride, tuning, lottery) except the fair
+    baseline, which pins every priority to p0; FIFO and Umbra have no
+    decay state at all.
+    """
+    return hasattr(scheduler, "set_decay_parameters") and not (
+        scheduler.fixed_priorities
     )
 
 
+def _decay_knobs(read: Callable, write: Callable) -> List[Knob]:
+    """``core.decay`` and ``core.d_start`` over one parameter holder.
+
+    ``read()`` returns the :class:`~repro.core.decay.DecayParameters`
+    in force and ``write(params)`` replaces them.
+    """
+    return [
+        KNOBS["core.decay"].bind(
+            lambda: read().decay,
+            lambda value: write(read().with_values(value, read().d_start)),
+        ),
+        KNOBS["core.d_start"].bind(
+            lambda: read().d_start,
+            lambda value: write(read().with_values(read().decay, value)),
+        ),
+    ]
+
+
+def scheduler_knobs(scheduler) -> List[Knob]:
+    """The decay pair bound to a running scheduler (empty if it does not
+    decay): values go through the §4 broadcast into every worker."""
+    if not _decays(scheduler):
+        return []
+    return _decay_knobs(
+        lambda: scheduler.decay_parameters, scheduler.set_decay_parameters
+    )
+
+
+def config_knobs(config: Callable, update: Callable, scheduler) -> List[Knob]:
+    """The core knobs bound to the config the next epoch is built from.
+
+    ``config()`` returns the :class:`~repro.core.SchedulerConfig` and
+    ``update(**changes)`` replaces it; ``scheduler``, one built from it,
+    says which knobs would run: the decay pair only if it decays, the
+    slot limit only if it has a slot array (FIFO and Umbra do not).
+    """
+    knobs = _decay_knobs(
+        lambda: config().effective_decay(),
+        lambda params: update(decay=params),
+    ) if _decays(scheduler) else []
+    knobs.append(KNOBS["core.t_max"].bind(
+        lambda: config().t_max, lambda value: update(t_max=value)
+    ))
+    if hasattr(scheduler, "slots"):
+        knobs.append(KNOBS["core.slot_limit"].bind(
+            lambda: config().slot_capacity,
+            lambda value: update(slot_capacity=value),
+        ))
+    return knobs
+
+
 def default_knob_space(names: Optional[Tuple[str, ...]] = None) -> KnobSpace:
-    """An unbound space over the stock knobs (cost-model-only tuning)."""
-    space = KnobSpace()
-    for stock in STOCK_KNOBS:
-        if names is not None and stock.name not in names:
-            continue
-        space.register(stock_knob(stock.name))
-    return space
+    """An unbound space over the table (cost-model-only tuning)."""
+    if names is None:
+        return KnobSpace(KNOBS.values())
+    unknown = [name for name in names if name not in KNOBS]
+    if unknown:
+        raise TuningError(f"unknown knobs {unknown}; known: {tuple(KNOBS)}")
+    return KnobSpace(knob for knob in KNOBS.values() if knob.name in names)

@@ -37,7 +37,7 @@ from repro.core.decay import DecayParameters
 from repro.tuning.compress import compress_workload
 from repro.tuning.cost import CostFunction, mean_slowdown_cost
 from repro.tuning.history import TuningHistory, workload_signature
-from repro.tuning.knobs import KnobSpace
+from repro.tuning.knobs import KNOBS, KnobSpace
 from repro.tuning.replay import replay_cost
 from repro.tuning.self_sim import simulate_policy_pairs
 from repro.tuning.tracker import TrackedQuery
@@ -379,9 +379,10 @@ def _projected_replay_steps(
     Used to check affordability *before* spending, so a budgeted search
     never overshoots.
     """
-    quantum = max(float(values.get("core.t_max", 0.002)), min_quantum or 0.0)
+    default = KNOBS["core.t_max"].default
+    quantum = max(float(values.get("core.t_max", default)), min_quantum or 0.0)
     if quantum <= 0.0:
-        quantum = 0.002
+        quantum = default
     return int(2.0 * total_work / quantum) + 2 * n_queries
 
 

@@ -35,6 +35,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.decay import DEFAULT_P0, DEFAULT_PMIN
 from repro.tuning.cost import CostFunction, mean_slowdown_cost
+from repro.tuning.knobs import KNOBS
 from repro.tuning.self_sim import _stride_loop
 from repro.tuning.tracker import TrackedQuery
 
@@ -56,6 +57,11 @@ FAILURE_HAZARD = 0.05
 SHED_SLOWDOWN = 50.0
 #: Slowdown charged to a query that failed with no retry budget left.
 FAILURE_SLOWDOWN = 25.0
+
+#: ``admission.max_pending`` when the vector has none.  Not the table's
+#: 256: that is the stock bound of a policy that has one, while a vector
+#: without the knob comes from a server whose admission is unbounded.
+UNBOUNDED_PENDING = 4096
 
 #: Knuth's multiplicative hash constant: spreads group ids over the
 #: failure lottery without any RNG state.
@@ -98,7 +104,10 @@ def replay_workload(
     if not tracked:
         return ReplayResult(pairs=[], steps=0)
 
-    capacity = int(values.get("runtime.channel_capacity", 8))
+    def value(name: str):
+        return values.get(name, KNOBS[name].default)
+
+    capacity = int(value("runtime.channel_capacity"))
     queries = sorted(tracked, key=lambda q: (q.arrival_offset, q.group_id))
     # Channel effects, charged at finish: stalls beyond capacity plus
     # the buffer touch.
@@ -109,17 +118,17 @@ def replay_workload(
         channel.append(stall + capacity * BUFFER_TOUCH_SECONDS)
     return ReplayResult(*_stride_loop(
         queries,
-        max(float(values.get("core.t_max", 0.002)), min_quantum or 0.0),
+        max(float(value("core.t_max")), min_quantum or 0.0),
         DEFAULT_P0, DEFAULT_PMIN,
-        float(values.get("core.decay", 0.9)),
-        int(values.get("core.d_start", 7)),
+        float(value("core.decay")),
+        int(value("core.d_start")),
         overhead=DECISION_OVERHEAD_SECONDS,
-        slot_limit=int(values.get("core.slot_limit", 128)),
-        max_pending=int(values.get("admission.max_pending", 4096)),
+        slot_limit=int(value("core.slot_limit")),
+        max_pending=int(values.get("admission.max_pending", UNBOUNDED_PENDING)),
         channel=channel,
         will_fail=[_fails_transiently(q.group_id) for q in queries],
-        retry_budget=int(values.get("runtime.retry_budget", 16)),
-        retry_backoff=float(values.get("runtime.retry_backoff", 0.05)),
+        retry_budget=int(value("runtime.retry_budget")),
+        retry_backoff=float(value("runtime.retry_backoff")),
         shed_slowdown=SHED_SLOWDOWN, failure_slowdown=FAILURE_SLOWDOWN,
     ))
 

@@ -12,9 +12,10 @@ within the tracking window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from repro.core.resource_group import ResourceGroup
+from repro.metrics.latency import LatencyRecord
 
 
 @dataclass
@@ -84,3 +85,34 @@ class WorkloadTracker:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def tracked_from_records(
+    records: Iterable[LatencyRecord], n_workers: int
+) -> List[TrackedQuery]:
+    """Completed queries as a §4 tracked workload (single-worker form).
+
+    Work is each record's CPU time divided by the worker count — the
+    same one-worker reduction the tracker performs — and arrivals are
+    offsets from the earliest completed arrival.  Shed and cancelled
+    attempts are excluded.
+    """
+    records = [
+        r
+        for r in records
+        if not r.failed and not r.cancelled and r.cpu_seconds > 0.0
+    ]
+    if not records:
+        return []
+    t0 = min(r.arrival_time for r in records)
+    workers = max(1, n_workers)
+    return [
+        TrackedQuery(
+            group_id=r.query_id,
+            name=r.name,
+            scale_factor=r.scale_factor,
+            arrival_offset=r.arrival_time - t0,
+            work=r.cpu_seconds / workers,
+        )
+        for r in sorted(records, key=lambda r: (r.arrival_time, r.query_id))
+    ]

@@ -142,7 +142,7 @@ class TestSearchKnobSpace:
         for _ in range(2):
             history = TuningHistory()
             signature = workload_signature(tracked)
-            history.record(signature, space.defaults(), 10.0)
+            history.record(signature, space.current_values(), 10.0)
             runs.append(
                 search_knob_space(
                     space, tracked, budget_seconds=None, history=history
@@ -175,7 +175,7 @@ for i in range(36):
 
 space = default_knob_space()
 history = TuningHistory()
-history.record(workload_signature(tracked), space.defaults(), 10.0)
+history.record(workload_signature(tracked), space.current_values(), 10.0)
 result = search_knob_space(
     space, tracked, budget_seconds=0.02, history=history
 )
@@ -301,7 +301,7 @@ class TestRouterTuning:
             "cluster.placement_alpha",
             "cluster.sharing_affinity",
         )
-        assert all(k.layer == "cluster" for k in space)
+        assert all(name.startswith("cluster.") for name in space.names())
 
     def test_round_robin_has_nothing_to_tune(self):
         router = self.make_router(placement="round-robin")
@@ -314,10 +314,9 @@ class TestRouterTuning:
             router.submit("Q6" if i % 2 else "Q18")
         router.drain()
         applied = router.tune_placement()
-        assert "cluster.placement_alpha" in applied
-        assert router.placement.alpha == pytest.approx(
-            applied["cluster.placement_alpha"]
-        )
+        # The refit's pick on this log: the grid's second point, 2 * 0.05.
+        assert applied["cluster.placement_alpha"] == 0.1
+        assert router.placement.alpha == applied["cluster.placement_alpha"]
 
     def test_fleet_tune_covers_live_shards_and_router(self):
         router = self.make_router()

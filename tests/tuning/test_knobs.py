@@ -1,18 +1,16 @@
-"""Tests for the declarative knob registry."""
+"""Tests for the knob table and knob spaces."""
 
 import pytest
 
 from repro.errors import TuningError
 from repro.tuning import (
-    ChoiceDomain,
+    KNOBS,
     ContinuousDomain,
     IntegerDomain,
     Knob,
     KnobSpace,
     default_knob_space,
-    stock_knob,
 )
-from repro.tuning.knobs import LAYERS, STOCK_KNOBS
 
 
 class TestContinuousDomain:
@@ -33,10 +31,15 @@ class TestContinuousDomain:
         # At the upper edge only the downward move survives.
         assert domain.neighbors(1.0, 1.0) == [0.95]
 
-    def test_normalize_sample_roundtrip(self):
+    def test_normalize(self):
         domain = ContinuousDomain(0.2, 1.2, step=0.1)
         assert domain.normalize(0.7) == pytest.approx(0.5)
-        assert domain.sample(0.5) == pytest.approx(0.7)
+
+    def test_grid_is_the_step_multiples(self):
+        domain = KNOBS["cluster.placement_alpha"].domain
+        # The placement refit's candidates: these twenty floats, bit
+        # for bit, or its pick on a given log could move.
+        assert domain.grid() == [step * 0.05 for step in range(1, 21)]
 
     def test_empty_domain_rejected(self):
         with pytest.raises(TuningError):
@@ -62,45 +65,14 @@ class TestIntegerDomain:
         assert domain.neighbors(50, 0.1) == [52, 48]
 
 
-class TestChoiceDomain:
-    def test_requires_two_values(self):
-        with pytest.raises(TuningError):
-            ChoiceDomain(values=("only",))
-
-    def test_neighbors_are_adjacent_choices(self):
-        domain = ChoiceDomain(values=("a", "b", "c"))
-        assert domain.neighbors("b", 1.0) == ["c", "a"]
-        assert domain.neighbors("a", 1.0) == ["b"]
-
-    def test_clamp_numeric_nearest(self):
-        domain = ChoiceDomain(values=(1, 4, 16))
-        assert domain.clamp(5) == 4
-
-    def test_normalize(self):
-        domain = ChoiceDomain(values=("a", "b", "c"))
-        assert domain.normalize("c") == 1.0
-
-
 class TestKnob:
-    def test_unknown_layer_rejected(self):
-        with pytest.raises(TuningError):
-            Knob(
-                name="x",
-                layer="kernel",
-                domain=IntegerDomain(0, 4),
-                default=2,
-            )
-
     def test_current_falls_back_to_default_when_unbound(self):
-        knob = Knob(
-            name="x", layer="core", domain=IntegerDomain(0, 4), default=2
-        )
+        knob = Knob(name="x", domain=IntegerDomain(0, 4), default=2)
         assert knob.current() == 2
 
     def test_current_reads_and_clamps(self):
         knob = Knob(
             name="x",
-            layer="core",
             domain=IntegerDomain(0, 4),
             default=2,
             read=lambda: 99,
@@ -110,24 +82,10 @@ class TestKnob:
 
 class TestKnobSpace:
     def space(self):
-        space = KnobSpace()
-        space.register(
-            Knob(
-                name="a",
-                layer="core",
-                domain=ContinuousDomain(0.0, 1.0, step=0.1),
-                default=0.5,
-            )
-        )
-        space.register(
-            Knob(
-                name="b",
-                layer="runtime",
-                domain=IntegerDomain(1, 8),
-                default=4,
-            )
-        )
-        return space
+        return KnobSpace([
+            Knob(name="a", domain=ContinuousDomain(0.0, 1.0, step=0.1), default=0.5),
+            Knob(name="b", domain=IntegerDomain(1, 8), default=4),
+        ])
 
     def test_registration_order_is_canonical(self):
         space = self.space()
@@ -138,93 +96,62 @@ class TestKnobSpace:
         space = self.space()
         with pytest.raises(TuningError):
             space.register(
-                Knob(
-                    name="a",
-                    layer="core",
-                    domain=IntegerDomain(0, 1),
-                    default=0,
-                )
+                Knob(name="a", domain=IntegerDomain(0, 1), default=0)
             )
 
-    def test_layer_filter(self):
-        space = self.space()
-        assert [k.name for k in space.layer("runtime")] == ["b"]
-
-    def test_apply_skips_unbound_and_rejects_unknown(self):
+    def test_apply_rejects_unbound_and_unknown(self):
         applied = {}
         space = self.space()
         space.register(
             Knob(
                 name="c",
-                layer="admission",
                 domain=IntegerDomain(0, 10),
                 default=5,
                 apply=lambda v: applied.setdefault("c", v),
             )
         )
-        names = space.apply({"a": 0.7, "c": 8})
-        assert names == ["c"]
+        assert space.apply({"c": 8.4}) == ["c"]
         assert applied == {"c": 8}
-        with pytest.raises(TuningError):
-            space.apply({"nope": 1})
-
-    def test_neighbors_single_knob_moves_in_order(self):
-        space = self.space()
-        values = {"a": 0.5, "b": 4}
-        moves = space.neighbors(values, 1.0)
-        # a's ± moves first (registration order), then b's.
-        assert [m["a"] for m in moves[:2]] == [0.6, 0.4]
-        assert [m["b"] for m in moves[2:]] == [5, 3]
-        for move in moves:
-            assert sum(move[k] != values[k] for k in values) == 1
-
-    def test_distance_normalized_l1(self):
-        space = self.space()
-        a = {"a": 0.0, "b": 1}
-        b = {"a": 1.0, "b": 8}
-        assert space.distance(a, a) == 0.0
-        assert space.distance(a, b) == pytest.approx(1.0)
-
-    def test_extend_with_prefix(self):
-        space = self.space()
-        other = KnobSpace()
-        other.register(
-            Knob(
-                name="a",
-                layer="cluster",
-                domain=IntegerDomain(0, 1),
-                default=1,
-            )
-        )
-        space.extend(other, prefix="shard0.")
-        assert "shard0.a" in space
+        # A vector naming an unbound or unknown knob applies nothing.
+        for vector in ({"a": 0.7, "c": 3}, {"nope": 1, "c": 3}):
+            with pytest.raises(TuningError):
+                space.apply(vector)
+        assert applied == {"c": 8}
 
 
 class TestStockKnobs:
     def test_all_layers_covered(self):
-        layers = {stock.layer for stock in STOCK_KNOBS}
-        assert layers == set(LAYERS)
+        layers = {name.split(".")[0] for name in KNOBS}
+        assert layers == {"core", "runtime", "admission", "cluster"}
 
     def test_defaults_valid(self):
         space = default_knob_space()
-        space.validate(space.defaults())
-        assert len(space) == len(STOCK_KNOBS)
+        assert space.names() == tuple(KNOBS)
+        for knob in space:
+            knob.domain.validate(knob.default)
+            assert knob.current() == knob.default
 
     def test_stock_knob_binds_hooks(self):
         seen = {}
-        knob = stock_knob(
-            "core.decay",
+        knob = KNOBS["core.decay"].bind(
             read=lambda: 0.8,
             apply=lambda v: seen.setdefault("v", v),
         )
         assert knob.current() == 0.8
         knob.apply(0.7)
         assert seen == {"v": 0.7}
+        assert KNOBS["core.decay"].apply is None
 
     def test_unknown_stock_name(self):
         with pytest.raises(TuningError):
-            stock_knob("core.nonsense")
+            default_knob_space(("core.decay", "core.nonsense"))
 
     def test_subset_space(self):
         space = default_knob_space(("core.decay", "core.d_start"))
         assert space.names() == ("core.decay", "core.d_start")
+
+    def test_default_space_cannot_apply(self):
+        # The replay-only space has nothing to push a vector into.
+        space = default_knob_space()
+        with pytest.raises(TuningError):
+            space.apply({"core.decay": 0.5})
