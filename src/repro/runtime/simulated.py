@@ -21,12 +21,10 @@ model is the faithful virtual-time analogue.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.scheduler_base import SchedulerBase
 from repro.core.specs import QuerySpec
-from repro.errors import ReproError
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.backend import EpochBackend
 from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, STREAMED
@@ -34,9 +32,9 @@ from repro.runtime.clock import VirtualClock
 from repro.runtime.trace import TraceRecorder
 from repro.sharing import (
     MISS,
+    FoldCoordinator,
     FragmentCache,
     SharingStats,
-    max_fold_priority,
     spec_fingerprint,
 )
 from repro.simcore.rng import RngFactory
@@ -72,16 +70,15 @@ class SimulatedBackend(EpochBackend):
             max_time=max_time,
             channel_capacity=channel_capacity,
         )
-        if sharing_attach_buffer < 1:
-            raise ReproError("sharing_attach_buffer must be at least 1")
         self._trace = trace
         #: Work sharing (off by default): fold compatible pending queries
         #: into one execution per drain epoch and serve repeats from the
-        #: fragment cache.  With sharing off ``_do_drain`` plans no folds
-        #: and runs the pending set as is, so results stay bit-identical.
+        #: fragment cache.  With sharing off ``_do_drain`` offers no
+        #: folds and runs the pending set as is, so results stay
+        #: bit-identical.
         self._sharing = bool(sharing)
-        self._attach_buffer = sharing_attach_buffer
         self.sharing_stats = SharingStats()
+        self._folds = FoldCoordinator(sharing_attach_buffer, self.sharing_stats)
         self._fragment_cache: Optional[FragmentCache] = (
             FragmentCache(sharing_cache_entries, stats=self.sharing_stats)
             if self._sharing
@@ -98,10 +95,14 @@ class SimulatedBackend(EpochBackend):
 
     def _do_drain(self) -> List[LatencyRecord]:
         finished, run = self._begin_epoch()
-        # leader job id -> (fingerprint, attached [(job id, spec, arrival)])
-        folds: Dict[int, tuple] = {}
-        if self._sharing:
-            run, folds = self._plan_folds(run, finished)
+        if not self._sharing:
+            return self._run_epoch(finished, run)
+        try:
+            return self._run_epoch(finished, self._offer_folds(run, finished))
+        finally:
+            self._folds.seal_all()
+
+    def _run_epoch(self, finished, run) -> List[LatencyRecord]:
         if not run:
             return finished
         environment = (
@@ -137,17 +138,17 @@ class SimulatedBackend(EpochBackend):
                 if value is not STREAMED:
                     self.results[job_id] = value
             finished.append(self._settle(job_id, record))
-            if job_id not in folds:
+            fold = self._folds.seal(job_id) if self._sharing else None
+            if fold is None:
                 continue
             # The leader's spilled chunks are the fold's replay buffer:
             # they fan out to every attached query and (on success) into
             # the fragment cache for future epochs.
-            fingerprint, members = folds[job_id]
             spill = self._handles[job_id]._spill
             chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
-            finished.extend(self._settle_fold(record, chunks, members))
+            finished.extend(self._settle_fold(record, chunks, fold.members))
             if chunks and not record.failed:
-                self._fragment_cache.put(fingerprint, chunks)
+                self._fragment_cache.put(fold.fingerprint, chunks)
         return finished
 
     # ------------------------------------------------------------------
@@ -158,69 +159,36 @@ class SimulatedBackend(EpochBackend):
         if self._fragment_cache is not None:
             self._fragment_cache.invalidate()
 
-    def _plan_folds(self, pending, finished):
-        """Plan one epoch's dynamic folding; returns ``(run, folds)``.
+    def _offer_folds(self, pending, finished):
+        """Offer one epoch's pending set to the fold coordinator.
 
-        The epoch *is* the attach window: compatible pending queries
-        (equal spec fingerprints, not tagged ``noshare``) fold into one
-        execution.  The earliest arrival leads; its spec is stamped with
-        a ``fold:N`` tag (stride share = sum of the members' shares) and
-        the maximum member priority (§3.2).  ``run`` is what must
-        execute; attached queries land in ``folds`` and are served the
-        leader's result chunks at its completion, clamped to their own
-        arrival — the virtual-time analogue of replaying buffered
-        morsels to a late attacher.  A fold accepts at most
-        ``sharing_attach_buffer`` members; overflow queries fall back to
-        fresh unshared executions (counted as replay fallbacks).  Repeat
-        fingerprints that completed in an earlier epoch are settled here
-        (onto ``finished``), straight from the fragment cache, at their
-        arrival time and zero cost.
+        The epoch *is* the attach window: queries are offered in arrival
+        order, so the earliest arrival of a fingerprint leads.  Returns
+        what must execute, fold leaders stamped with the coordinator's
+        §3.2 weight rule.  Repeats of a fingerprint that completed in an
+        earlier epoch are settled here (onto ``finished``) from the
+        fragment cache, at their arrival time and zero cost.
         """
-        stats = self.sharing_stats
         # Only engine results are worth caching (the cost model has none).
         cache = self._fragment_cache if self._environment_factory else None
+        folds = self._folds
         run: List[Tuple[float, QuerySpec, int]] = []
-        folds: Dict[int, tuple] = {}
-        leader_of: Dict[str, int] = {}  # fingerprint -> index into run
         for arrival, spec, job_id in pending:
-            if "noshare" in spec.tags:
-                run.append((arrival, spec, job_id))
-                continue
-            fp = spec_fingerprint(spec)
-            if cache is not None:
-                chunks = cache.get(fp)
-                if chunks is not MISS:
-                    record = self._synthetic_record(spec, arrival, arrival)
-                    finished.append(self._settle(job_id, record, chunks=chunks))
+            if "noshare" not in spec.tags:
+                fp = spec_fingerprint(spec)
+                if cache is not None:
+                    chunks = cache.get(fp)
+                    if chunks is not MISS:
+                        record = self._synthetic_record(spec, arrival, arrival)
+                        finished.append(self._settle(job_id, record, chunks=chunks))
+                        continue
+                if folds.offer(job_id, spec, arrival, fp):
                     continue
-            index = leader_of.get(fp)
-            if index is None:
-                leader_of[fp] = len(run)
-                folds[job_id] = (fp, [])
-                run.append((arrival, spec, job_id))
-                continue
-            attached = folds[run[index][2]][1]
-            if len(attached) >= self._attach_buffer:
-                stats.replay_fallbacks += 1
-                run.append((arrival, spec, job_id))
-            else:
-                attached.append((job_id, spec, arrival))
-                stats.attached_queries += 1
-        # Decorate fold leaders: fold:N budget tag, max member priority.
-        for index in leader_of.values():
-            arrival, spec, job_id = run[index]
-            attached = folds[job_id][1]
-            if not attached:
-                continue
-            stats.folds += 1
-            priority = max_fold_priority(
-                [spec] + [m_spec for _, m_spec, _ in attached]
-            )
-            changes = {"tags": spec.tags + (f"fold:{1 + len(attached)}",)}
-            if priority is not None:
-                changes["user_priority"] = priority
-            run[index] = (arrival, replace(spec, **changes), job_id)
-        return run, folds
+            run.append((arrival, spec, job_id))
+        return [
+            (arrival, folds.stamp(job_id, spec), job_id)
+            for arrival, spec, job_id in run
+        ]
 
     # ------------------------------------------------------------------
     # Fault injection

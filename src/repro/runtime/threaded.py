@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.scheduler_base import SchedulerBase
 from repro.core.specs import QuerySpec
@@ -45,7 +45,7 @@ from repro.runtime.backend import ExecutionBackend
 from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, STREAMED
 from repro.runtime.clock import WallClock
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.sharing import LiveFold, SharingStats, TeeChannel, spec_fingerprint
+from repro.sharing import FoldCoordinator, SharingStats, TeeChannel, spec_fingerprint
 
 
 class ThreadedBackend(ExecutionBackend):
@@ -67,8 +67,6 @@ class ThreadedBackend(ExecutionBackend):
         sharing_attach_buffer: int = 16,
     ) -> None:
         super().__init__(channel_capacity=channel_capacity)
-        if sharing_attach_buffer < 1:
-            raise ReproError("sharing_attach_buffer must be at least 1")
         if scheduler.admitted_count:
             raise ReproError(
                 "threaded backend needs a fresh scheduler (queries were "
@@ -105,13 +103,10 @@ class ThreadedBackend(ExecutionBackend):
         #: attached queries at completion from a bounded buffer.  With
         #: sharing off every submit takes the historical path untouched.
         self._sharing = bool(sharing)
-        self._attach_buffer = sharing_attach_buffer
         self.sharing_stats = SharingStats()
-        self._fold_lock = threading.Lock()
-        self._folds: Dict[str, LiveFold] = {}
-        self._fold_by_leader: Dict[int, LiveFold] = {}
-        #: Attached job id -> (fold, spec, arrival wall time).
-        self._member_info: Dict[int, Tuple[LiveFold, QuerySpec, float]] = {}
+        self._folds = FoldCoordinator(
+            sharing_attach_buffer, self.sharing_stats, reweigh=self._reweigh
+        )
 
     # ------------------------------------------------------------------
     # ExecutionBackend contract
@@ -173,7 +168,7 @@ class ThreadedBackend(ExecutionBackend):
         # all arrive at time zero and simply queue until workers spawn.
         now = self._clock.now()
         if self._sharing and "noshare" not in spec.tags:
-            if self._try_attach(job_id, spec, now):
+            if self._folds.offer(job_id, spec, now, spec_fingerprint(spec)):
                 return  # attached: served at the leader's completion
         self._admit(job_id, spec, now)
 
@@ -187,14 +182,14 @@ class ThreadedBackend(ExecutionBackend):
                 # Before the group becomes runnable, so the engine wraps
                 # the final sink ahead of the query's first morsel.
                 channel = self._channels[job_id]
-                fold = self._fold_by_leader.get(job_id)
+                fold = self._folds.led_by(job_id)
                 if fold is not None:
                     # Fold leader: tee produced chunks into the bounded
                     # replay buffer for the attached queries.
                     channel = TeeChannel(
                         channel,
                         fold,
-                        self._attach_buffer,
+                        self._folds.attach_buffer,
                         self._on_replay_overflow,
                     )
                 open_channel(group.query_id, channel)
@@ -204,59 +199,21 @@ class ThreadedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Work sharing (sharing=True only)
     # ------------------------------------------------------------------
-    def _try_attach(self, job_id: int, spec: QuerySpec, now: float) -> bool:
-        """Attach to a matching in-flight fold, or register a new one.
+    def _reweigh(self, fold, share: int, weight: Optional[float]) -> None:
+        """Apply a fold's §3.2 weight rule to its live leader group; the
+        stride scheduler reads both at the group's next slot (re)init."""
+        group = self._groups.get(fold.leader_job)
+        if group is not None:
+            group.fold_size = share
+            group.query = replace(group.query, user_priority=weight)
 
-        Returns ``True`` when the query attached (no scheduler
-        admission); ``False`` when it must execute itself — either as
-        the new leader of its fingerprint or, when the fold's replay
-        buffer is exhausted, as a fresh unshared execution (counted as
-        a replay fallback).
+    def _on_replay_overflow(self, fold) -> None:
+        """The replay buffer overflowed: re-admit the members unshared.
+
+        Runs on the producing worker thread, mid-put.
         """
-        fp = spec_fingerprint(spec)
-        stats = self.sharing_stats
-        with self._fold_lock:
-            fold = self._folds.get(fp)
-            if fold is not None and fold.open and not fold.overflowed:
-                if len(fold.members) < self._attach_buffer:
-                    fold.members.append((job_id, spec, now))
-                    self._member_info[job_id] = (fold, spec, now)
-                    if len(fold.members) == 1:
-                        stats.folds += 1
-                    stats.attached_queries += 1
-                    # §3.2 weighted fairness for live folds: the leader
-                    # group now executes on behalf of one more query.
-                    # The stride scheduler multiplies the slot's
-                    # user_scale by fold_size, so the summed share takes
-                    # effect from the group's next slot (re)init (plain
-                    # int write; never the morsel budget, which would
-                    # perturb result bit-identity).
-                    group = self._groups.get(fold.leader_job)
-                    if group is not None:
-                        group.fold_size = 1 + len(fold.members)
-                    return True
-                stats.replay_fallbacks += 1
-                return False
-            fold = LiveFold(fingerprint=fp, leader_job=job_id)
-            self._folds[fp] = fold
-            self._fold_by_leader[job_id] = fold
-            return False
-
-    def _on_replay_overflow(self, fold: LiveFold) -> None:
-        """The replay buffer overflowed: fall back to fresh scans.
-
-        Runs on the producing worker thread, mid-put.  Every attached
-        query is re-admitted as its own unshared execution and the fold
-        stops accepting members; the leader continues untouched.
-        """
-        with self._fold_lock:
-            promoted = list(fold.members)
-            fold.members.clear()
-            for m_job, _, _ in promoted:
-                self._member_info.pop(m_job, None)
-        for m_job, m_spec, _ in promoted:
-            self.sharing_stats.replay_fallbacks += 1
-            self._admit(m_job, m_spec, self._clock.now())
+        for job_id, spec, _ in self._folds.overflow(fold):
+            self._admit(job_id, spec, self._clock.now())
 
     def _do_drain(self) -> List[LatencyRecord]:
         while True:
@@ -373,24 +330,7 @@ class ThreadedBackend(ExecutionBackend):
     def _on_complete(self, group, record: LatencyRecord) -> None:
         """Scheduler completion hook (runs on the finalizing worker)."""
         job_id = self._jobs[group.query_id]
-        fold: Optional[LiveFold] = None
-        attached: List[Tuple[int, QuerySpec, float]] = []
-        leader_detached = False
-        if self._sharing:
-            with self._fold_lock:
-                fold = self._fold_by_leader.pop(job_id, None)
-                if fold is not None:
-                    # Seal the fold: later arrivals of this fingerprint
-                    # start a fresh one instead of attaching to a
-                    # completed execution.
-                    fold.open = False
-                    attached = list(fold.members)
-                    fold.members.clear()
-                    for m_job, _, _ in attached:
-                        self._member_info.pop(m_job, None)
-                    if self._folds.get(fold.fingerprint) is fold:
-                        del self._folds[fold.fingerprint]
-                    leader_detached = fold.leader_detached
+        value = STREAMED
         if group.cancelled or group.failed:
             # The plan state is dropped, not finalized: finalization
             # would defensively drain the remaining relation through the
@@ -407,8 +347,13 @@ class ThreadedBackend(ExecutionBackend):
                 # is a silent drop there) — members replay a complete
                 # result even though the leader's consumer left.
                 value = finish_query(group.query_id)
-                if value is not STREAMED and not leader_detached:
-                    self.results[job_id] = value
+        # Seal after the last chunk went through the tee: a late
+        # arrival of this fingerprint then leads a fresh fold instead of
+        # attaching to a completed execution.
+        fold = self._folds.seal(job_id) if self._sharing else None
+        leader_detached = fold is not None and fold.leader_detached
+        if value is not STREAMED and not leader_detached:
+            self.results[job_id] = value
         outcome, cause = record, group.failure
         if leader_detached and not record.failed and not record.cancelled:
             # The leader's submitter cancelled (or shed) it mid-flight;
@@ -429,8 +374,8 @@ class ThreadedBackend(ExecutionBackend):
         # own record — a detached leader still *serves* them.
         with self._done:
             self._settle(job_id, outcome, cause)
-            if attached:
-                self._settle_fold(record, tuple(fold.replay), attached)
+            if fold is not None and fold.members:
+                self._settle_fold(record, tuple(fold.replay), fold.members)
             self._done.notify_all()
 
     # ------------------------------------------------------------------
@@ -464,57 +409,10 @@ class ThreadedBackend(ExecutionBackend):
             # channel must not be able to stall the wait forever.  An
             # attached query's producer is its fold leader.
             self._absorb_stream(job_id)
-            info = self._member_info.get(job_id)
-            if info is not None:
-                self._absorb_stream(info[0].leader_job)
+            leader = self._folds.leader_of(job_id)
+            if leader is not None:
+                self._absorb_stream(leader)
         return self.records[job_id]
-
-    def _detach_member(
-        self, job_id: int, error: Optional[BaseException]
-    ) -> bool:
-        """Detach one attached query from its fold, if it is one.
-
-        §2.3 wind-down for members costs nothing: the member never held
-        scheduler state, so detaching is pure bookkeeping — the shared
-        execution and its sibling members are untouched.  ``error`` is
-        ``None`` for a cancellation.  Returns ``False`` when the job is
-        not an attached query.
-        """
-        with self._fold_lock:
-            info = self._member_info.pop(job_id, None)
-            if info is None:
-                return False
-            fold, spec, arrival = info
-            fold.members = [m for m in fold.members if m[0] != job_id]
-        record = self._synthetic_record(
-            spec,
-            arrival,
-            self._clock.now(),
-            cancelled=error is None,
-            error="" if error is None else error_text(error),
-        )
-        with self._done:
-            self._settle(job_id, record, error)
-            self._done.notify_all()
-        return True
-
-    def _detach_leader(self, job_id: int) -> bool:
-        """Detach a fold leader whose execution must survive for members.
-
-        Returns ``True`` when the leader had attached queries: the
-        channel already failed (the caller's view winds down normally)
-        but the group keeps executing so the members still get their
-        replayed results at completion.
-        """
-        with self._fold_lock:
-            fold = self._fold_by_leader.get(job_id)
-            if fold is None:
-                return False
-            fold.open = False
-            if not fold.members:
-                return False
-            fold.leader_detached = True
-            return True
 
     def _do_cancel(self, job_id: int) -> None:
         self._wind_down(job_id, None)
@@ -524,10 +422,26 @@ class ThreadedBackend(ExecutionBackend):
 
     def _wind_down(self, job_id: int, error: Optional[BaseException]) -> None:
         """Abort one live job: detach it from its fold, or abort its group."""
-        if self._sharing and (
-            self._detach_member(job_id, error) or self._detach_leader(job_id)
-        ):
-            return
+        if self._sharing:
+            member = self._folds.detach_member(job_id)
+            if member is not None:
+                # An attached query never held scheduler state: settle
+                # it alone; the shared execution and its siblings go on.
+                record = self._synthetic_record(
+                    *member,
+                    self._clock.now(),
+                    cancelled=error is None,
+                    error="" if error is None else error_text(error),
+                )
+                with self._done:
+                    self._settle(job_id, record, error)
+                    self._done.notify_all()
+                return
+            if self._folds.detach_leader(job_id):
+                # The leader's channel already failed (the caller's view
+                # winds down normally), but its group keeps executing so
+                # the members still get their replayed results.
+                return
         group = self._groups.get(job_id)
         if group is None:
             if self._sharing:  # pragma: no cover - detach/complete race

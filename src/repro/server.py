@@ -60,6 +60,13 @@ and deterministic fault plans (:mod:`repro.runtime.faults`) can be
 installed for chaos testing.  See ``docs/architecture.md`` for the
 failure-mode taxonomy.
 
+Work sharing (``sharing=True``; simulated and threaded backends) folds
+identical in-flight queries into one execution through one
+:class:`~repro.sharing.FoldCoordinator`.  ``sharing_attach_buffer``
+caps each fold's members on both backends and, on the threaded one,
+also the leader's replay buffer in chunks; ``sharing_cache_entries``
+sizes the simulated backend's fragment result cache.
+
 Example::
 
     from repro.server import AnalyticsServer

@@ -1,23 +1,17 @@
-"""Plan normalization: canonical fingerprints for plans and fragments.
+"""Spec normalization: canonical fingerprints of the work a query does.
 
 Work sharing needs to recognize that two in-flight queries would do the
 same work.  The recognizer is a *fingerprint*: a canonical string built
-by walking the plan structure (tables, filter/projection expression
-trees, join keys, aggregation shape) and hashing it with a content hash.
+from a :class:`~repro.core.specs.QuerySpec`'s query name, scale factor
+and full pipeline structure, hashed with a content hash.
 
-Two fingerprint families exist:
-
-* **plan fingerprints** (:func:`plan_fingerprint`,
-  :func:`pipeline_fingerprint`) walk real engine plans
-  (:class:`~repro.engine.pipeline.QueryPlan`) — the ground truth used by
-  the fingerprint tests and the fragment result cache;
-* **spec fingerprints** (:func:`spec_fingerprint`,
-  :func:`spec_fragment_fingerprint`) canonicalize
-  :class:`~repro.core.specs.QuerySpec` objects, which is what the
-  backends and the cluster placement policy see at submission time.
-  Engine-mode specs are derived deterministically from the plans
+* :func:`spec_fingerprint` is what the backends fold by and what the
+  simulated backend's fragment result cache keys on.  Engine-mode specs
+  are derived deterministically from the plans
   (:func:`~repro.engine.execution.engine_query_spec`), so equal spec
   fingerprints imply equal plans on the same database.
+* :func:`spec_fragment_fingerprint` keys only the leading (scan)
+  pipeline; the cluster's sharing-affinity placement uses it.
 
 Scheduling metadata (tags, priorities, deadlines, SLA decoration) is
 deliberately **excluded**: it changes *when* a query runs, never *what*
@@ -25,19 +19,14 @@ it computes, so it must not break fold compatibility.
 
 Determinism: everything is encoded to explicit strings and digested
 with :mod:`hashlib` — never Python's ``hash()``, whose output varies
-with ``PYTHONHASHSEED``.  Dict-valued operator attributes (projection
-outputs, aggregate alias maps) are encoded in insertion order, which is
-the plan construction order and therefore stable.
+with ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List
 
 from repro.core.specs import QuerySpec
-from repro.engine import expressions as ex
-from repro.engine import operators as op
 
 
 def _digest(text: str) -> str:
@@ -45,152 +34,6 @@ def _digest(text: str) -> str:
     return hashlib.sha1(text.encode("utf-8")).hexdigest()[:16]
 
 
-# ----------------------------------------------------------------------
-# Expression trees
-# ----------------------------------------------------------------------
-def expression_key(expr) -> str:
-    """Canonical string of one expression tree."""
-    if isinstance(expr, ex.Col):
-        return f"col({expr.name})"
-    if isinstance(expr, ex.Const):
-        return f"const({expr.value!r})"
-    if isinstance(expr, ex.Arith):
-        return (
-            f"arith({expr.op},{expression_key(expr.left)},"
-            f"{expression_key(expr.right)})"
-        )
-    if isinstance(expr, ex.Compare):
-        return (
-            f"cmp({expr.op},{expression_key(expr.left)},"
-            f"{expression_key(expr.right)})"
-        )
-    if isinstance(expr, ex.And):
-        return "and(" + ",".join(expression_key(t) for t in expr.terms) + ")"
-    if isinstance(expr, ex.Or):
-        return "or(" + ",".join(expression_key(t) for t in expr.terms) + ")"
-    if isinstance(expr, ex.Not):
-        return f"not({expression_key(expr.term)})"
-    if isinstance(expr, ex.InSet):
-        values = ",".join(repr(v) for v in expr.values)
-        return f"in({expression_key(expr.term)},[{values}])"
-    return f"expr:{type(expr).__name__}"
-
-
-# ----------------------------------------------------------------------
-# Operators
-# ----------------------------------------------------------------------
-def transform_key(transform) -> str:
-    """Canonical string of one batch-to-batch operator."""
-    if isinstance(transform, op.Filter):
-        return f"filter({expression_key(transform.predicate)})"
-    if isinstance(transform, op.Project):
-        outputs = ",".join(
-            f"{name}={expression_key(expr)}"
-            for name, expr in transform.outputs.items()
-        )
-        return f"project({outputs})"
-    if isinstance(transform, op.HashJoinProbe):
-        payload = ",".join(sorted(transform.payload_columns))
-        return f"join({transform.probe_key};{payload})"
-    if isinstance(transform, op.SemiJoinProbe):
-        return f"semijoin({transform.probe_key})"
-    if isinstance(transform, op.AntiJoinProbe):
-        return f"antijoin({transform.probe_key})"
-    return f"transform:{type(transform).__name__}"
-
-
-def sink_key(sink) -> str:
-    """Canonical string of a pipeline's terminating sink (its shape)."""
-    if isinstance(sink, op.ChannelSink):
-        # A channel wrapper changes delivery, not semantics.
-        return sink_key(sink.inner)
-    if isinstance(sink, op.HashAggregateSink):
-        return (
-            "hashagg(by=" + ",".join(sink.group_columns)
-            + ";sum=" + ",".join(
-                f"{a}={expression_key(e)}" for a, e in sink.sums.items()
-            )
-            + ";min=" + ",".join(
-                f"{a}={expression_key(e)}" for a, e in sink.mins.items()
-            )
-            + ";max=" + ",".join(
-                f"{a}={expression_key(e)}" for a, e in sink.maxs.items()
-            )
-            + ";avg=" + ",".join(
-                f"{a}={expression_key(e)}" for a, e in sink.avgs.items()
-            )
-            + f";count={sink.count_alias})"
-        )
-    if isinstance(sink, op.ScalarAggregateSink):
-        sums = ",".join(
-            f"{a}={expression_key(e)}" for a, e in sink.sums.items()
-        )
-        return f"scalaragg({sums})"
-    if isinstance(sink, op.HashJoinBuildSink):
-        return (
-            f"joinbuild({sink.key_column};"
-            + ",".join(sink.payload_columns) + ")"
-        )
-    if isinstance(sink, op.TopKSink):
-        return (
-            f"topk({sink.sort_column},{sink.k};"
-            + ",".join(sink.payload_columns) + ")"
-        )
-    if isinstance(sink, op.SortSink):
-        return (
-            "sort(" + ",".join(sink.sort_columns)
-            + f";desc={sink.descending};limit={sink.limit};"
-            + ",".join(sink.payload_columns) + ")"
-        )
-    if isinstance(sink, op.CollectSink):
-        return "collect(" + ",".join(sink.columns) + ")"
-    return f"sink:{type(sink).__name__}"
-
-
-# ----------------------------------------------------------------------
-# Pipelines and plans
-# ----------------------------------------------------------------------
-def pipeline_key(pipeline) -> str:
-    """Canonical string of one engine pipeline (pre-hash)."""
-    name = getattr(pipeline, "name", type(pipeline).__name__)
-    columns = getattr(pipeline, "columns", None)
-    transforms = getattr(pipeline, "transforms", ())
-    sink = getattr(pipeline, "sink", None)
-    # The source is either a base table (the pipeline name records which)
-    # or a view over an earlier pipeline of the same plan; the distinction
-    # is all the key needs — build-side structure is covered by the build
-    # pipeline's own key.
-    source_kind = "view" if callable(getattr(pipeline, "_source", None)) else "base"
-    parts: List[str] = [
-        f"pipeline({name};{source_kind};"
-        + ("*" if columns is None else ",".join(columns)) + ")"
-    ]
-    parts.extend(transform_key(t) for t in transforms)
-    parts.append(sink_key(sink) if sink is not None else "sink:none")
-    return "|".join(parts)
-
-
-def pipeline_fingerprint(pipeline) -> str:
-    """Content hash of one pipeline/subplan fragment."""
-    return _digest(pipeline_key(pipeline))
-
-
-def plan_fingerprint(plan) -> str:
-    """Content hash of a whole :class:`~repro.engine.pipeline.QueryPlan`."""
-    return _digest(
-        f"plan({plan.name})|"
-        + "||".join(pipeline_key(p) for p in plan.pipelines)
-    )
-
-
-def fragment_fingerprint(plan) -> str:
-    """Content hash of a plan's *leading scan* fragment only."""
-    return pipeline_fingerprint(plan.pipelines[0])
-
-
-# ----------------------------------------------------------------------
-# Scheduler-level specs
-# ----------------------------------------------------------------------
 def _spec_pipeline_key(pipeline) -> str:
     return (
         f"{pipeline.name};{pipeline.tuples};{pipeline.tuples_per_second!r};"

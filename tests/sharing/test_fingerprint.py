@@ -1,9 +1,9 @@
-"""Plan/spec normalization: fingerprints recognize equal work.
+"""Spec normalization: fingerprints recognize equal work.
 
-The fold matcher and the fragment cache both key on these, so the tests
-pin the two properties everything downstream depends on: stability
-(equal plans fingerprint equal, including across hash seeds — sha1,
-never ``hash()``) and scheduling-metadata blindness (tags, priorities
+The fold coordinator and the fragment cache both key on these, so the
+tests pin the two properties everything downstream depends on:
+stability (equal specs fingerprint equal, including across hash seeds —
+sha1, never ``hash()``) and scheduling-metadata blindness (tags, priorities
 and deadlines change *when* a query runs, never *what* it computes).
 """
 
@@ -11,46 +11,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine import build_engine_query, generate_tpch
+from repro.engine import generate_tpch
 from repro.engine.execution import engine_query_spec
-from repro.sharing import (
-    fragment_fingerprint,
-    plan_fingerprint,
-    spec_fingerprint,
-    spec_fragment_fingerprint,
-)
+from repro.sharing import spec_fingerprint, spec_fragment_fingerprint
 from repro.workloads import tpch_query
 
 
 @pytest.fixture(scope="module")
 def db():
     return generate_tpch(scale_factor=0.003, seed=5)
-
-
-class TestPlanFingerprints:
-    def test_equal_plans_fingerprint_equal(self, db):
-        a = plan_fingerprint(build_engine_query("Q1", db))
-        b = plan_fingerprint(build_engine_query("Q1", db))
-        assert a == b
-
-    def test_distinct_plans_fingerprint_distinct(self, db):
-        fingerprints = {
-            plan_fingerprint(build_engine_query(name, db))
-            for name in ("Q1", "Q3", "Q6", "Q18")
-        }
-        assert len(fingerprints) == 4
-
-    def test_fragment_is_the_leading_scan(self, db):
-        # Q1 and Q6 both open with a lineitem scan, but with different
-        # filters/projections — the fragment keys must differ.
-        a = fragment_fingerprint(build_engine_query("Q1", db))
-        b = fragment_fingerprint(build_engine_query("Q6", db))
-        assert a != b
-
-    def test_fingerprints_are_short_stable_hex(self, db):
-        fp = plan_fingerprint(build_engine_query("Q6", db))
-        assert len(fp) == 16
-        int(fp, 16)  # hex digest, not repr of hash()
 
 
 class TestSpecFingerprints:

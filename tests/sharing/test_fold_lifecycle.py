@@ -1,4 +1,7 @@
-"""Fold lifecycle on the virtual-time backend: the epoch as attach window.
+"""Fold lifecycle: the epoch as attach window on the virtual-time backend,
+and the cases both in-process backends share through one
+:class:`~repro.sharing.FoldCoordinator` (``SharedFoldCases``, run as
+``TestFolding`` on simulated and ``TestThreadedFolding`` on threaded).
 
 Identity tests pin ``supports_adaptive=False`` on their specs: adaptive
 morsel sizing feeds *measured wall time* into the morsel boundaries,
@@ -12,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.worker import WorkerLocalState
 from repro.engine import build_engine_query, generate_tpch
 from repro.errors import (
     QueryCancelledError,
@@ -35,6 +39,21 @@ def make_server(db, **kwargs):
     return AnalyticsServer(**defaults)
 
 
+def serve(db, backend, submit, **kwargs):
+    """``submit(server)`` on a fresh sharing server, then drain it.
+
+    The submissions land before a threaded server starts; the server is
+    shut down afterwards (completed results stay readable).
+    """
+    server = make_server(db, backend=backend, **kwargs)
+    try:
+        tickets = submit(server)
+        server.drain()
+    finally:
+        server.shutdown()
+    return server, tickets
+
+
 def fixed_spec(server, name):
     """The named spec with adaptive morsel sizing pinned off."""
     spec = server.query_spec(name)
@@ -46,7 +65,84 @@ def fixed_spec(server, name):
     )
 
 
-class TestFolding:
+class SharedFoldCases:
+    """Fold cases every in-process backend must pass.
+
+    Subclasses set ``backend``; submissions land before a threaded
+    server starts, so fold membership is deterministic.
+    """
+
+    backend = "simulated"
+
+    def test_fold_counters(self, db):
+        names = ("Q6", "Q1", "Q6", "Q6", "Q1")
+        server, tickets = serve(
+            db, self.backend, lambda server: [server.submit(n) for n in names]
+        )
+        assert server.sharing_stats.as_dict() == {
+            "attached_queries": 3,
+            "cache_evictions": 0,
+            "cache_hits": 0,
+            "folds": 2,  # one per duplicated fingerprint
+            "replay_fallbacks": 0,
+        }
+        for leader, member in ((0, 2), (0, 3), (1, 4)):
+            assert server.result(tickets[member]) == server.result(tickets[leader])
+            assert server.record(tickets[member]).cpu_seconds == 0.0
+
+    def test_noshare_tag_opts_out(self, db):
+        def submit(server):
+            spec = server.query_spec("Q6")
+            spec = replace(spec, tags=spec.tags + ("noshare",))
+            return [server.submit_spec(spec) for _ in range(2)]
+
+        server, tickets = serve(db, self.backend, submit)
+        assert server.sharing_stats.folds == 0
+        for ticket in tickets:
+            assert server.record(ticket).cpu_seconds > 0.0
+
+    def test_attach_buffer_overflow_falls_back_to_fresh_scans(self, db):
+        server, tickets = serve(
+            db,
+            self.backend,
+            lambda server: [server.submit("Q6") for _ in range(3)],
+            sharing_attach_buffer=1,
+        )
+        stats = server.sharing_stats.as_dict()
+        assert stats["attached_queries"] == 1
+        assert stats["replay_fallbacks"] == 1
+        expected = build_engine_query("Q6", db).execute()
+        for ticket in tickets:
+            assert server.result(ticket) == pytest.approx(expected)
+
+    def test_leader_slot_weight_is_the_max_times_the_share(
+        self, db, monkeypatch
+    ):
+        # §3.2 for folds: a priority-9 query attached to a priority-1
+        # leader runs at weight 9 with a share of 2, so the stride
+        # scheduler installs user_scale 9 x 2 for the leader's slot.
+        scales = []
+        init_slot = WorkerLocalState.init_slot
+
+        def record(local, slot, group_id, params, user_scale=1.0, **kwargs):
+            scales.append(user_scale)
+            return init_slot(local, slot, group_id, params, user_scale, **kwargs)
+
+        monkeypatch.setattr(WorkerLocalState, "init_slot", record)
+
+        def submit(server):
+            spec = fixed_spec(server, "Q6")
+            return [
+                server.submit_spec(replace(spec, user_priority=priority))
+                for priority in (1.0, 9.0)
+            ]
+
+        server, _ = serve(db, self.backend, submit)
+        assert server.sharing_stats.attached_queries == 1
+        assert scales and set(scales) == {18.0}
+
+
+class TestFolding(SharedFoldCases):
     def test_results_bit_identical_to_sharing_off(self, db):
         def run(sharing):
             server = make_server(db, sharing=sharing)
@@ -59,17 +155,6 @@ class TestFolding:
 
         assert run(sharing=False) == run(sharing=True)
 
-    def test_fold_counters(self, db):
-        server = make_server(db)
-        for name in ("Q6", "Q1", "Q6", "Q6", "Q1"):
-            server.submit(name)
-        records = server.run()
-        assert len(records) == 5
-        stats = server.sharing_stats.as_dict()
-        assert stats["folds"] == 2  # one per duplicated fingerprint
-        assert stats["attached_queries"] == 3
-        assert stats["replay_fallbacks"] == 0
-
     def test_member_completes_with_the_leader_not_before_arrival(self, db):
         server = make_server(db)
         leader = server.submit("Q6", at=0.0)
@@ -79,25 +164,6 @@ class TestFolding:
         member_record = server.record(member)
         assert member_record.completion_time == max(leader_done, 0.5)
         assert member_record.cpu_seconds == 0.0
-
-    def test_noshare_tag_opts_out(self, db):
-        server = make_server(db)
-        spec = server.query_spec("Q6")
-        for _ in range(2):
-            server.submit_spec(replace(spec, tags=spec.tags + ("noshare",)))
-        server.run()
-        assert server.sharing_stats.folds == 0
-
-    def test_attach_buffer_overflow_falls_back_to_fresh_scans(self, db):
-        server = make_server(db, sharing_attach_buffer=1)
-        tickets = [server.submit("Q6") for _ in range(3)]
-        server.run()
-        stats = server.sharing_stats.as_dict()
-        assert stats["attached_queries"] == 1
-        assert stats["replay_fallbacks"] == 1
-        expected = build_engine_query("Q6", db).execute()
-        for ticket in tickets:
-            assert server.result(ticket) == pytest.approx(expected)
 
     def test_sharing_off_counters_stay_zero(self, db):
         server = make_server(db, sharing=False)
@@ -135,6 +201,10 @@ class TestFolding:
         makespan_on, stats = run(sharing=True)
         assert (stats.folds, stats.attached_queries) == (3, 9)
         assert makespan_off / makespan_on >= 2.5
+
+
+class TestThreadedFolding(SharedFoldCases):
+    backend = "threaded"
 
 
 class TestMemberLifecycle:

@@ -7,13 +7,18 @@ the tee channel records the leader's chunks, members replay them at
 completion, and detaching one query never kills the shared execution.
 """
 
+import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.engine import build_engine_query, generate_tpch
 from repro.errors import QueryCancelledError
 from repro.server import AnalyticsServer
+from repro.sharing import FoldCoordinator, SharingStats
+
+from tests.conftest import make_query
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,91 @@ class TestLiveFolds:
         finally:
             server.shutdown()
         assert server.sharing_stats.as_dict()["folds"] == 0
+
+
+class TestReplayOverflow:
+    def test_overflow_re_admits_the_member_unshared(self):
+        # Fixed 500-tuple morsels make QS at SF 0.005 stream 60 chunks,
+        # so a one-chunk replay buffer always overflows: the member
+        # falls back to its own execution with the leader's result.
+        server = AnalyticsServer(
+            scale_factor=0.005,
+            backend="threaded",
+            n_workers=2,
+            sharing=True,
+            sharing_attach_buffer=1,
+        )
+        spec = server.query_spec("QS")
+        spec = replace(
+            spec,
+            pipelines=tuple(
+                replace(p, supports_adaptive=False, fixed_morsel_tuples=500)
+                for p in spec.pipelines
+            ),
+        )
+        try:
+            leader = server.submit_spec(spec)
+            member = server.submit_spec(spec)
+            server.drain()
+        finally:
+            server.shutdown()
+        stats = server.sharing_stats.as_dict()
+        assert (stats["attached_queries"], stats["replay_fallbacks"]) == (1, 1)
+        assert server.record(member).cpu_seconds > 0.0
+        rows = server.result(member)
+        assert server.result(leader).keys() == rows.keys()
+        for name, column in server.result(leader).items():
+            assert (column == rows[name]).all()
+
+
+class TestCoordinatorUnderThreads:
+    def test_concurrent_offers_and_detaches_lose_no_member(self):
+        # More submitting threads than cores and a tiny switch interval:
+        # every offer must end as exactly one leader, member or
+        # fallback, and sealing every leader must hand back exactly the
+        # members nobody detached.
+        stats = SharingStats()
+        folds = FoldCoordinator(3, stats)
+        specs = [make_query(name) for name in ("a", "b", "c")]
+        outcomes = {}
+
+        def submit(worker):
+            for i in range(150):
+                job = worker * 1000 + i
+                spec = specs[i % 3]
+                if not folds.offer(job, spec, 0.0, spec.name):
+                    outcomes[job] = "lead" if folds.led_by(job) else "alone"
+                    if i % 5 == 0:
+                        folds.detach_leader(job)
+                elif i % 4 == 0:
+                    detached = folds.detach_member(job) == (spec, 0.0)
+                    outcomes[job] = "detached" if detached else "lost"
+                else:
+                    outcomes[job] = "member"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submit, args=(w,)) for w in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(outcomes) == 8 * 150
+        served = []
+        for job, outcome in outcomes.items():
+            if outcome == "lead":
+                served.extend(m[0] for m in folds.seal(job).members)
+        members = sorted(j for j, o in outcomes.items() if o == "member")
+        assert sorted(served) == members
+        attached = sum(o in ("member", "detached") for o in outcomes.values())
+        assert stats.attached_queries == attached
+        assert stats.replay_fallbacks == list(outcomes.values()).count("alone")
 
 
 class TestFoldReplayNeverParks:
