@@ -14,6 +14,8 @@ from repro.core import SchedulerConfig, make_scheduler
 from repro.core.decay import DecayParameters
 from repro.core.specs import PipelineSpec, QuerySpec
 from repro.engine import build_engine_query, generate_tpch
+from repro.engine.operators import JoinTable
+from repro.engine.relation import filter_batch
 from repro.simcore import RngFactory, Simulator
 from repro.simcore.simulator import SimulationEnvironment
 from repro.tuning import (
@@ -25,6 +27,7 @@ from repro.tuning import (
     simulate_policy,
 )
 from repro.workloads import generate_workload, tpch_mix
+from tests.engine.reference_kernels import ReferenceJoinTable, reference_filter_batch
 
 
 def test_simulation_decision_throughput(benchmark):
@@ -161,3 +164,29 @@ def test_engine_join_pipeline(benchmark):
 
     rows = benchmark(join)
     assert len(rows) <= 10
+
+
+def test_engine_probe_and_selection_kernels(benchmark):
+    """Q3's lineitem semi-join probe and its selection on one 4 096-row
+    morsel (SF 0.01): the dense rank-table lookup and the one-pass
+    selection, checked byte for byte against the sorted-key lookup and
+    the per-column masks they replaced."""
+    db = generate_tpch(scale_factor=0.01, seed=0)
+    orders = db.table("orders")
+    build = {"k": orders.column("o_orderkey")[orders.column("o_orderdate") < 1_600]}
+    table = JoinTable("k", build)
+    morsel = db.table("lineitem").slice(
+        0, 4_096, ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"]
+    )
+
+    def probe_and_select():
+        return filter_batch(morsel, table.contains(morsel["l_orderkey"]))
+
+    got = benchmark(probe_and_select)
+    want = reference_filter_batch(
+        morsel, ReferenceJoinTable("k", build).contains(morsel["l_orderkey"])
+    )
+    assert 0 < len(got["l_orderkey"]) < 4_096
+    for name in want:
+        assert got[name].dtype == want[name].dtype
+        assert got[name].tobytes() == want[name].tobytes()

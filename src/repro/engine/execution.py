@@ -30,6 +30,7 @@ from repro.engine.pipeline import EnginePipeline, QueryPlan
 from repro.engine.queries import build_engine_query
 from repro.errors import EngineError
 from repro.runtime.channel import STREAMED
+from repro.simcore.rng import RngFactory
 
 
 @dataclass
@@ -115,6 +116,7 @@ class EngineEnvironment:
 
     def __init__(self, db: TpchDatabase) -> None:
         self.db = db
+        self._rng = RngFactory(db.seed)
         self._instances: Dict[int, _PlanInstance] = {}
         #: Open result channels by query id (see :meth:`open_channel`).
         self._channels: Dict[int, object] = {}
@@ -259,8 +261,6 @@ class EngineEnvironment:
         finally:
             self.discard_query(query_id)
 
-    def rng(self, name: str):  # pragma: no cover - lottery support
-        """Deterministic RNG stream (protocol parity with the simulator)."""
-        import numpy as np
-
-        return np.random.Generator(np.random.PCG64(abs(hash(name)) % (2**32)))
+    def rng(self, name: str):
+        """Named deterministic RNG stream, as the simulator's (lottery picks)."""
+        return self._rng.stream(name)

@@ -8,10 +8,10 @@ Operators come in two flavours:
   pipelines (hash-join build, hash aggregation, scalar aggregation,
   top-k, plain collection).
 
-All operators are vectorised over numpy arrays.  Join hash tables use
-sorted-key binary search (``np.searchsorted``) over unique build keys —
-equivalent to a hash table for our primary-key joins and much faster
-than per-row Python dict lookups.
+All operators are vectorised over numpy arrays.  Grouping, join tables
+and distinct keys share one dense-or-sort rule (:func:`dense_presence`):
+keys in a small span are counted over a table indexed by ``key - low``,
+so a join lookup is one bounded gather; wide spans are sorted.
 """
 
 from __future__ import annotations
@@ -64,37 +64,50 @@ class Project(Transform):
 class JoinTable:
     """A build-side 'hash table' over a unique integer key column.
 
-    Keys are stored sorted; lookups binary-search them.  Payload columns
-    are gathered through the matching build-row indices.
+    Dense keys get a rank table, ``rank[key - low]`` = build row, ``-1``
+    for absent keys and in one trailing slot that every probe outside
+    ``[low, high]`` is clamped onto: a lookup is one bounded gather.
+    Wide spans keep the keys sorted and binary-search them.
     """
 
     def __init__(self, key_column: str, payload: Batch) -> None:
         keys = payload.get(key_column)
         if keys is None:
             raise EngineError(f"build payload lacks key column {key_column!r}")
-        order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[order]
-        if len(self.sorted_keys) > 1 and np.any(
-            self.sorted_keys[1:] == self.sorted_keys[:-1]
-        ):
-            raise EngineError(
-                f"join key {key_column!r} is not unique on the build side"
-            )
-        self.key_column = key_column
-        self._payload = {name: array[order] for name, array in payload.items()}
-
-    @property
-    def n_rows(self) -> int:
-        """Build-side cardinality."""
-        return len(self.sorted_keys)
+        self.n_rows = len(keys)
+        self._rank: Optional[np.ndarray] = None
+        present = None
+        if self.n_rows and keys.dtype.kind == "i":
+            self._low = int(keys.min())
+            codes = keys - self._low
+            present = dense_presence(codes, int(keys.max()) - self._low + 1)
+        if present is not None:
+            unique = np.count_nonzero(present) == self.n_rows
+            self._rank = np.full(len(present) + 1, -1, dtype=np.intp)
+            self._rank[codes] = np.arange(self.n_rows)
+            self._payload = dict(payload)
+        else:
+            order = np.argsort(keys, kind="stable")
+            self._sorted_keys = keys[order]
+            unique = not np.any(self._sorted_keys[1:] == self._sorted_keys[:-1])
+            self._payload = {name: array[order] for name, array in payload.items()}
+        if not unique:
+            raise EngineError(f"join key {key_column!r} is not unique on the build side")
 
     def lookup(self, probe_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Return (probe mask, build-row indices) for matching rows."""
-        if len(self.sorted_keys) == 0:
+        if self._rank is not None:
+            # Wrapped differences land outside [0, span) too: a probe
+            # equals a key exactly when they agree modulo 2**64.
+            codes = np.subtract(probe_keys, self._low, dtype=np.int64).view(np.uint64)
+            rows = self._rank[np.minimum(codes, len(self._rank) - 1, out=codes)]
+            mask = rows >= 0
+            return mask, rows[mask]
+        if self.n_rows == 0:
             return np.zeros(len(probe_keys), dtype=bool), np.empty(0, dtype=np.int64)
-        positions = np.searchsorted(self.sorted_keys, probe_keys)
-        positions_clipped = np.minimum(positions, len(self.sorted_keys) - 1)
-        mask = self.sorted_keys[positions_clipped] == probe_keys
+        positions = np.searchsorted(self._sorted_keys, probe_keys)
+        positions_clipped = np.minimum(positions, self.n_rows - 1)
+        mask = self._sorted_keys[positions_clipped] == probe_keys
         return mask, positions_clipped[mask]
 
     def contains(self, probe_keys: np.ndarray) -> np.ndarray:
@@ -215,17 +228,41 @@ class HashJoinBuildSink(Sink):
         self._parts = []
 
 
+def dense_presence(codes: np.ndarray, span: int) -> Optional[np.ndarray]:
+    """The engine's one dense-or-sort rule.
+
+    Integer ``codes`` in ``[0, span)`` are counted when the span is small
+    against their number — at most ``max(65 536, 4·n)`` — and sorted
+    otherwise.  Returns the presence table over the span, or ``None``
+    where sorting is cheaper.
+    """
+    if span > max(65_536, 4 * len(codes)):
+        return None
+    present = np.zeros(span, dtype=bool)
+    present[codes] = True
+    return present
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``: sorted distinct values of the same dtype,
+    counted over the presence table where the span is dense."""
+    if len(keys) and keys.dtype.kind == "i":
+        low = int(keys.min())
+        present = dense_presence(keys - low, int(keys.max()) - low + 1)
+        if present is not None:
+            return (np.flatnonzero(present) + low).astype(keys.dtype, copy=False)
+    return np.unique(keys)
+
+
 def _group_rows(keys: List[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
     """Group rows by ``int64`` key columns.
 
     Returns the distinct key rows (as columns, in lexicographic order)
     and every input row's group index.  The columns fold into one
-    mixed-radix code whose order is the rows' lexicographic order; a
-    code span that is small against the batch is grouped by counting
-    (a presence table over the span) instead of sorting, and a span no
-    ``int64`` can hold falls back to a row-wise sort.
+    mixed-radix code whose order is the rows' lexicographic order; the
+    code is grouped by :func:`dense_presence`' rule, counting or sorting,
+    and a span no ``int64`` can hold falls back to a row-wise sort.
     """
-    n = len(keys[0])
     lows = [int(column.min()) for column in keys]
     # Python ints: the product of the spans must not wrap.
     spans = [int(column.max()) - low + 1 for column, low in zip(keys, lows)]
@@ -239,9 +276,8 @@ def _group_rows(keys: List[np.ndarray]) -> Tuple[List[np.ndarray], np.ndarray]:
     code = keys[0] - lows[0]
     for column, low, width in zip(keys[1:], lows[1:], spans[1:]):
         code = code * width + (column - low)
-    if span <= max(65_536, 4 * n):
-        present = np.zeros(span, dtype=bool)
-        present[code] = True
+    present = dense_presence(code, span)
+    if present is not None:
         codes = np.flatnonzero(present)
         rank = np.empty(span, dtype=np.intp)
         rank[codes] = np.arange(len(codes))

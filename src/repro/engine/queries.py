@@ -39,8 +39,10 @@ from repro.engine.operators import (
     ScalarAggregateSink,
     SemiJoinProbe,
     TopKSink,
+    distinct_keys,
 )
 from repro.engine.pipeline import EnginePipeline, QueryPlan, materialized_relation
+from repro.engine.relation import filter_batch
 from repro.errors import EngineError
 
 #: Names of the queries with real engine plans.  ``QS`` is not a TPC-H
@@ -275,7 +277,7 @@ def _q4(db: TpchDatabase) -> QueryPlan:
     )
 
     def late_relation():
-        keys = np.unique(np.asarray(collect_late.result["l_orderkey"]))
+        keys = distinct_keys(np.asarray(collect_late.result["l_orderkey"]))
         return materialized_relation({"lo_orderkey": keys})
 
     build_late = EnginePipeline(
@@ -331,8 +333,7 @@ def _q14(db: TpchDatabase) -> QueryPlan:
 
         def consume(self, batch):
             total.consume(batch)
-            mask = np.asarray(batch["p_brand"]) < 5  # "PROMO" brands
-            promo.consume({k: v[mask] for k, v in batch.items()})
+            promo.consume(filter_batch(batch, batch["p_brand"] < 5))  # "PROMO" brands
 
     probe = EnginePipeline(
         name="probe-lineitem",
@@ -420,10 +421,9 @@ def _q12(db: TpchDatabase) -> QueryPlan:
             super().__init__(sums={})
 
         def consume(self, batch):
-            priorities = np.asarray(batch["o_orderpriority"])
-            mask = priorities < 2  # "1-URGENT" / "2-HIGH"
-            urgent.consume({k: v[mask] for k, v in batch.items()})
-            non_urgent.consume({k: v[~mask] for k, v in batch.items()})
+            mask = batch["o_orderpriority"] < 2  # "1-URGENT" / "2-HIGH"
+            urgent.consume(filter_batch(batch, mask))
+            non_urgent.consume(filter_batch(batch, ~mask))
 
     probe = EnginePipeline(
         name="probe-lineitem-aggregate",
@@ -481,7 +481,7 @@ def _q22(db: TpchDatabase) -> QueryPlan:
     )
 
     def orderers_relation():
-        keys = np.unique(np.asarray(collect_orderers.result["o_custkey"]))
+        keys = distinct_keys(np.asarray(collect_orderers.result["o_custkey"]))
         return materialized_relation({"oc_custkey": keys})
 
     build_orderers = EnginePipeline(

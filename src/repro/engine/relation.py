@@ -114,5 +114,7 @@ def batch_length(batch: Batch) -> int:
 
 
 def filter_batch(batch: Batch, mask: np.ndarray) -> Batch:
-    """Apply a boolean selection mask to every column."""
-    return {name: array[mask] for name, array in batch.items()}
+    """Apply a boolean selection mask to every column: the mask becomes
+    row indices once, and each column is gathered through them."""
+    rows = np.flatnonzero(mask)
+    return {name: array.take(rows) for name, array in batch.items()}

@@ -14,7 +14,12 @@ latency if it had the worker to itself).
 
 :func:`_stride_loop` is that loop, and the only one: the knob tuner's
 replay (:mod:`repro.tuning.replay`) runs it with its extra cost terms
-switched on.  A step costs the same however many queries are active.
+switched on.  The minimum pass comes from a heap, but the priority sum
+is re-summed over every active query after any step that changed a
+priority or the active set.  Under decay most steps do, until the
+priorities reach ``p_min`` (or with λ = 1), so a step costs more the
+more queries are active.  The re-sum repeats the same additions in the
+same order, which keeps a replay bit-identical.
 """
 
 from __future__ import annotations

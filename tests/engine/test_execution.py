@@ -1,5 +1,9 @@
 """Tests for engine execution drivers, including scheduler-driven runs."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import SchedulerConfig, make_scheduler
@@ -33,6 +37,38 @@ class TestEngineQuerySpec:
     def test_tuple_counts_from_cardinalities(self, tiny_db):
         spec = engine_query_spec("Q6", tiny_db)
         assert spec.pipelines[0].tuples == tiny_db.table("lineitem").n_rows
+
+
+_FIRST_DRAW = """
+from repro.engine import generate_tpch
+from repro.engine.execution import EngineEnvironment
+print(repr(EngineEnvironment(generate_tpch(0.001, seed=3)).rng("lottery").random()))
+"""
+
+
+class TestEngineRng:
+    def test_named_stream_continues(self, tiny_db):
+        """One generator per name, so lottery draws move on."""
+        env = EngineEnvironment(tiny_db)
+        assert env.rng("lottery") is env.rng("lottery")
+        draws = [env.rng("lottery").random() for _ in range(3)]
+        assert len(set(draws)) == 3
+
+    def test_first_draw_independent_of_hash_seed(self):
+        outputs = []
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH="src")
+            proc = subprocess.run(
+                [sys.executable, "-c", _FIRST_DRAW],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class RowsTimedEnvironment(EngineEnvironment):

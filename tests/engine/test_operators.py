@@ -21,9 +21,12 @@ from repro.engine.operators import (
     ScalarAggregateSink,
     SemiJoinProbe,
     TopKSink,
+    dense_presence,
+    distinct_keys,
 )
 from repro.errors import EngineError
 from tests.engine.reference_aggregate import ReferenceHashAggregateSink
+from tests.engine.reference_kernels import ReferenceJoinTable, reference_distinct_keys
 
 
 def batch(**columns):
@@ -60,6 +63,34 @@ def grouped_morsels(draw):
         {name: array[lo:hi] for name, array in columns.items()}
         for lo, hi in zip(bounds, bounds[1:])
     ]
+
+
+#: Join and distinct-key domains: a dense span with negative keys (rank
+#: or presence table), a span far wider than any input (sorted keys),
+#: and int64's extremes, dense or not depending on the draw.
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_DENSE_KEYS = st.integers(-40, 40)
+_JOIN_DOMAINS = (
+    (_DENSE_KEYS, np.int32),
+    (_DENSE_KEYS, np.int64),
+    (st.integers(-(2**40), 2**40), np.int64),
+    (st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]), np.int64),
+)
+
+
+@st.composite
+def join_inputs(draw, duplicate=False):
+    """Build keys (unique unless ``duplicate``) and probe keys, the
+    probes partly in the build's domain and partly anywhere in the
+    dtype — below, inside and above the build span."""
+    elements, dtype = draw(st.sampled_from(_JOIN_DOMAINS))
+    keys = draw(st.lists(elements, min_size=int(duplicate), max_size=50, unique=True))
+    if duplicate:
+        keys.insert(draw(st.integers(0, len(keys))), draw(st.sampled_from(keys)))
+    info = np.iinfo(dtype)
+    anywhere = st.integers(int(info.min), int(info.max))
+    probes = draw(st.lists(st.one_of(elements, anywhere), max_size=60))
+    return np.array(keys, dtype=dtype), np.array(probes, dtype=dtype)
 
 
 class TestTransforms:
@@ -99,6 +130,68 @@ class TestJoinTable:
     def test_missing_key_column(self):
         with pytest.raises(EngineError):
             JoinTable("k", batch(v=[1]))
+
+
+class TestJoinTableIdentity:
+    """The dense rank table against the sorted-key table it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=join_inputs())
+    def test_identical_to_sorted_reference(self, inputs):
+        keys, probes = inputs
+        payload = {"k": keys, "v": np.arange(len(keys)) * 0.5}
+        table = JoinTable("k", payload)
+        reference = ReferenceJoinTable("k", payload)
+        assert table.n_rows == reference.n_rows
+        mask, rows = table.lookup(probes)
+        want_mask, want_rows = reference.lookup(probes)
+        assert mask.dtype == want_mask.dtype
+        assert mask.tobytes() == want_mask.tobytes()
+        got = table.gather(rows, ["k", "v"])
+        want = reference.gather(want_rows, ["k", "v"])
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].tobytes() == want[name].tobytes()
+        assert table.contains(probes).tobytes() == reference.contains(probes).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(inputs=join_inputs(duplicate=True))
+    def test_duplicates_rejected_on_both_paths(self, inputs):
+        keys, _ = inputs
+        payload = {"k": keys}
+        with pytest.raises(EngineError, match="not unique"):
+            ReferenceJoinTable("k", payload)
+        with pytest.raises(EngineError, match="not unique"):
+            JoinTable("k", payload)
+
+    def test_dense_or_sort_rule(self):
+        """Counting up to ``max(65 536, 4·n)`` values of span, sorting beyond."""
+        small = np.arange(10)
+        assert dense_presence(small, 65_536) is not None
+        assert dense_presence(small, 65_537) is None
+        large = np.arange(20_000)
+        assert dense_presence(large, 80_000) is not None
+        assert dense_presence(large, 80_001) is None
+        present = dense_presence(np.array([0, 7, 0]), 8)
+        assert present.tolist() == [True] + [False] * 6 + [True]
+
+    def test_probes_out_of_range_miss(self):
+        table = JoinTable("k", batch(k=[-2, 0, 3], v=[1, 2, 3]))
+        probes = np.array([-(2**63), -3, -2, 1, 3, 4, 2**63 - 1])
+        mask, rows = table.lookup(probes)
+        assert mask.tolist() == [False, False, True, False, True, False, False]
+        assert table.gather(rows, ["v"])["v"].tolist() == [1, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=join_inputs())
+    def test_distinct_keys_identical_to_unique(self, inputs):
+        keys, probes = inputs
+        # An empty CollectSink column is float64.
+        for values in (keys, probes, np.concatenate([keys, keys[::-1]]), np.empty(0)):
+            got = distinct_keys(values)
+            want = reference_distinct_keys(values)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestJoinProbes:

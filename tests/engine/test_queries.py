@@ -11,6 +11,25 @@ import pytest
 from repro.engine import ENGINE_QUERIES, build_engine_query
 from repro.errors import EngineError
 from tests.engine.reference_aggregate import ReferenceHashAggregateSink
+from tests.engine.reference_kernels import (
+    ReferenceJoinTable,
+    reference_distinct_keys,
+    reference_filter_batch,
+)
+
+
+def _as_bytes(value):
+    """A result with every number as its exact bytes (and dtype), so
+    ``==`` on two of them is byte identity."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.dtype.str, np.asarray(value).tobytes()
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_as_bytes(item) for item in value]
+    if isinstance(value, dict):
+        return [(key, _as_bytes(item)) for key, item in value.items()]
+    return value
 
 
 class TestQ1:
@@ -164,6 +183,25 @@ class TestQueryCatalog:
                     assert got[column].tobytes() == want[column].tobytes()
             else:
                 assert got == want, name
+
+
+class TestReferenceKernels:
+    @pytest.mark.parametrize("morsel_rows", [1_000, 4_096, 65_536])
+    def test_identical_to_reference_kernels(self, small_db, monkeypatch, morsel_rows):
+        """Every catalog query returns the same bytes on the dense-key
+        kernels as on the sorted-key join table, per-column masks and
+        ``np.unique`` they replaced."""
+        results = {
+            name: build_engine_query(name, small_db).execute(morsel_rows)
+            for name in ENGINE_QUERIES
+        }
+        monkeypatch.setattr("repro.engine.operators.JoinTable", ReferenceJoinTable)
+        monkeypatch.setattr("repro.engine.operators.filter_batch", reference_filter_batch)
+        monkeypatch.setattr("repro.engine.queries.filter_batch", reference_filter_batch)
+        monkeypatch.setattr("repro.engine.queries.distinct_keys", reference_distinct_keys)
+        for name, got in results.items():
+            want = build_engine_query(name, small_db).execute(morsel_rows)
+            assert _as_bytes(got) == _as_bytes(want), name
 
 
 class TestQ4:

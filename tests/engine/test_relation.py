@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.relation import Relation, batch_length, filter_batch
 from repro.errors import EngineError
+from tests.engine.reference_kernels import reference_filter_batch
 
 
 def simple_relation():
@@ -86,3 +89,38 @@ class TestBatchHelpers:
         filtered = filter_batch(batch, mask)
         assert filtered["a"].tolist() == [0, 2, 4]
         assert filtered["b"].tolist() == [0, 20, 40]
+
+    def test_filter_batch_preserves_dtype_of_empty_selection(self):
+        batch = {"a": np.arange(3, dtype=np.int32), "b": np.ones(3)}
+        filtered = filter_batch(batch, np.zeros(3, dtype=bool))
+        assert filtered["a"].dtype == np.int32
+        assert filtered["b"].dtype == np.float64
+        assert batch_length(filtered) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        selection=st.sampled_from(["none", "all", "random"]),
+        data=st.data(),
+    )
+    def test_filter_batch_identical_to_per_column_masks(self, n, selection, data):
+        """Row indices taken once select exactly what one boolean mask
+        per column selected: same columns, dtypes and bytes."""
+        if selection == "random":
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        else:
+            mask = np.full(n, selection == "all")
+        ints = data.draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=n, max_size=n))
+        floats = data.draw(st.lists(st.floats(allow_nan=True), min_size=n, max_size=n))
+        batch = {
+            "i32": np.array(ints, dtype=np.int32),
+            "i64": np.array(ints, dtype=np.int64) * 3,
+            "f64": np.array(floats, dtype=np.float64),
+            "flag": np.array(ints, dtype=np.int64) % 2 == 0,
+        }
+        got = filter_batch(batch, mask)
+        want = reference_filter_batch(batch, mask)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            assert got[name].tobytes() == want[name].tobytes()
