@@ -17,9 +17,9 @@ it with one **shared, long-lived pool**:
   pure, so the cached instance is bit-identical to a fresh build.
 * **Compact pickle-5 handoff** — chunk payloads are serialized
   explicitly with pickle protocol 5 and out-of-band buffer extraction
-  (:func:`dumps_oob`), and results cross as the flat-array encodings of
-  :meth:`~repro.metrics.latency.LatencyCollector.to_arrays` instead of
-  per-record object pickles.
+  (:func:`dumps_oob`); workloads and latency collectors inside them
+  cross as the flat columns of the one wire codec (:mod:`repro.wire`)
+  instead of per-record object pickles.
 * **Cost-aware dispatch** — cells are sorted longest-estimated-first
   and submitted in chunks, so a straggler cell starts early instead of
   serializing the tail; outcomes are restored to input order on
@@ -45,7 +45,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.parallel import CellOutcome, SweepCell, run_cell
-from repro.metrics.latency import LatencyCollector
 
 # ----------------------------------------------------------------------
 # Pickle-5 out-of-band framing
@@ -98,40 +97,15 @@ def loads_oob(blob: bytes):
 
 
 # ----------------------------------------------------------------------
-# Outcome wire format
-# ----------------------------------------------------------------------
-def encode_outcome(outcome: CellOutcome) -> dict:
-    """A :class:`CellOutcome` as flat arrays plus scalar counters."""
-    return {
-        "records": outcome.records.to_arrays(),
-        "tasks_executed": outcome.tasks_executed,
-        "events_processed": outcome.events_processed,
-        "total_overhead_percent": outcome.total_overhead_percent,
-        "end_time": outcome.end_time,
-    }
-
-
-def decode_outcome(payload: dict) -> CellOutcome:
-    """Inverse of :func:`encode_outcome` (lossless)."""
-    return CellOutcome(
-        records=LatencyCollector.from_arrays(payload["records"]),
-        tasks_executed=payload["tasks_executed"],
-        events_processed=payload["events_processed"],
-        total_overhead_percent=payload["total_overhead_percent"],
-        end_time=payload["end_time"],
-    )
-
-
-# ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 #: Modules pre-imported by every worker at spawn, so the first real cell
 #: pays no import cost (matters under the spawn/forkserver start
 #: methods; free under fork for what the parent had imported by then).
 #: The last two are what a process-backend epoch imports on first use —
-#: the tuning scheduler's package and the workload codec, ~45 ms that
-#: every worker would otherwise pay inside its first epoch, one epoch
-#: after another until each worker has served one.
+#: the tuning scheduler's package and the workload schema of the wire
+#: codec, ~45 ms that every worker would otherwise pay inside its first
+#: epoch, one epoch after another until each worker has served one.
 _PREIMPORT_MODULES = (
     "repro.core",
     "repro.core.os_scheduler",
@@ -183,12 +157,12 @@ def _worker_init(warmups: Sequence[Tuple[Callable, tuple]]) -> None:
 
 
 def _run_chunk(blob: bytes) -> bytes:
-    """Execute one chunk of (input index, cell) pairs; return encodings."""
+    """Execute one chunk of (input index, cell) pairs; return outcomes."""
     pairs = loads_oob(blob)
     out = []
     for index, cell in pairs:
         outcome = run_cell(cell, workload=_cell_workload(cell))
-        out.append((index, encode_outcome(outcome)))
+        out.append((index, outcome))
     return dumps_oob(out)
 
 
@@ -310,8 +284,8 @@ class SweepPool:
         ]
         outcomes: List[Optional[CellOutcome]] = [None] * len(indexed)
         for future in futures:
-            for index, encoded in loads_oob(future.result()):
-                outcomes[index] = decode_outcome(encoded)
+            for index, outcome in loads_oob(future.result()):
+                outcomes[index] = outcome
         return outcomes  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

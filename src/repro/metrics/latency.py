@@ -1,17 +1,20 @@
 """Per-query latency records collected during simulation runs.
 
-Besides the record/collector classes this module defines the *compact
-wire format* used to move collectors between processes: a collector of N
-records becomes a handful of flat numpy arrays (plus a small table of
-distinct query names) instead of N pickled dataclass instances.  The
-round trip is lossless — every float crosses as the identical 64-bit
-pattern — which the parallel-sweep determinism tests rely on.
+A collector pickles itself through the one wire codec
+(:mod:`repro.wire`): N records cross the process pipe as a handful of
+flat numpy columns plus a table of distinct query names, instead of N
+pickled dataclass instances.  The round trip is lossless — every float
+crosses as the identical 64-bit pattern — which the parallel-sweep
+determinism tests rely on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Dict, List
+
+from repro.wire import OBJECT, TABLE, Schema, decode_columns, encode_columns
 
 
 @dataclass(frozen=True)
@@ -122,95 +125,31 @@ class LatencyCollector:
         return out
 
     # ------------------------------------------------------------------
-    # Compact wire format (process-pool handoff)
+    # Wire format (process-pool handoff)
     # ------------------------------------------------------------------
-    def to_arrays(self) -> dict:
-        """Encode all records as flat arrays plus a name table.
-
-        The payload holds one ``int64`` array (query ids), one ``int32``
-        array of indices into the distinct-name table, and five
-        ``float64`` arrays — ~48 bytes per record on the wire, versus a
-        full pickled dataclass instance each.  ``float64`` is exactly
-        Python's float, so every value (including NaN base latencies)
-        round-trips bit-for-bit.
-        """
-        import numpy as np
-
-        records = self._records
-        names: List[str] = []
-        name_index: Dict[str, int] = {}
-        name_ids = np.empty(len(records), dtype=np.int32)
-        for i, record in enumerate(records):
-            idx = name_index.get(record.name)
-            if idx is None:
-                idx = len(names)
-                name_index[record.name] = idx
-                names.append(record.name)
-            name_ids[i] = idx
-        return {
-            "names": names,
-            "name_ids": name_ids,
-            "query_ids": np.array(
-                [r.query_id for r in records], dtype=np.int64
-            ),
-            "scale_factors": np.array(
-                [r.scale_factor for r in records], dtype=np.float64
-            ),
-            "arrival_times": np.array(
-                [r.arrival_time for r in records], dtype=np.float64
-            ),
-            "completion_times": np.array(
-                [r.completion_time for r in records], dtype=np.float64
-            ),
-            "cpu_seconds": np.array(
-                [r.cpu_seconds for r in records], dtype=np.float64
-            ),
-            "base_latencies": np.array(
-                [r.base_latency for r in records], dtype=np.float64
-            ),
-            "cancelled": np.array(
-                [r.cancelled for r in records], dtype=np.bool_
-            ),
-            "failed": np.array(
-                [r.failed for r in records], dtype=np.bool_
-            ),
-            # Error texts are almost always empty; a plain list keeps
-            # the (rare) non-empty strings lossless on the wire.
-            "errors": [r.error for r in records],
-        }
+    def to_arrays(self) -> list:
+        """Encode all records through :mod:`repro.wire` (bit-lossless)."""
+        return encode_columns(map(_RECORD_ROW, self._records), RECORD_SCHEMA)
 
     @classmethod
-    def from_arrays(cls, payload: dict) -> "LatencyCollector":
-        """Inverse of :meth:`to_arrays` (lossless)."""
+    def from_arrays(cls, payload: list) -> "LatencyCollector":
+        """Inverse of :meth:`to_arrays`."""
         out = cls()
-        names = payload["names"]
-        name_ids = payload["name_ids"]
-        query_ids = payload["query_ids"]
-        scale_factors = payload["scale_factors"]
-        arrivals = payload["arrival_times"]
-        completions = payload["completion_times"]
-        cpu = payload["cpu_seconds"]
-        bases = payload["base_latencies"]
-        cancelled = payload["cancelled"]
-        failed = payload["failed"]
-        errors = payload["errors"]
-        add = out.add
-        for i in range(len(query_ids)):
-            add(
-                LatencyRecord(
-                    query_id=int(query_ids[i]),
-                    name=names[name_ids[i]],
-                    scale_factor=float(scale_factors[i]),
-                    arrival_time=float(arrivals[i]),
-                    completion_time=float(completions[i]),
-                    cpu_seconds=float(cpu[i]),
-                    base_latency=float(bases[i]),
-                    cancelled=bool(cancelled[i]),
-                    failed=bool(failed[i]),
-                    error=errors[i],
-                )
-            )
+        out._records = decode_columns(payload, RECORD_SCHEMA, LatencyRecord)
         return out
+
+    def __reduce__(self):
+        # Pickling (the pool's pipe included) ships the flat columns.
+        return type(self).from_arrays, (self.to_arrays(),)
+
+
+#: One row per record, in :class:`LatencyRecord` field order: ~54 bytes
+#: a record on the wire instead of a pickled dataclass instance each.
+RECORD_SCHEMA = Schema(
+    ("int64", TABLE, "float64", "float64", "float64", "float64", "float64",
+     "bool", "bool", OBJECT)
+)
+_RECORD_ROW = attrgetter(*(f.name for f in fields(LatencyRecord)))
 
 
 def query_key(name: str, scale_factor: float) -> str:

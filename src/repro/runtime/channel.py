@@ -41,9 +41,11 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Iterator, List, Optional
 
 from repro.errors import ChannelClosedError, ReproError
+from repro.wire import OBJECT, TABLE, Schema, decode_columns, encode_columns
 
 #: Default bound: how many chunks a channel buffers before applying
 #: backpressure (blocking mode).  Morsel-sized chunks make this a few
@@ -338,17 +340,19 @@ def assemble_chunks(chunks: List[ResultChunk]) -> object:
     }
 
 
+#: ``(kind, payload, rows)`` rows.  Row batches stay dicts of flat numpy
+#: arrays, which the pool's pickle-5 framing ships out-of-band, so a
+#: streamed result crosses as raw column buffers with its chunk
+#: boundaries kept instead of collapsing into one terminal blob.
+CHUNK_SCHEMA = Schema((TABLE, OBJECT, "int64"))
+_CHUNK_ROW = attrgetter("kind", "payload", "rows")
+
+
 def chunks_to_arrays(chunks: List[ResultChunk]) -> list:
-    """Encode a chunk list for the process-pool pipe.
-
-    Row batches stay dicts of flat numpy arrays — the pool's pickle-5
-    framing extracts each array buffer out-of-band, so a streamed result
-    crosses as raw column buffers plus a tiny pickle head, preserving
-    the chunk boundaries instead of collapsing to one terminal blob.
-    """
-    return [(chunk.kind, chunk.payload, chunk.rows) for chunk in chunks]
+    """Encode a chunk list for the process-pool pipe (lossless)."""
+    return encode_columns(map(_CHUNK_ROW, chunks), CHUNK_SCHEMA)
 
 
-def chunks_from_arrays(payload: list) -> List[ResultChunk]:
-    """Inverse of :func:`chunks_to_arrays` (lossless)."""
-    return [ResultChunk(kind, data, rows) for kind, data, rows in payload]
+def chunks_from_arrays(payload: list) -> List[tuple]:
+    """Inverse of :func:`chunks_to_arrays`, as ``(kind, payload, rows)``."""
+    return decode_columns(payload, CHUNK_SCHEMA, lambda *row: row)

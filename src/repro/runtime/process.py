@@ -6,8 +6,9 @@ shared sweep pool (:mod:`repro.experiments.pool`).  The submitting
 process never holds the GIL for engine or simulator work — it ships a
 compact workload payload, the worker runs the epoch through the exact
 :class:`~repro.runtime.simulated.SimulatedBackend` code path, and the
-latency records come back as flat arrays.  Results are therefore
-bit-identical to the simulated backend on the same submissions.
+latency records come back as flat arrays, both through the one wire
+codec (:mod:`repro.wire`).  Results are therefore bit-identical to the
+simulated backend on the same submissions.
 
 Worker-side warm state: everything the epoch needs that is expensive to
 build crosses as *parameters*, not objects.  The scheduler is
@@ -35,7 +36,7 @@ from concurrent.futures import BrokenExecutor
 from typing import Callable, List, Optional
 
 from repro.errors import WorkerFailedError, error_text
-from repro.metrics.latency import LatencyCollector, LatencyRecord
+from repro.metrics.latency import LatencyRecord
 from repro.runtime.backend import EpochBackend
 from repro.runtime.channel import (
     DEFAULT_CHANNEL_CAPACITY,
@@ -124,7 +125,7 @@ def _execute_epoch(payload: dict) -> dict:
         else:
             results[record.query_id] = value
     out = {
-        "records": result.records.to_arrays(),
+        "records": result.records,
         "results": results,
         "chunks": chunks,
         "tasks_executed": result.tasks_executed,
@@ -286,7 +287,7 @@ class ProcessBackend(EpochBackend):
         self.last_environment = epoch.get("environment")
         results = epoch["results"]
         chunk_payloads = epoch.get("chunks", {})
-        for record in LatencyCollector.from_arrays(epoch["records"]).records:
+        for record in epoch["records"].records:
             job_id = run[record.query_id][2]
             # A failed query ships nothing: the worker isolated it, and
             # _settle reconstructs the cause from the record's error
@@ -299,13 +300,8 @@ class ProcessBackend(EpochBackend):
                 chunks = ((FINAL, value, 0),)
             elif record.query_id in chunk_payloads:
                 # Streamed result: refill the local channel with the
-                # worker's chunks (decoded from their flat-array form).
-                chunks = [
-                    (chunk.kind, chunk.payload, chunk.rows)
-                    for chunk in chunks_from_arrays(
-                        chunk_payloads[record.query_id]
-                    )
-                ]
+                # worker's chunks.
+                chunks = chunks_from_arrays(chunk_payloads[record.query_id])
             finished.append(self._settle(job_id, record, chunks=chunks))
         return finished
 

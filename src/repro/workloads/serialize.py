@@ -1,161 +1,32 @@
-"""Workload (de)serialization.
+"""Workload handoff between processes.
 
-Experiments become auditable when their exact workload instance can be
-saved next to the results.  These helpers serialize query specs and
-whole workloads (arrival time + query) to plain JSON and back,
-round-tripping every field including custom priorities and tags.
-
-For *process handoff* (the warm sweep pool and the process execution
-backend) there is also a flat-array form: a workload of thousands of
-arrivals referencing a handful of distinct query specs becomes one
-``float64`` arrival array, one ``int32`` spec-index array and a small
-deduplicated spec table — instead of one pickled ``(float, QuerySpec)``
-tuple per arrival.
+The warm sweep pool and the process execution backend ship a workload
+through the one wire codec (:mod:`repro.wire`): a workload of thousands
+of arrivals referencing a handful of distinct query specs becomes one
+``float64`` arrival array, one ``int32`` spec-id array and a small spec
+table deduplicated by value — instead of one pickled
+``(float, QuerySpec)`` tuple per arrival.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
-from repro.core.specs import PipelineSpec, QuerySpec
+from repro.core.specs import QuerySpec
 from repro.errors import WorkloadError
+from repro.wire import TABLE, Schema, decode_columns, encode_columns
 
-PathLike = Union[str, Path]
 Workload = List[Tuple[float, QuerySpec]]
 
-#: Format marker for forward compatibility.
-FORMAT_VERSION = 1
+#: ``(arrival time, query spec)`` rows.
+WORKLOAD_SCHEMA = Schema(("float64", TABLE), WorkloadError)
 
 
-def pipeline_to_dict(pipeline: PipelineSpec) -> dict:
-    """One pipeline spec as a JSON-safe dict."""
-    return {
-        "name": pipeline.name,
-        "tuples": pipeline.tuples,
-        "tuples_per_second": pipeline.tuples_per_second,
-        "parallel_efficiency": pipeline.parallel_efficiency,
-        "supports_adaptive": pipeline.supports_adaptive,
-        "fixed_morsel_tuples": pipeline.fixed_morsel_tuples,
-        "finalize_seconds": pipeline.finalize_seconds,
-    }
+def workload_to_arrays(workload: Workload) -> list:
+    """Encode a workload for the pipe (bit-lossless)."""
+    return encode_columns(workload, WORKLOAD_SCHEMA)
 
 
-def pipeline_from_dict(data: dict) -> PipelineSpec:
-    """Inverse of :func:`pipeline_to_dict`."""
-    return PipelineSpec(**data)
-
-
-def query_to_dict(query: QuerySpec) -> dict:
-    """One query spec as a JSON-safe dict."""
-    return {
-        "name": query.name,
-        "scale_factor": query.scale_factor,
-        "pipelines": [pipeline_to_dict(p) for p in query.pipelines],
-        "compile_seconds": query.compile_seconds,
-        "user_priority": query.user_priority,
-        "static_priority": query.static_priority,
-        "tags": list(query.tags),
-        "deadline": query.deadline,
-    }
-
-
-def query_from_dict(data: dict) -> QuerySpec:
-    """Inverse of :func:`query_to_dict`."""
-    return QuerySpec(
-        name=data["name"],
-        scale_factor=data["scale_factor"],
-        pipelines=tuple(pipeline_from_dict(p) for p in data["pipelines"]),
-        compile_seconds=data.get("compile_seconds", 0.0),
-        user_priority=data.get("user_priority"),
-        static_priority=data.get("static_priority"),
-        tags=tuple(data.get("tags", ())),
-        deadline=data.get("deadline"),
-    )
-
-
-def save_workload(workload: Workload, path: PathLike) -> Path:
-    """Write a workload instance to JSON.
-
-    Identical query specs are deduplicated: the file stores a spec table
-    plus (arrival, spec index) pairs, which keeps TPC-H workloads with
-    thousands of arrivals compact.
-    """
-    path = Path(path)
-    spec_table: List[dict] = []
-    spec_index: dict = {}
-    arrivals: List[Tuple[float, int]] = []
-    for arrival, query in workload:
-        key = id(query)
-        index = spec_index.get(key)
-        if index is None:
-            index = len(spec_table)
-            spec_index[key] = index
-            spec_table.append(query_to_dict(query))
-        arrivals.append((arrival, index))
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "queries": spec_table,
-        "arrivals": arrivals,
-    }
-    with path.open("w") as handle:
-        json.dump(payload, handle)
-    return path
-
-
-def workload_to_arrays(workload: Workload) -> dict:
-    """Encode a workload as flat arrays plus a deduplicated spec table.
-
-    Query specs are deduplicated *by value* (they are hashable frozen
-    dataclasses), so a TPC-H workload with thousands of arrivals ships a
-    spec table of a few entries plus two compact arrays.  Arrival times
-    cross as ``float64`` — the exact Python float — so the round trip is
-    bit-lossless.
-    """
-    import numpy as np
-
-    specs: List[QuerySpec] = []
-    spec_index: dict = {}
-    arrivals = np.empty(len(workload), dtype=np.float64)
-    indices = np.empty(len(workload), dtype=np.int32)
-    for i, (arrival, query) in enumerate(workload):
-        index = spec_index.get(query)
-        if index is None:
-            index = len(specs)
-            spec_index[query] = index
-            specs.append(query)
-        arrivals[i] = arrival
-        indices[i] = index
-    return {"specs": specs, "arrivals": arrivals, "indices": indices}
-
-
-def workload_from_arrays(payload: dict) -> Workload:
-    """Inverse of :func:`workload_to_arrays` (lossless)."""
-    specs = payload["specs"]
-    arrivals = payload["arrivals"]
-    indices = payload["indices"]
-    try:
-        return [
-            (float(arrivals[i]), specs[indices[i]])
-            for i in range(len(arrivals))
-        ]
-    except IndexError:
-        raise WorkloadError("corrupt workload payload: bad spec index") from None
-
-
-def load_workload(path: PathLike) -> Workload:
-    """Read a workload instance written by :func:`save_workload`."""
-    path = Path(path)
-    with path.open() as handle:
-        payload = json.load(handle)
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise WorkloadError(
-            f"unsupported workload format version {version!r} in {path}"
-        )
-    specs = [query_from_dict(entry) for entry in payload["queries"]]
-    try:
-        return [(float(t), specs[i]) for t, i in payload["arrivals"]]
-    except IndexError:
-        raise WorkloadError(f"corrupt workload file {path}: bad spec index") from None
+def workload_from_arrays(payload: list) -> Workload:
+    """Inverse of :func:`workload_to_arrays`."""
+    return decode_columns(payload, WORKLOAD_SCHEMA, lambda *row: row)

@@ -4,7 +4,7 @@ The hard invariant of the pool is the same as the old per-call executor:
 pooled outcomes are **bit-identical** to the sequential loop — across
 worker counts, chunk sizes, dispatch orders, and pool reuse.  On top of
 that these tests pin the new machinery: the pickle-5 frame codec, the
-flat-array outcome encoding, the per-worker workload cache, the
+outcome's trip through it, the per-worker workload cache, the
 auto-jobs fallback, and the "no cold executor per call" regression
 guard.
 """
@@ -12,6 +12,7 @@ guard.
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -136,9 +137,10 @@ class TestWireFormat:
             pool_mod.loads_oob(b"not a frame at all")
 
     def test_outcome_codec_lossless_on_real_cell(self):
+        # An outcome pickles its collector through the wire codec.
         config = _tiny_config()
         outcome = run_cell(_make_cells(config, n=1)[0])
-        decoded = pool_mod.decode_outcome(pool_mod.encode_outcome(outcome))
+        decoded = pickle.loads(pickle.dumps(outcome))
         assert _outcome_reprs([decoded]) == _outcome_reprs([outcome])
         assert len(decoded.records) == len(outcome.records)
         for original, roundtripped in zip(
@@ -151,8 +153,7 @@ class TestWireFormat:
     def test_outcome_codec_through_oob_frame(self):
         config = _tiny_config()
         outcome = run_cell(_make_cells(config, n=1)[0])
-        blob = pool_mod.dumps_oob(pool_mod.encode_outcome(outcome))
-        decoded = pool_mod.decode_outcome(pool_mod.loads_oob(blob))
+        decoded = pool_mod.loads_oob(pool_mod.dumps_oob(outcome))
         assert _outcome_reprs([decoded]) == _outcome_reprs([outcome])
 
 

@@ -117,9 +117,9 @@ class TestArraysRoundtrip:
         assert len(restored) == 0
 
     def test_name_table_deduplicates(self):
-        payload = self._collector().to_arrays()
-        assert sorted(payload["names"]) == ["Q1", "Q13", "Q6"]
-        assert len(payload["name_ids"]) == 4
+        _, (names, name_ids), *_ = self._collector().to_arrays()
+        assert names == ["Q1", "Q6", "Q13"]
+        assert name_ids.tolist() == [0, 1, 0, 2]
 
     def test_restored_collector_still_works(self):
         restored = LatencyCollector.from_arrays(self._collector().to_arrays())

@@ -246,10 +246,11 @@ class TestWireCodec:
             ResultChunk(FINAL, {"sum": 6.0}, 0),
         ]
         decoded = chunks_from_arrays(chunks_to_arrays(chunks))
-        assert [c.kind for c in decoded] == [ROWS, ROWS, FINAL]
-        assert [c.rows for c in decoded] == [2, 1, 0]
-        np.testing.assert_array_equal(decoded[0].payload["x"], [1.0, 2.0])
-        assert decoded[2].payload == {"sum": 6.0}
+        assert [(kind, rows) for kind, _, rows in decoded] == [
+            (ROWS, 2), (ROWS, 1), (FINAL, 0)
+        ]
+        np.testing.assert_array_equal(decoded[0][1]["x"], [1.0, 2.0])
+        assert decoded[2][1] == {"sum": 6.0}
 
     def test_channel_pickles_without_condition(self):
         # Process-backend environments ship whole; the condition

@@ -1,88 +1,79 @@
-"""Tests for workload (de)serialization."""
+"""Workload handoff through the wire codec and the pool's pickle-5 frame.
 
-import json
+The generic round-trip properties of every schema live in
+``tests/test_wire.py``; these are the workload schema's examples.
+"""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.experiments.pool import dumps_oob, loads_oob
 from repro.simcore import RngFactory
-from repro.workloads import generate_workload, tpch_mix
-from repro.workloads.serialize import (
-    load_workload,
-    query_from_dict,
-    query_to_dict,
-    save_workload,
-)
+from repro.workloads import generate_workload, tpch_mix, tpch_query
+from repro.workloads.serialize import workload_from_arrays, workload_to_arrays
 
 from tests.conftest import make_query
+
+
+def _ship(workload):
+    """A workload after one trip through the pipe's encoding."""
+    return workload_from_arrays(loads_oob(dumps_oob(workload_to_arrays(workload))))
+
+
+def _query_roundtrip(query):
+    ((_, restored),) = _ship([(0.0, query)])
+    return restored
 
 
 class TestQueryRoundtrip:
     def test_plain_query(self):
         query = make_query("q", work=0.02, pipelines=3, finalize=0.001)
-        assert query_from_dict(query_to_dict(query)) == query
+        assert _query_roundtrip(query) == query
 
     def test_priorities_and_tags_preserved(self):
-        from dataclasses import replace
-
         query = replace(
             make_query(),
             user_priority=2.0,
             static_priority=5000.0,
             tags=("tenant:etl",),
         )
-        restored = query_from_dict(query_to_dict(query))
+        restored = _query_roundtrip(query)
         assert restored.user_priority == 2.0
         assert restored.static_priority == 5000.0
         assert restored.tags == ("tenant:etl",)
 
     def test_tpch_query_roundtrip(self):
-        from repro.workloads import tpch_query
-
         query = tpch_query("Q18", 3.0, compile_seconds=0.01)
-        assert query_from_dict(query_to_dict(query)) == query
+        assert _query_roundtrip(query) == query
 
 
 class TestWorkloadRoundtrip:
-    def test_roundtrip_preserves_everything(self, tmp_path):
+    def test_roundtrip_preserves_everything(self):
         mix = tpch_mix(names=("Q1", "Q6"))
         rng = RngFactory(1).stream("workload")
         workload = generate_workload(mix, rate=50.0, duration=1.0, rng=rng)
-        path = save_workload(workload, tmp_path / "wl.json")
-        restored = load_workload(path)
-        assert len(restored) == len(workload)
-        for (t1, q1), (t2, q2) in zip(workload, restored):
-            assert t1 == pytest.approx(t2)
-            assert q1 == q2
+        restored = _ship(workload)
+        assert [(repr(t), q) for t, q in restored] == [
+            (repr(t), q) for t, q in workload
+        ]
 
-    def test_spec_table_deduplicates(self, tmp_path):
-        query = make_query("q")
-        workload = [(0.1 * i, query) for i in range(50)]
-        path = save_workload(workload, tmp_path / "wl.json")
-        payload = json.loads(path.read_text())
-        assert len(payload["queries"]) == 1
-        assert len(payload["arrivals"]) == 50
+    def test_spec_table_deduplicates(self):
+        # Equal by value, distinct objects: one table entry.
+        workload = [(0.1 * i, make_query("q")) for i in range(50)]
+        _, (specs, ids) = workload_to_arrays(workload)
+        assert specs == [make_query("q")]
+        assert ids.tolist() == [0] * 50
 
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 99}))
+    def test_corrupt_index(self):
+        # A negative id used to index the spec table from its end.
+        arrivals, (specs, ids) = workload_to_arrays([(0.0, make_query("q"))])
         with pytest.raises(WorkloadError):
-            load_workload(path)
-
-    def test_corrupt_index(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({"format_version": 1, "queries": [], "arrivals": [[0.0, 3]]})
-        )
-        with pytest.raises(WorkloadError):
-            load_workload(path)
+            workload_from_arrays([arrivals, (specs, np.array([-1], np.int32))])
 
     def test_arrays_roundtrip_is_lossless(self):
-        from repro.workloads.serialize import (
-            workload_from_arrays,
-            workload_to_arrays,
-        )
-
         mix = tpch_mix(names=("Q1", "Q6", "Q13"))
         rng = RngFactory(3).stream("workload")
         workload = generate_workload(mix, rate=80.0, duration=1.0, rng=rng)
@@ -93,38 +84,28 @@ class TestWorkloadRoundtrip:
             assert q1 == q2
 
     def test_arrays_spec_table_deduplicates(self):
-        from repro.workloads.serialize import workload_to_arrays
-
         query = make_query("q")
         workload = [(0.1 * i, query) for i in range(50)]
-        payload = workload_to_arrays(workload)
-        assert len(payload["specs"]) == 1
-        assert len(payload["arrivals"]) == 50
-        assert payload["arrivals"].dtype.name == "float64"
-        assert set(payload["indices"]) == {0}
+        arrivals, (specs, ids) = workload_to_arrays(workload)
+        assert specs == [query]
+        assert len(arrivals) == 50
+        assert arrivals.dtype.name == "float64"
+        assert set(ids.tolist()) == {0}
 
     def test_arrays_corrupt_index(self):
-        import numpy as np
-
-        from repro.workloads.serialize import workload_from_arrays
-
-        payload = {
-            "specs": [],
-            "arrivals": np.array([0.0]),
-            "indices": np.array([3], dtype=np.int32),
-        }
+        payload = [np.array([0.0]), ([], np.array([3], dtype=np.int32))]
         with pytest.raises(WorkloadError):
             workload_from_arrays(payload)
 
-    def test_replay_gives_identical_simulation(self, tmp_path):
-        """Saved workloads reproduce bit-identical runs."""
+    def test_replay_gives_identical_simulation(self):
+        """A shipped workload reproduces a bit-identical run."""
         from repro.core import SchedulerConfig, make_scheduler
         from repro.simcore import Simulator
 
         mix = tpch_mix(sf_small=0.5, sf_large=2.0, names=("Q3", "Q6"))
         rng = RngFactory(8).stream("workload")
         workload = generate_workload(mix, rate=30.0, duration=1.0, rng=rng)
-        restored = load_workload(save_workload(workload, tmp_path / "wl.json"))
+        restored = _ship(workload)
 
         def run(wl):
             scheduler = make_scheduler("stride", SchedulerConfig(n_workers=2))
@@ -132,6 +113,6 @@ class TestWorkloadRoundtrip:
 
         original = run(workload)
         replayed = run(restored)
-        assert [r.completion_time for r in original.records.records] == [
-            r.completion_time for r in replayed.records.records
+        assert [repr(r) for r in original.records.records] == [
+            repr(r) for r in replayed.records.records
         ]
