@@ -30,7 +30,9 @@ non-test entry*, *tests only* (reached from ``tier1`` alone) or *never*.
 The Markdown report summarises per package and lists the *tests only*
 and *never* rows.  Justifications of the listed rows are carried over
 from the ``--justify`` file (by default the output file itself), so
-regenerating the report keeps them.
+regenerating the report keeps them.  A rule that is not the first match
+of any listed row is dropped, and its pattern printed to stderr: when a
+function goes, so does the rule that justified it.
 
 If any command of an entry exits non-zero or runs longer than
 ``TIMEOUT`` seconds, the script reports the failure and exits 1 without
@@ -255,6 +257,23 @@ def rule_for(function: str, rules) -> str:
     return ""
 
 
+def live_rules(rows, rules) -> list:
+    """The rules that are the first match of at least one listed row."""
+    used = set()
+    for row in rows.values():
+        if row["label"] == REACHED:
+            continue
+        for index, (pattern, _) in enumerate(rules):
+            if fnmatch.fnmatchcase(row["function"], pattern):
+                used.add(index)
+                break
+    for index, (pattern, _) in enumerate(rules):
+        if index not in used:
+            print(f"dropped rule that matches no listed row: {pattern}",
+                  file=sys.stderr)
+    return [rule for index, rule in enumerate(rules) if index in used]
+
+
 def render(rows, runs, rules, justifications) -> str:
     lines = [
         "# Reachability of `src/repro`",
@@ -369,8 +388,8 @@ def main(argv=None) -> int:
         return 1
     for row in rows.values():
         row["label"] = label_of(row["entries"])
-    justify = Path(args.justify or args.output)
-    report = render(rows, runs, *read_justifications(justify))
+    rules, justifications = read_justifications(Path(args.justify or args.output))
+    report = render(rows, runs, live_rules(rows, rules), justifications)
     Path(args.output).write_text(report)
     counts = {label: sum(1 for row in rows.values() if row["label"] == label)
               for label in LABELS}

@@ -166,10 +166,17 @@ class PredictivePlacement(PlacementPolicy):
     ) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ReproError("alpha must be in (0, 1]")
-        #: Calibration EMA step (``cluster.placement_alpha``): a retune
-        #: takes effect on the next completion settlement; the estimates
-        #: accumulated so far are kept.
+        if not 0.0 <= sharing_affinity < 1.0:
+            raise ReproError("sharing_affinity must be in [0, 1)")
+        #: Calibration EMA step of the work estimates.
         self.alpha = alpha
+        #: How strongly to prefer a shard that already has this query's
+        #: leading plan fragment in flight (its scan can be folded there
+        #: instead of run twice): the candidate's own work estimate is
+        #: discounted by this factor when the fragment is live on the
+        #: shard.  0.0 (the default) tracks nothing and is bit-identical
+        #: to the pre-sharing predictor.
+        self.sharing_affinity = float(sharing_affinity)
         #: Calibrated work estimate per query name (EMA of cpu_seconds).
         self._work: Dict[str, float] = {}
         #: Per shard: scheduling weight -> predicted busy-until time.
@@ -177,37 +184,12 @@ class PredictivePlacement(PlacementPolicy):
         #: Per shard: fragment fingerprint -> predicted busy-until time
         #: (only maintained when ``sharing_affinity > 0``).
         self._fragments: Optional[List[Dict[str, float]]] = None
-        self.sharing_affinity = sharing_affinity
 
     def bind(self, n_shards: int, n_workers: int) -> None:
         super().bind(n_shards, n_workers)
         self._busy = [dict() for _ in range(n_shards)]
-        if self._sharing_affinity > 0.0:
+        if self.sharing_affinity > 0.0:
             self._fragments = [dict() for _ in range(n_shards)]
-
-    @property
-    def sharing_affinity(self) -> float:
-        """Work-sharing affinity (``cluster.sharing_affinity``).
-
-        How strongly to prefer a shard that already has this query's
-        leading plan fragment in flight (its scan can be folded there
-        instead of run twice): the candidate's own work estimate is
-        discounted by this factor when the fragment is live on the
-        shard.  0.0 (the default) tracks nothing and is bit-identical to
-        the pre-sharing predictor.  Turning it on after :meth:`bind`
-        starts the fragment-horizon tracking it needs.
-        """
-        return self._sharing_affinity
-
-    @sharing_affinity.setter
-    def sharing_affinity(self, affinity: float) -> None:
-        if not 0.0 <= affinity < 1.0:
-            raise ReproError("sharing_affinity must be in [0, 1)")
-        self._sharing_affinity = float(affinity)
-        if affinity == 0.0:
-            self._fragments = None
-        elif self._fragments is None and self._busy is not None:
-            self._fragments = [dict() for _ in self._busy]
 
     def estimate(self, spec: QuerySpec) -> float:
         """Expected CPU-seconds of one run of ``spec``."""
@@ -237,7 +219,7 @@ class PredictivePlacement(PlacementPolicy):
                 spec_fragment_fingerprint(spec)
             )
             if horizon is not None and horizon > at:
-                estimate = estimate * (1.0 - self._sharing_affinity)
+                estimate = estimate * (1.0 - self.sharing_affinity)
         return estimate + delay
 
     def choose(
@@ -324,7 +306,7 @@ class PredictivePlacement(PlacementPolicy):
             "calibrated_work": dict(sorted(self._work.items())),
         }
         if self._fragments is not None:
-            snap["sharing_affinity"] = self._sharing_affinity
+            snap["sharing_affinity"] = self.sharing_affinity
             snap["fragments_in_flight"] = [
                 dict(sorted(fragments.items()))
                 for fragments in self._fragments

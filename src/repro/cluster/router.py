@@ -240,10 +240,6 @@ class ClusterRouter:
         #: Cluster ticket -> submission bookkeeping for handoff/settle;
         #: a cluster ticket stays pending in ``_tickets`` until settled.
         self._entries: Dict[int, dict] = {}
-        #: (query name, observed cpu-seconds) in settlement order — the
-        #: training signal for router-level knob tuning.  Bounded so a
-        #: long-lived router does not grow without limit.
-        self._completion_log: List[Tuple[str, float]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -359,7 +355,7 @@ class ClusterRouter:
         *,
         deadline: Optional[float] = None,
         retries: int = 0,
-        backoff: float = 0.05,
+        backoff: Optional[float] = None,
         priority: int = 0,
         tenant: Optional[str] = None,
         sla: Optional[Union[str, SlaClass]] = None,
@@ -367,7 +363,8 @@ class ClusterRouter:
     ) -> ClusterHandle:
         """Route one query by name; returns its :class:`ClusterHandle`.
 
-        All :meth:`AnalyticsServer.submit` keywords apply per shard;
+        All :meth:`AnalyticsServer.submit` keywords apply per shard
+        (``backoff=None`` takes the shard's ``runtime.retry_backoff``);
         ``shard=`` pins the query to an explicit shard (fan-out and
         tests), otherwise the placement policy chooses.
         """
@@ -390,7 +387,7 @@ class ClusterRouter:
         *,
         deadline: Optional[float] = None,
         retries: int = 0,
-        backoff: float = 0.05,
+        backoff: Optional[float] = None,
         priority: int = 0,
         tenant: Optional[str] = None,
         sla: Optional[Union[str, SlaClass]] = None,
@@ -464,7 +461,7 @@ class ClusterRouter:
         workload: Sequence[Tuple[float, QuerySpec]],
         *,
         retries: int = 0,
-        backoff: float = 0.05,
+        backoff: Optional[float] = None,
     ) -> List[ClusterHandle]:
         """Route a ``[(arrival, spec)]`` workload (e.g. a phased
         multi-tenant stream): each query's tenant and SLA class are read
@@ -531,8 +528,9 @@ class ClusterRouter:
 
         Each moved query is cancelled at the source (which also disarms
         its shard-level retries), resubmitted at a placement-chosen
-        target with its original spec, arrival, deadline, retry policy,
-        priority, tenant and SLA class, and its cluster ticket is
+        target with its original spec, arrival, deadline, retry policy
+        (a defaulted backoff takes the target's), priority, tenant and
+        SLA class, and its cluster ticket is
         re-addressed — callers holding the ticket never notice.  With
         ``decommission=True`` (default) the emptied shard is then
         drained and shut down; finished queries keep their records
@@ -663,101 +661,3 @@ class ClusterRouter:
             self._placement.on_complete(
                 address.shard, record, self._entries[ticket]["charge"]
             )
-            if not record.failed and not record.cancelled:
-                self._completion_log.append(
-                    (record.name, float(record.cpu_seconds))
-                )
-        if len(self._completion_log) > self.COMPLETION_LOG_LIMIT:
-            del self._completion_log[: -self.COMPLETION_LOG_LIMIT]
-
-    # ------------------------------------------------------------------
-    # Self-tuning: per-shard knobs plus router-level placement knobs
-    # ------------------------------------------------------------------
-
-    #: Completion-log entries kept for router-level tuning.
-    COMPLETION_LOG_LIMIT = 4096
-    #: Completions needed before the placement coefficients are retuned.
-    MIN_TUNING_COMPLETIONS = 8
-
-    def knob_space(self):
-        """Router-level cluster knobs, bound to the placement policy.
-
-        Per-shard knobs are *not* merged in here — each shard owns its
-        own space (:meth:`AnalyticsServer.knob_space`) and :meth:`tune`
-        drives them shard by shard; this space covers what only the
-        router sees: the predictive placement's calibration EMA step and
-        its work-sharing affinity discount.  Empty for policies without
-        those coefficients (round-robin has nothing to tune).
-        """
-        from repro.tuning.knobs import KNOBS, KnobSpace
-
-        placement = self._placement
-        return KnobSpace(
-            KNOBS[name].attribute(placement, attribute)
-            for name, attribute in (
-                ("cluster.placement_alpha", "alpha"),
-                ("cluster.sharing_affinity", "sharing_affinity"),
-            )
-            if hasattr(placement, attribute)
-        )
-
-    def tune_placement(self) -> dict:
-        """Fit the placement EMA step to the observed completion log.
-
-        Replays the log through the work-estimate EMA for each candidate
-        ``alpha`` on the knob's grid and keeps the one minimizing the
-        squared one-step-ahead prediction error of per-query
-        cpu-seconds — the quantity :meth:`PredictivePlacement.estimate`
-        actually predicts.  Deterministic: the log is in settlement
-        order and ties resolve to the smallest candidate.  Returns the
-        applied values (empty when the policy is not predictive or the
-        log is too short).
-        """
-        placement = self._placement
-        log = self._completion_log
-        if not hasattr(placement, "alpha") or (
-            len(log) < self.MIN_TUNING_COMPLETIONS
-        ):
-            return {}
-        from repro.tuning.knobs import KNOBS
-
-        best_alpha = placement.alpha
-        best_error = None
-        for alpha in KNOBS["cluster.placement_alpha"].domain.grid():
-            error = 0.0
-            estimates: Dict[str, float] = {}
-            for name, observed in log:
-                previous = estimates.get(name)
-                if previous is None:
-                    estimates[name] = observed
-                    continue
-                error += (previous - observed) ** 2
-                estimates[name] = previous + alpha * (observed - previous)
-            if best_error is None or error < best_error:
-                best_error = error
-                best_alpha = alpha
-        placement.alpha = best_alpha
-        return {
-            "cluster.placement_alpha": best_alpha,
-            "prediction_error": best_error,
-        }
-
-    def tune(self, budget_seconds: Optional[float] = 0.05, *, history=None):
-        """One fleet-wide tuning sweep: every shard, then the router.
-
-        Each live shard runs a cost-bounded cycle over its own knob
-        space on its observed workload (pass one
-        :class:`~repro.tuning.history.TuningHistory` and the surrogate
-        learns across the whole fleet); afterwards the router-level
-        placement coefficients are refit from the completion log.
-        Returns ``{"shards": [KnobSearchResult per live shard, in shard
-        order], "router": applied router-level values}``.
-        """
-        shard_results = []
-        for index, shard in enumerate(self.shards):
-            if not self._alive[index]:
-                continue
-            shard_results.append(
-                shard.tune(budget_seconds, history=history)
-            )
-        return {"shards": shard_results, "router": self.tune_placement()}

@@ -79,12 +79,6 @@ class SchedulerConfig:
     #: "geomean", "p95" or "max" (§3.2: "other cost functions could be
     #: considered as well"); see :mod:`repro.tuning.cost`.
     tuning_objective: str = "mean"
-    #: Tuning-time budget in simulated seconds per cycle.  ``None`` keeps
-    #: the paper's exact (lambda, d_start) search; a budget switches the
-    #: controller to the cost-bounded knob-space search, which
-    #: compresses the tracked workload and bounds its replay spend so the
-    #: tuning task never exceeds this duration.
-    tuning_budget: Optional[float] = None
     phase_costs: PhaseCosts = field(default_factory=PhaseCosts)
 
     def executor_config(self) -> MorselExecutorConfig:

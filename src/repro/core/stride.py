@@ -89,7 +89,6 @@ class StrideScheduler(SchedulerBase):
                 tracking_duration=config.tracking_duration,
                 refresh_duration=config.refresh_duration,
                 objective=config.tuning_objective,
-                tuning_budget=config.tuning_budget,
             )
 
     # ------------------------------------------------------------------

@@ -95,41 +95,6 @@ def sharing_stats_to_csv(
     return rows_to_csv(rows, path)
 
 
-def tuning_stats_rows(cycles: Iterable, label: str = "total") -> List[dict]:
-    """One export row per tuning cycle, labelled by surface.
-
-    ``cycles`` is an iterable of
-    :class:`~repro.tuning.controller.TuningCycleStats` (or any object
-    with ``as_dict()``); each row carries the cycle's mode, costs,
-    evaluation counts, budget spend and the chosen knob vector
-    (``knob:<name>`` columns).  Mirrors :func:`sharing_stats_rows`: pass
-    several labelled surfaces (e.g. one per shard) by calling this per
-    surface and concatenating.
-    """
-    rows: List[dict] = []
-    for stats in cycles:
-        row = {"surface": label}
-        row.update(stats.as_dict())
-        rows.append(row)
-    return rows
-
-
-def tuning_stats_to_csv(
-    surfaces: Mapping[str, Iterable], path: PathLike
-) -> Path:
-    """Write labelled tuning cycles (label -> cycle list) as CSV.
-
-    Rows are emitted in sorted-label order, cycles within a surface in
-    cycle order, so exports are deterministic regardless of how the
-    mapping was built.  Knob columns appear in first-seen order; cycles
-    that never touched a knob leave its cell empty.
-    """
-    rows: List[dict] = []
-    for label in sorted(surfaces):
-        rows.extend(tuning_stats_rows(surfaces[label], label))
-    return rows_to_csv(rows, path)
-
-
 def trace_to_csv(spans: Iterable[MorselSpan], path: PathLike) -> Path:
     """Write morsel/task spans (e.g. for external Gantt rendering)."""
     rows = [

@@ -865,9 +865,9 @@ class AnalyticsServer:
         (:meth:`tracked_workload`) under ``budget_seconds`` of simulated
         tuning time, applies the winning vector — which broadcasts it
         through the backend mid-run — and returns the
-        :class:`~repro.tuning.optimizer.KnobSearchResult`.  Pass a
-        :class:`~repro.tuning.history.TuningHistory` to carry the
-        candidate-ranking surrogate across cycles and server restarts.
+        :class:`~repro.tuning.optimizer.KnobSearchResult`.  Pass one
+        in-memory :class:`~repro.tuning.history.TuningHistory` to every
+        call to carry the candidate-ranking surrogate across cycles.
         """
         from repro.tuning.optimizer import search_knob_space
 

@@ -12,13 +12,14 @@ relative slowdown.  Two search modes share that replay machinery:
   :class:`~repro.tuning.knobs.KnobSpace`
   (:func:`~repro.tuning.optimizer.search_knob_space`), which compresses
   the tracked workload (:mod:`~repro.tuning.compress`), ranks candidates
-  with a surrogate built from persistent tuning history
+  with a surrogate built from in-memory tuning history
   (:mod:`~repro.tuning.history`), and verifies only the top candidates
   on the full workload.
 
-The periodic process — track for ``t_t`` every ``t_r`` seconds,
-optimize, broadcast — is orchestrated by
-:mod:`~repro.tuning.controller`.
+The first runs inside the stride scheduler: track for ``t_t`` every
+``t_r`` seconds, optimize, broadcast, orchestrated by
+:mod:`~repro.tuning.controller`.  The second runs one layer up, in
+:meth:`repro.server.AnalyticsServer.tune`.
 """
 
 from repro.tuning.compress import (

@@ -1,38 +1,29 @@
-"""Persistent tuning history + the surrogate that prunes evaluations.
+"""In-memory tuning history + the surrogate that prunes evaluations.
 
 Every evaluated (workload signature, knob vector, cost) triple is worth
-keeping: the next tuning cycle — or the next *server start* — faces a
-similar workload, and knowing roughly how a region of the knob space
-performed lets the optimizer rank candidates *before* spending replay
-steps on them (WAter's "reuse tuning history to bootstrap" step;
-fine-grained concurrent-query performance prediction, arXiv 2501.16256,
-motivates exactly this cheap-predictor-prunes-expensive-evaluation
-split).
+keeping: the next tuning cycle faces a similar workload, and knowing
+roughly how a region of the knob space performed lets the optimizer
+rank candidates *before* spending replay steps on them (WAter's "reuse
+tuning history to bootstrap" step; fine-grained concurrent-query
+performance prediction, arXiv 2501.16256, motivates exactly this
+cheap-predictor-prunes-expensive-evaluation split).
 
 The surrogate is deliberately tiny: a distance-weighted k-nearest-
 neighbour predictor over normalized knob vectors, with the workload
 signature folded into the distance so observations from a dissimilar
 workload count less.  No fitting, no dependencies, fully deterministic
-(ties resolve by insertion order).
-
-Persistence is plain JSON via :meth:`TuningHistory.save` /
-:meth:`TuningHistory.load`, so history survives restarts and can be
-shipped between machines.
+(ties resolve by insertion order).  The history lives as long as the
+object the caller passes to each cycle; nothing is written to disk.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import TuningError
 from repro.tuning.knobs import KnobSpace
 from repro.tuning.tracker import TrackedQuery
-
-PathLike = Union[str, Path]
 
 #: Signature mismatch is worth this many units of (normalized) knob
 #: distance — observations from a very different workload still carry
@@ -78,27 +69,12 @@ class HistoryEntry:
     values: Dict[str, float]
     cost: float
 
-    def as_dict(self) -> dict:
-        return {
-            "signature": list(self.signature),
-            "values": dict(self.values),
-            "cost": self.cost,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "HistoryEntry":
-        return cls(
-            signature=tuple(float(x) for x in raw["signature"]),
-            values=dict(raw["values"]),
-            cost=float(raw["cost"]),
-        )
-
 
 class TuningHistory:
     """Append-only store of tuning observations with a k-NN surrogate."""
 
-    def __init__(self, entries: Optional[List[HistoryEntry]] = None) -> None:
-        self.entries: List[HistoryEntry] = list(entries or [])
+    def __init__(self) -> None:
+        self.entries: List[HistoryEntry] = []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -117,32 +93,6 @@ class TuningHistory:
         )
         self.entries.append(entry)
         return entry
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path: PathLike) -> Path:
-        path = Path(path)
-        payload = {"entries": [e.as_dict() for e in self.entries]}
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: PathLike) -> "TuningHistory":
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        try:
-            payload = json.loads(path.read_text())
-            entries = [
-                HistoryEntry.from_dict(raw)
-                for raw in payload.get("entries", [])
-            ]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise TuningError(
-                f"corrupt tuning history at {path}: {exc}"
-            ) from exc
-        return cls(entries)
 
     # ------------------------------------------------------------------
     # The surrogate
@@ -199,28 +149,6 @@ class TuningHistory:
             weight_sum += weight
             estimate += weight * entry.cost
         return estimate / weight_sum
-
-    def rank(
-        self,
-        space: KnobSpace,
-        signature: Tuple[float, ...],
-        candidates: Sequence[Mapping[str, object]],
-    ) -> List[Mapping[str, object]]:
-        """Order ``candidates`` by predicted cost (best first).
-
-        With an empty history the input order is preserved — the
-        directional search's own ordering is already sensible.  Ties
-        (identical predictions) also preserve input order, so ranking
-        never introduces hash-order nondeterminism.
-        """
-        if not self.entries:
-            return list(candidates)
-        predicted = [
-            (self.predict(space, signature, values), index, values)
-            for index, values in enumerate(candidates)
-        ]
-        predicted.sort(key=lambda item: (item[0], item[1]))
-        return [values for _, _, values in predicted]
 
     def best_vectors(
         self,

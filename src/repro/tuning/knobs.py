@@ -3,25 +3,22 @@
 The paper's §4 tuner optimizes exactly two parameters, ``(lambda,
 d_start)``.  The system has since grown more hand-set constants —
 scheduler slot counts, the target task duration, channel capacities,
-retry budgets, admission bounds, placement coefficients.  :data:`KNOBS`
-declares each of them once: name, domain, default and description.  The
-name's prefix is the layer the knob lives in (``core``, ``runtime``,
-``admission``, ``cluster``).
+retry budgets, admission bounds.  :data:`KNOBS` declares each of them
+once: name, domain, default and description.  The name's prefix is the
+layer the knob lives in (``core``, ``runtime``, ``admission``).  Every
+entry is a name the replay cost model reads; a constant it cannot
+evaluate is not a knob.
 
 A :class:`KnobSpace` is built by *binding* table entries to a live
 target: ``read`` returns the value the target runs, ``apply`` changes
-it.  Each owner registers only the knobs its target will run, so
-applying a tuned vector is the broadcast and reading it back is the
-check:
-
-* :meth:`repro.server.AnalyticsServer.knob_space` — core knobs go to the
-  live scheduler (threaded) or to the config the next epoch's scheduler
-  is built from (simulated, process); runtime and admission knobs are
-  attributes of the backend, the server and the admission policy;
-* :meth:`repro.cluster.ClusterRouter.knob_space` — the predictive
-  placement's coefficients;
-* :attr:`repro.tuning.controller.TuningController.knob_space` — the
-  §4 decay pair of the scheduler the controller runs in.
+it.  The owner, :meth:`repro.server.AnalyticsServer.knob_space`,
+registers only the knobs its target will run, so applying a tuned
+vector is the broadcast and reading it back is the check.  Core knobs go
+to the live scheduler (threaded) or to the config the next epoch's
+scheduler is built from (simulated, process); runtime and admission
+knobs are attributes of the backend, the server and the admission
+policy.  :func:`scheduler_knobs` binds the decay pair to a running
+scheduler, the same pair the §4 controller broadcasts.
 
 :func:`default_knob_space` is the unbound space the replay cost model
 (:mod:`repro.tuning.replay`) can search on its own; it cannot apply.
@@ -97,12 +94,6 @@ class ContinuousDomain(Domain):
 
     def normalize(self, value) -> float:
         return (float(value) - self.lo) / (self.hi - self.lo)
-
-    def grid(self) -> List[float]:
-        """The multiples of ``step`` from ``lo`` to ``hi``, ascending."""
-        first = round(self.lo / self.step)
-        last = round(self.hi / self.step)
-        return [k * self.step for k in range(first, last + 1)]
 
 
 @dataclass(frozen=True)
@@ -201,9 +192,6 @@ class KnobSpace:
     def __iter__(self) -> Iterator[Knob]:
         return iter(self._knobs.values())
 
-    def __len__(self) -> int:
-        return len(self._knobs)
-
     def __getitem__(self, name: str) -> Knob:
         try:
             return self._knobs[name]
@@ -293,18 +281,6 @@ KNOBS: Dict[str, Knob] = {
             IntegerDomain(4, 4096, step=4),
             256,
             "admission queue depth: pending queries before backpressure",
-        ),
-        Knob(
-            "cluster.placement_alpha",
-            ContinuousDomain(0.05, 1.0, step=0.05),
-            0.3,
-            "predictive-placement work-estimate EMA step",
-        ),
-        Knob(
-            "cluster.sharing_affinity",
-            ContinuousDomain(0.0, 0.95, step=0.05),
-            0.5,
-            "placement discount for shards already running a fragment",
         ),
     )
 }

@@ -216,6 +216,25 @@ class TestDrainShard:
         assert shard.tickets.tenant_of(target.ticket) == "etl"
         assert shard.tickets.sla_of(target.ticket) == "bulk"
 
+    def test_retries_take_the_shards_tuned_backoff(self):
+        router = make_router()
+        for index, shard in enumerate(router.shards):
+            shard.knob_space().apply({"runtime.retry_backoff": 0.1 * (index + 1)})
+
+        def backoff(handle):
+            address = handle.address
+            shard = router.shards[address.shard]
+            return shard.tickets.retry_state(address.ticket)["backoff"]
+
+        plain = router.submit("Q6", shard=1, retries=2)
+        assert backoff(plain) == 0.2
+        moved = router.submit("Q6", shard=0, retries=2)
+        router.drain_shard(0)
+        target = moved.address.shard
+        assert target != 0
+        assert backoff(moved) == 0.1 * (target + 1)
+        router.drain()
+
     def test_cannot_drain_last_shard(self):
         router = make_router(n_shards=1)
         with pytest.raises(ReproError, match="last active shard"):

@@ -98,58 +98,3 @@ class TestSharingStatsExport:
         assert [row["surface"] for row in got] == ["shard0", "total"]
         assert got[1]["folds"] == "4"
         assert got[1]["attached_queries"] == "10"
-
-
-class TestTuningStatsExport:
-    def test_rows_and_csv(self, tmp_path):
-        from repro.metrics.export import tuning_stats_rows, tuning_stats_to_csv
-        from repro.tuning import TuningCycleStats
-
-        legacy = TuningCycleStats(
-            cycle=0,
-            mode="legacy",
-            values={"core.decay": 0.9, "core.d_start": 7},
-            cost=1.5,
-            baseline_cost=2.0,
-            evaluations=12,
-            knobs_evaluated=2,
-            tracked_queries=20,
-        )
-        budgeted = TuningCycleStats(
-            cycle=1,
-            mode="knob_space",
-            values={"core.decay": 0.85, "runtime.retry_budget": 8},
-            cost=1.2,
-            baseline_cost=2.0,
-            evaluations=30,
-            verified=3,
-            simulated_steps=5000,
-            budget_steps=8000,
-            knobs_evaluated=6,
-            fidelity=0.75,
-            tracked_queries=20,
-        )
-
-        rows = tuning_stats_rows([legacy, budgeted], label="shard0")
-        assert len(rows) == 2
-        assert rows[0]["surface"] == "shard0"
-        assert rows[0]["mode"] == "legacy"
-        assert rows[0]["budget_steps"] == ""
-        assert rows[0]["knob:core.decay"] == 0.9
-        assert rows[1]["mode"] == "knob_space"
-        assert rows[1]["budget_steps"] == 8000
-        assert rows[1]["knob:runtime.retry_budget"] == 8
-
-        path = tuning_stats_to_csv(
-            {"total": [budgeted], "shard0": [legacy, budgeted]},
-            tmp_path / "tuning.csv",
-        )
-        with path.open() as handle:
-            got = list(csv.DictReader(handle))
-        # Sorted-label order: both shard0 cycles before the total row.
-        assert [row["surface"] for row in got] == ["shard0", "shard0", "total"]
-        assert got[0]["cycle"] == "0"
-        assert got[1]["evaluations"] == "30"
-        # Legacy cycles never touched the retry knob: cell stays empty.
-        assert got[0]["knob:runtime.retry_budget"] == ""
-        assert got[2]["knob:runtime.retry_budget"] == "8"

@@ -5,7 +5,7 @@ import pytest
 from repro.core import SchedulerConfig, make_scheduler
 from repro.simcore import RngFactory, Simulator
 from repro.tuning.controller import TuningController
-from repro.workloads import generate_workload, tpch_mix
+from repro.workloads import generate_workload
 
 from tests.conftest import make_query
 
@@ -84,42 +84,6 @@ class TestControllerInSimulation:
     def test_history_records_tracked_queries(self):
         scheduler, _ = self._run()
         assert all(entry.tracked_queries > 0 for entry in scheduler.tuner.history)
-
-
-class TestBudgetedController:
-    def test_cycles_report_the_knobs_in_effect(self, monkeypatch):
-        # The budgeted search may only move knobs the §4 broadcast can
-        # push: after every cycle the reported vector is what the
-        # scheduler actually runs.
-        scheduler = make_scheduler(
-            "tuning",
-            SchedulerConfig(
-                n_workers=8,
-                tuning_budget=0.02,
-                tracking_duration=2.0,
-                refresh_duration=4.0,
-            ),
-        )
-        tuner = scheduler.tuner
-        live_after_cycle = []
-        tune_knob_space = tuner._tune_knob_space
-
-        def recording(tracked):
-            seconds = tune_knob_space(tracked)
-            params = scheduler.decay_parameters
-            live_after_cycle.append(
-                {"core.decay": params.decay, "core.d_start": params.d_start}
-            )
-            return seconds
-
-        monkeypatch.setattr(tuner, "_tune_knob_space", recording)
-        mix = tpch_mix(names=("Q1", "Q3", "Q6", "Q18"))
-        rng = RngFactory(3).stream("workload")
-        workload = generate_workload(mix, rate=15.0, duration=9.0, rng=rng)
-        Simulator(scheduler, workload, seed=3).run()
-        assert len(tuner.cycles) >= 2
-        assert all(c.mode == "knob_space" for c in tuner.cycles)
-        assert [c.values for c in tuner.cycles] == live_after_cycle
 
 
 class TestObjectiveSelection:

@@ -1,8 +1,7 @@
-"""Tests for the persistent tuning history and its k-NN surrogate."""
+"""Tests for the in-memory tuning history and its k-NN surrogate."""
 
 import pytest
 
-from repro.errors import TuningError
 from repro.tuning import (
     TrackedQuery,
     TuningHistory,
@@ -48,32 +47,6 @@ class TestWorkloadSignature:
         assert workload_signature(tracked) == workload_signature(tracked[:])
 
 
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        history = TuningHistory()
-        sig = (0.1, 0.2, 0.3, 0.4)
-        history.record(sig, vec(0.9, 7), 1.5)
-        history.record(sig, vec(0.8, 3), 1.2)
-        path = history.save(tmp_path / "history.json")
-        loaded = TuningHistory.load(path)
-        assert len(loaded) == 2
-        assert loaded.entries[0].signature == sig
-        assert loaded.entries[1].values == {
-            "core.decay": 0.8,
-            "core.d_start": 3.0,
-        }
-        assert loaded.entries[1].cost == 1.2
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert len(TuningHistory.load(tmp_path / "absent.json")) == 0
-
-    def test_load_corrupt_file_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(TuningError):
-            TuningHistory.load(path)
-
-
 class TestSurrogate:
     def test_empty_history_predicts_none(self):
         history = TuningHistory()
@@ -96,21 +69,6 @@ class TestSurrogate:
         history.record(far_sig, vec(0.5, 10), 9.0)
         estimate = history.predict(SPACE, near_sig, vec(0.5, 10), k=2)
         assert estimate < 5.0  # the near-workload observation dominates
-
-    def test_rank_orders_by_predicted_cost(self):
-        sig = (0.2, 0.2, 0.2, 0.2)
-        history = TuningHistory()
-        history.record(sig, vec(0.9, 7), 1.0)
-        history.record(sig, vec(0.1, 7), 50.0)
-        good = vec(0.85, 7)
-        bad = vec(0.15, 7)
-        ranked = history.rank(SPACE, sig, [bad, good])
-        assert ranked == [good, bad]
-
-    def test_rank_empty_history_preserves_order(self):
-        history = TuningHistory()
-        candidates = [vec(0.1, 1), vec(0.9, 9)]
-        assert history.rank(SPACE, (0.0,) * 4, candidates) == candidates
 
     def test_grown_space_skips_missing_knobs(self):
         # Old entries lack knobs the space has since grown; distance is

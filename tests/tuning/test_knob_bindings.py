@@ -1,12 +1,10 @@
 """Every registered knob is a knob its target runs.
 
-For each knob space the system builds — a server on every backend and
-scheduler family, the cluster router, the in-scheduler controller — a
-random vector drawn from the space's domains is applied, and every knob
-is read back from the object that runs it: the live scheduler on the
-threaded backend, the scheduler the next epoch is built from on the
-simulated and process backends, the backend, the admission policy or
-the placement policy.  A knob registered where nothing runs it reads
+For the knob space of a server on every backend and scheduler family,
+a random vector drawn from the space's domains is applied, and every
+knob is read back from the object that runs it: the live scheduler on
+the threaded backend, the scheduler the next epoch is built from on the
+simulated and process backends, the backend or the admission policy.  A knob registered where nothing runs it reads
 back ``NOT_RUN`` and fails the comparison.
 """
 
@@ -14,8 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterRouter
-from repro.core import SchedulerConfig, make_scheduler
 from repro.core.stride import StrideScheduler
 from repro.engine import generate_tpch
 from repro.runtime.threaded import ThreadedBackend
@@ -135,41 +131,6 @@ def test_server_knobs_read_back_from_what_runs_them(servers, backend, scheduler,
     assert space.current_values() == vector
     if ticket is not None:
         assert not server.wait(ticket, timeout=60.0).failed
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_router_knobs_read_back_from_the_placement_policy(data):
-    router = ClusterRouter(
-        n_shards=2, scheduler="stride", n_workers=2, seed=7, environment="model"
-    )
-    space = router.knob_space()
-    vector = data.draw(_vectors(space))
-    space.apply(vector)
-    placement = router.placement
-    assert placement.alpha == vector["cluster.placement_alpha"]
-    affinity = vector["cluster.sharing_affinity"]
-    assert placement.sharing_affinity == affinity
-    # A positive affinity needs the fragment horizons it discounts by.
-    assert (placement._fragments is not None) == (affinity > 0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_controller_knobs_read_back_from_its_scheduler(data):
-    config = SchedulerConfig(
-        n_workers=2, tuning_budget=0.02, tracking_duration=2.0,
-        refresh_duration=4.0,
-    )
-    scheduler = make_scheduler("tuning", config)
-    space = scheduler.tuner.knob_space
-    assert space.names() == ("core.decay", "core.d_start")
-    vector = data.draw(_vectors(space))
-    space.apply(vector)
-    params = scheduler.decay_parameters
-    assert (params.decay, params.d_start) == (
-        vector["core.decay"], vector["core.d_start"]
-    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

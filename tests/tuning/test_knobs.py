@@ -9,7 +9,9 @@ from repro.tuning import (
     IntegerDomain,
     Knob,
     KnobSpace,
+    TrackedQuery,
     default_knob_space,
+    replay_workload,
 )
 
 
@@ -36,10 +38,13 @@ class TestContinuousDomain:
         assert domain.normalize(0.7) == pytest.approx(0.5)
 
     def test_grid_is_the_step_multiples(self):
-        domain = KNOBS["cluster.placement_alpha"].domain
-        # The placement refit's candidates: these twenty floats, bit
-        # for bit, or its pick on a given log could move.
-        assert domain.grid() == [step * 0.05 for step in range(1, 21)]
+        domain = KNOBS["core.decay"].domain
+        # Width-1 moves walk the step lattice from lo and stop at hi.
+        walk = [domain.lo]
+        while domain.neighbors(walk[-1], 1.0)[0] > walk[-1]:
+            walk.append(domain.neighbors(walk[-1], 1.0)[0])
+        assert walk == pytest.approx([step * 0.05 for step in range(21)])
+        assert walk[-1] == domain.hi
 
     def test_empty_domain_rejected(self):
         with pytest.raises(TuningError):
@@ -122,7 +127,7 @@ class TestKnobSpace:
 class TestStockKnobs:
     def test_all_layers_covered(self):
         layers = {name.split(".")[0] for name in KNOBS}
-        assert layers == {"core", "runtime", "admission", "cluster"}
+        assert layers == {"core", "runtime", "admission"}
 
     def test_defaults_valid(self):
         space = default_knob_space()
@@ -155,3 +160,30 @@ class TestStockKnobs:
         space = default_knob_space()
         with pytest.raises(TuningError):
             space.apply({"core.decay": 0.5})
+
+    def test_replay_reads_every_table_knob(self):
+        # A knob the cost model never reads cannot be ranked by any
+        # search: every table entry must have a term in the replay.
+        class Recording(dict):
+            def __init__(self, values):
+                super().__init__(values)
+                self.read = set()
+
+            def __getitem__(self, name):
+                self.read.add(name)
+                return super().__getitem__(name)
+
+            def get(self, name, default=None):
+                self.read.add(name)
+                return super().get(name, default)
+
+        tracked = [
+            TrackedQuery(
+                group_id=i, name=f"q{i}", scale_factor=1.0,
+                arrival_offset=0.01 * i, work=0.004 * (i + 1),
+            )
+            for i in range(6)
+        ]
+        values = Recording(default_knob_space().current_values())
+        replay_workload(tracked, values)
+        assert values.read == set(KNOBS)
