@@ -14,24 +14,24 @@ No bit published through ``fetch_or`` can ever be lost: it stays in the
 word until some ``exchange`` returns it, and ``exchange`` returns it to
 exactly one caller.
 
-Concurrency: the word-level primitives are *real* atomics — each word is
-guarded by its own lock, exactly the relaxation the paper allows (word
-granularity, no whole-mask atomicity).  The :class:`ThreadedBackend
-<repro.runtime.threaded.ThreadedBackend>` therefore contends these masks
-from genuine OS threads; relaxed reads (:meth:`AtomicBitmask.any_set`,
-:meth:`AtomicBitmask.peek`) stay lock-free, matching the cheap emptiness
-probe of §2.3.
+Concurrency: a mask starts lock-free, which is all the sequential
+simulation needs.  :meth:`AtomicBitmask.enable_concurrency` makes the
+word-level primitives *real* atomics — each word is then guarded by its
+own lock, exactly the relaxation the paper allows (word granularity, no
+whole-mask atomicity).  The :class:`ThreadedBackend
+<repro.runtime.threaded.ThreadedBackend>` arms its schedulers' masks
+before its threads start and contends them from genuine OS threads;
+relaxed reads (:meth:`AtomicBitmask.any_set`, :meth:`AtomicBitmask.peek`)
+stay lock-free either way, matching the cheap emptiness probe of §2.3.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 #: Number of bits per mask word, mirroring a C++ ``std::atomic<uint64_t>``.
 WORD_BITS = 64
-
-_WORD_MASK = (1 << WORD_BITS) - 1
 
 
 def iter_set_bits(value: int) -> Iterator[int]:
@@ -56,10 +56,11 @@ class AtomicBitmask:
 
     Supported operations mirror the scheduler protocol:
 
+    * :meth:`fetch_or` / :meth:`exchange` — the two word primitives.
     * :meth:`set_bit` — atomic ``fetch_or`` on the owning word.
-    * :meth:`drain` — atomic ``exchange`` with zero per word; returns the
-      indices of all bits that were set.  Each set bit is returned to
-      exactly one drainer.
+    * :meth:`drain` / :meth:`drain_bits` — atomic ``exchange`` with zero
+      per word; return the bits that were set, as indices or as one
+      integer.  Each set bit is returned to exactly one drainer.
     * :meth:`peek` / :meth:`test_bit` — relaxed reads used by tests.
 
     The class counts word-level operations so that the overhead accounting
@@ -72,12 +73,18 @@ class AtomicBitmask:
         self._nbits = nbits
         nwords = (nbits + WORD_BITS - 1) // WORD_BITS
         self._words: List[int] = [0] * nwords
-        #: One lock per word: the paper's word-level atomics.  A complete
-        #: mask operation spanning several words is deliberately *not*
-        #: atomic (the protocol tolerates that relaxation).
-        self._word_locks = [threading.Lock() for _ in range(nwords)]
+        #: One lock per word once :meth:`enable_concurrency` ran: the
+        #: paper's word-level atomics.  A complete mask operation spanning
+        #: several words is deliberately *not* atomic (the protocol
+        #: tolerates that relaxation).
+        self._word_locks: Optional[List[threading.Lock]] = None
         self.fetch_or_count = 0
         self.exchange_count = 0
+
+    def enable_concurrency(self) -> None:
+        """Install the word locks; call before a second thread touches the mask."""
+        if self._word_locks is None:
+            self._word_locks = [threading.Lock() for _ in self._words]
 
     @property
     def nbits(self) -> int:
@@ -93,6 +100,36 @@ class AtomicBitmask:
         if not 0 <= bit < self._nbits:
             raise IndexError(f"bit {bit} out of range [0, {self._nbits})")
 
+    def fetch_or(self, word: int, bits: int) -> int:
+        """Atomically OR ``bits`` into ``word``; return the word's old value."""
+        words = self._words
+        locks = self._word_locks
+        if locks is None:
+            old = words[word]
+            words[word] = old | bits
+            self.fetch_or_count += 1
+            return old
+        with locks[word]:
+            old = words[word]
+            words[word] = old | bits
+            self.fetch_or_count += 1
+        return old
+
+    def exchange(self, word: int) -> int:
+        """Atomically exchange ``word`` with zero; return its old value."""
+        words = self._words
+        locks = self._word_locks
+        if locks is None:
+            old = words[word]
+            words[word] = 0
+            self.exchange_count += 1
+            return old
+        with locks[word]:
+            old = words[word]
+            words[word] = 0
+            self.exchange_count += 1
+        return old
+
     def set_bit(self, bit: int) -> bool:
         """Atomically set ``bit`` via ``fetch_or``; return the previous value.
 
@@ -102,11 +139,7 @@ class AtomicBitmask:
         self._check_index(bit)
         word, offset = divmod(bit, WORD_BITS)
         mask = 1 << offset
-        with self._word_locks[word]:
-            old = self._words[word]
-            self._words[word] = (old | mask) & _WORD_MASK
-            self.fetch_or_count += 1
-        return bool(old & mask)
+        return bool(self.fetch_or(word, mask) & mask)
 
     def drain(self) -> List[int]:
         """Atomically exchange every word with zero; return drained bit indices.
@@ -115,27 +148,24 @@ class AtomicBitmask:
         paper allows.  A publisher racing between the two word exchanges
         will simply be drained on the next call; its bit is never lost.
         """
-        drained: List[int] = []
-        for word_index in range(len(self._words)):
-            with self._word_locks[word_index]:
-                old = self._words[word_index]
-                self._words[word_index] = 0
-                self.exchange_count += 1
-            base = word_index * WORD_BITS
-            # iter_set_bits without its generator frames: a drain runs
-            # once per scheduling decision that saw an update.
-            while old:
-                low = old & -old
-                drained.append(base + low.bit_length() - 1)
-                old ^= low
+        return [bit for index in range(len(self._words)) for bit in self.drain_word(index)]
+
+    def drain_bits(self) -> int:
+        """Exchange every set word with zero; return the bits as one integer.
+
+        Bit ``i`` of the result is mask bit ``i``.  A word the relaxed
+        read sees empty is not exchanged: a publisher racing with that
+        read is drained by the next call, so its bit is never lost.
+        """
+        drained = 0
+        for word_index, word in enumerate(self._words):
+            if word:
+                drained |= self.exchange(word_index) << (word_index * WORD_BITS)
         return drained
 
     def drain_word(self, word_index: int) -> List[int]:
         """Exchange a single word with zero (for interleaving tests)."""
-        with self._word_locks[word_index]:
-            old = self._words[word_index]
-            self._words[word_index] = 0
-            self.exchange_count += 1
+        old = self.exchange(word_index)
         base = word_index * WORD_BITS
         return [base + b for b in iter_set_bits(old)]
 

@@ -7,17 +7,19 @@ current task.  Because the decrements may land before the coordinator's
 increment, the counter can temporarily become negative — the worker whose
 decrement (or increment) brings it to exactly zero runs finalization.
 
-The fetch-add is a genuine atomic: a lock serialises the read-modify-write
-so the counter is safe under real OS threads (the
-:class:`~repro.runtime.threaded.ThreadedBackend`), not only under the
-sequential discrete-event simulation.  The exactly-one-finalizer guarantee
-rests on this: two concurrent ``add_and_fetch`` calls can never both
-observe zero.
+A counter starts lock-free, all the sequential discrete-event
+simulation needs.  :meth:`AtomicCounter.enable_concurrency` makes the
+fetch-add a genuine atomic: a lock then serialises the
+read-modify-write so the counter is safe under real OS threads (the
+:class:`~repro.runtime.threaded.ThreadedBackend` arms every task set's
+counter).  The exactly-one-finalizer guarantee rests on this: two
+concurrent ``add_and_fetch`` calls can never both observe zero.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Optional
 
 
 class AtomicCounter:
@@ -27,21 +29,32 @@ class AtomicCounter:
 
     def __init__(self, value: int = 0) -> None:
         self._value = value
-        self._lock = threading.Lock()
+        self._lock: Optional[threading.Lock] = None
         #: Number of fetch-add operations, for overhead accounting.
         self.op_count = 0
 
-    def fetch_add(self, delta: int) -> int:
-        """Atomically add ``delta``; return the *previous* value."""
-        with self._lock:
-            old = self._value
-            self._value = old + delta
-            self.op_count += 1
-        return old
+    def enable_concurrency(self) -> None:
+        """Install the lock; call before a second thread adds."""
+        if self._lock is None:
+            self._lock = threading.Lock()
 
     def add_and_fetch(self, delta: int) -> int:
         """Atomically add ``delta``; return the *new* value."""
-        return self.fetch_add(delta) + delta
+        lock = self._lock
+        if lock is None:
+            new = self._value + delta
+            self._value = new
+            self.op_count += 1
+            return new
+        with lock:
+            new = self._value + delta
+            self._value = new
+            self.op_count += 1
+        return new
+
+    def fetch_add(self, delta: int) -> int:
+        """Atomically add ``delta``; return the *previous* value."""
+        return self.add_and_fetch(delta) - delta
 
     def load(self) -> int:
         """Relaxed read of the current value."""

@@ -7,11 +7,13 @@ longer valid, and disables the slot in its local activity mask.
 
 In C++ this is a pointer with a stolen low bit; here it is a tiny wrapper
 holding a payload and a validity flag with compare-and-swap semantics.
-The writes (``store`` / ``tag_invalid`` / ``clear``) are serialised by a
-lock so that :meth:`tag_invalid` is a *real* compare-and-swap under OS
-threads: exactly one of any number of concurrent callers observes the
-valid → invalid transition and becomes the finalization coordinator.
-Reads stay lock-free (a stale read is repaired lazily, §2.3).
+A pointer starts lock-free, as the sequential simulation needs; after
+:meth:`TaggedPointer.enable_concurrency` the writes (``store`` /
+``tag_invalid`` / ``clear``) are serialised by a lock so that
+:meth:`tag_invalid` is a *real* compare-and-swap under OS threads:
+exactly one of any number of concurrent callers observes the valid →
+invalid transition and becomes the finalization coordinator.  Reads stay
+lock-free (a stale read is repaired lazily, §2.3).
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ class TaggedPointer:
     def __init__(self, payload: Any = None, valid: bool = False) -> None:
         self._payload = payload
         self._valid = valid and payload is not None
-        self._lock = threading.Lock()
+        self._lock: Optional[threading.Lock] = None
+
+    def enable_concurrency(self) -> None:
+        """Install the write lock; call before a second thread writes."""
+        if self._lock is None:
+            self._lock = threading.Lock()
 
     def load(self) -> Tuple[Optional[Any], bool]:
         """Atomically read ``(payload, valid)``."""
@@ -36,9 +43,12 @@ class TaggedPointer:
 
     def store(self, payload: Any) -> None:
         """Atomically publish a new valid payload."""
-        with self._lock:
-            self._payload = payload
-            self._valid = payload is not None
+        lock = self._lock
+        if lock is None:
+            self._payload, self._valid = payload, payload is not None
+            return
+        with lock:
+            self._payload, self._valid = payload, payload is not None
 
     def tag_invalid(self, expected: Any = None) -> bool:
         """Mark the current payload as invalid; keep it readable.
@@ -50,19 +60,26 @@ class TaggedPointer:
         whatever is there.  This compare-and-swap behaviour lets exactly
         one worker act as the finalization coordinator.
         """
-        with self._lock:
-            if not self._valid or (
-                expected is not None and self._payload is not expected
-            ):
-                return False
-            self._valid = False
-            return True
+        lock = self._lock
+        if lock is None:
+            return self._tag(expected)
+        with lock:
+            return self._tag(expected)
+
+    def _tag(self, expected: Any) -> bool:
+        if not self._valid or (expected is not None and self._payload is not expected):
+            return False
+        self._valid = False
+        return True
 
     def clear(self) -> None:
         """Reset to the empty state (slot free for a new resource group)."""
-        with self._lock:
-            self._payload = None
-            self._valid = False
+        lock = self._lock
+        if lock is None:
+            self._payload, self._valid = None, False
+            return
+        with lock:
+            self._payload, self._valid = None, False
 
     @property
     def payload(self) -> Optional[Any]:

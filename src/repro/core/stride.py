@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
+from repro.atomics.bitmask import WORD_BITS
 from repro.core.decay import DEFAULT_P0, DecayParameters
 from repro.core.resource_group import ResourceGroup
 from repro.core.scheduler_base import SchedulerBase, SchedulerConfig, TaskDecision
@@ -73,6 +74,8 @@ class StrideScheduler(SchedulerBase):
         #: for the relaxed has-updates probe in worker_decide.
         self._change_words = [local.change_mask._words for local in self._locals]
         self._return_words = [local.return_mask._words for local in self._locals]
+        #: The fan-out below half occupancy; callers never mutate it.
+        self._all_workers = list(range(config.n_workers))
         self._t_max = config.t_max
         #: Whether worker_decide may call the min-pass heap pick directly
         #: (subclasses overriding _pick_slot — the lottery policy — keep
@@ -90,6 +93,15 @@ class StrideScheduler(SchedulerBase):
                 refresh_duration=config.refresh_duration,
                 objective=config.tuning_objective,
             )
+
+    def enable_concurrency(self) -> None:
+        """Also arm the slot pointers and every worker's update masks."""
+        super().enable_concurrency()
+        for pointer in self._slots._pointers:
+            pointer.enable_concurrency()
+        for local in self._locals:
+            local.change_mask.enable_concurrency()
+            local.return_mask.enable_concurrency()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -166,11 +178,11 @@ class StrideScheduler(SchedulerBase):
     # ------------------------------------------------------------------
     def _update_targets(self, slot: int) -> List[int]:
         """Workers that get notified about a task-set update in ``slot``."""
-        n_workers = self.n_workers
         capacity = self._slots.capacity
         occupied = self._slots.occupied
         if not self.config.restrict_fanout or occupied * 2 <= capacity:
-            return list(range(n_workers))
+            return self._all_workers
+        n_workers = self.n_workers
         half = capacity - capacity // 2
         fraction = max(0.0, (capacity - occupied) / half)
         count = max(1, math.ceil(n_workers * fraction))
@@ -178,47 +190,54 @@ class StrideScheduler(SchedulerBase):
         return [(start + i) % n_workers for i in range(count)]
 
     def _push_updates(self, slot: int, new_group: bool) -> None:
-        """Fetch-or the slot bit into the targets' change/return masks."""
-        for worker_id in self._update_targets(slot):
+        """Fetch-or the slot bit into the targets' change/return masks.
+
+        Every target's bit is set before any target is woken: a woken
+        thread finds its bit, and the simulator's wake only queues an
+        event, so the wake order is the target order either way.
+        """
+        targets = self._update_targets(slot)
+        word, offset = divmod(slot, WORD_BITS)
+        bit = 1 << offset
+        for worker_id in targets:
             local = self._locals[worker_id]
-            mask = local.change_mask if new_group else local.return_mask
-            mask.set_bit(slot)
-            self.overhead.charge_mask_updates(1)
+            (local.change_mask if new_group else local.return_mask).fetch_or(word, bit)
+        self.overhead.charge_mask_updates(len(targets))
+        for worker_id in targets:
             self.wake(worker_id)
 
     def _pull_updates(self, local: WorkerLocalState) -> None:
         """Drain the worker's update masks into its local state.
 
-        When no writes happened since the last drain this is a cheap
-        relaxed check (no atomic exchange, no cache invalidation).
+        worker_decide calls this only when its relaxed emptiness probe
+        saw a set word: with no writes since the last drain there is no
+        atomic exchange and no cache invalidation (§2.3).
         """
-        has_changes = local.change_mask.any_set()
-        has_returns = local.return_mask.any_set()
-        if not has_changes and not has_returns:
-            return
-        change_bits = local.change_mask.drain() if has_changes else []
-        return_bits = local.return_mask.drain() if has_returns else []
+        changes = local.change_mask.drain_bits()
+        returns = local.return_mask.drain_bits() & ~changes
         ops = 2  # the two atomic mask exchanges
-        changed = set(change_bits)
-        for slot in change_bits:
-            group = self._slots.owner(slot)
+        owners = self._slots._owners
+        while changes:
+            low = changes & -changes
+            changes ^= low
+            slot = low.bit_length() - 1
+            group = owners[slot]
             if group is not None:
                 self._init_local_slot(local, slot, group)
             ops += 1
-        for slot in return_bits:
-            if slot in changed:
-                continue
-            state = local.slot_states.get(slot)
-            owner = self._slots.owner(slot)
-            if owner is None:
-                ops += 1
-                continue
-            if state is not None and state.group_id == owner.query_id:
-                local.return_slot(slot)
-            else:
-                # Missed the change event for this group (restricted
-                # fan-out); initialize from scratch.
-                self._init_local_slot(local, slot, owner)
+        while returns:
+            low = returns & -returns
+            returns ^= low
+            slot = low.bit_length() - 1
+            owner = owners[slot]
+            if owner is not None:
+                state = local.slot_states.get(slot)
+                if state is not None and state.group_id == owner.query_id:
+                    local.return_slot(slot)
+                else:
+                    # Missed the change event for this group (restricted
+                    # fan-out); initialize from scratch.
+                    self._init_local_slot(local, slot, owner)
             ops += 1
         self.overhead.charge_local_work(ops)
 

@@ -120,9 +120,10 @@ class TaskSet:
         self.lock: Optional[threading.Lock] = None
 
     def enable_concurrency(self) -> None:
-        """Install the lock guarding carve/pin read-modify-write ops."""
+        """Install the carve/pin lock and arm the finalization counter."""
         if self.lock is None:
             self.lock = threading.Lock()
+            self.finalization_counter.enable_concurrency()
 
     # ------------------------------------------------------------------
     # Work distribution

@@ -19,7 +19,10 @@ is re-summed over every active query after any step that changed a
 priority or the active set.  Under decay most steps do, until the
 priorities reach ``p_min`` (or with λ = 1), so a step costs more the
 more queries are active.  The re-sum repeats the same additions in the
-same order, which keeps a replay bit-identical.
+same order, which keeps a replay bit-identical.  Only an admission or a
+retry wake-up reads the global pass, so once no arrival, no parked retry
+and no retry a pending failure could still trigger is left, the loop
+stops re-summing and stops advancing the pass.
 """
 
 from __future__ import annotations
@@ -105,6 +108,13 @@ def _stride_loop(
 
     time = global_pass = total_priority = 0.0
     stale = True  # membership or a priority changed since the last sum
+    #: Unfinished queries whose failure lottery is still pending.
+    pending_failures = sum(will_fail)
+    #: Whether the global pass can still be read: by an arrival, a
+    #: parked retry, or a retry a pending failure can still trigger.
+    #: Once false it stays false, and the re-sum and the pass update
+    #: are skipped (a waiting query keeps the pass it queued with).
+    pass_live = True
     pairs: List[Tuple[float, float]] = []
     next_arrival = finished = steps = shed = retried = failed = 0
     while finished < n_queries:
@@ -114,10 +124,12 @@ def _stride_loop(
             next_arrival += 1
             if remaining[index] <= 0.0:
                 # Degenerate zero-work entry: completes instantly.
+                pending_failures -= will_fail[index]
                 finished += 1
                 continue
             if len(active) + len(waiting) + len(parked) >= max_pending:
                 # Overloaded: shed the newcomer at the admission edge.
+                pending_failures -= will_fail[index]
                 shed += 1
                 failed += 1
                 finished += 1
@@ -155,6 +167,10 @@ def _stride_loop(
             else:
                 break  # defensive: nothing left to run
             continue
+        if pass_live and next_arrival == n_queries and not parked and (
+            retry_budget <= 0 or not pending_failures
+        ):
+            pass_live = False
         # The active query with minimal pass (stride scheduling).
         best_pass, activation, best = ready[0]
         # Execute one quantum (or the final sliver of work).
@@ -169,12 +185,13 @@ def _stride_loop(
         held = priority[best]
         stride = STRIDE_SCALE / held
         best_pass += fraction * stride
-        if stale:
-            total_priority = 0.0
-            for index in active:
-                total_priority += priority[index]
-            stale = False
-        global_pass += fraction * STRIDE_SCALE / total_priority
+        if pass_live:
+            if stale:
+                total_priority = 0.0
+                for index in active:
+                    total_priority += priority[index]
+                stale = False
+            global_pass += fraction * STRIDE_SCALE / total_priority
         # Priority decay after each completed quantum (§3.2).
         done = quanta_done[best] + 1
         quanta_done[best] = done
@@ -192,6 +209,7 @@ def _stride_loop(
         stale = True
         if will_fail[best]:
             will_fail[best] = False
+            pending_failures -= 1
             if retry_budget > 0:
                 # Transient failure, budget left: re-run after the
                 # backoff; priority state persists (§4 closed form).

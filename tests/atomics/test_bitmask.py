@@ -137,6 +137,7 @@ class TestAtomicBitmask:
         drain — the guarantee the ThreadedBackend's update masks rely
         on."""
         mask = AtomicBitmask(128)
+        mask.enable_concurrency()
         n_publishers, per_publisher = 4, 400
         delivered: list = []
         stop = threading.Event()

@@ -58,11 +58,13 @@ class TestAtomicCounter:
 
 
 class TestAtomicCounterThreaded:
-    """The fetch-add must be a *genuine* atomic: these tests hammer it
-    from real OS threads, the regime the ThreadedBackend runs it in."""
+    """Once armed, the fetch-add must be a *genuine* atomic: these tests
+    hammer it from real OS threads, the regime the ThreadedBackend arms
+    it for."""
 
     def test_no_lost_updates(self):
         counter = AtomicCounter(0)
+        counter.enable_concurrency()
         n_threads, per_thread = 8, 5_000
 
         def hammer():
@@ -85,6 +87,8 @@ class TestAtomicCounterThreaded:
         for _ in range(200):
             counter = AtomicCounter(0)
             zero_hits = AtomicCounter(0)
+            counter.enable_concurrency()
+            zero_hits.enable_concurrency()
             barrier = threading.Barrier(n_workers + 1)
 
             def decrement():

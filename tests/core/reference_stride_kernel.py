@@ -1,5 +1,6 @@
-"""The per-task scans the stride kernel replaced — kept as the reference
-``tests/core/test_stride_kernel_reference.py`` compares against.
+"""The per-task scans and the update-mask fan-out the stride kernel
+replaced — kept as the references ``tests/core/test_stride_kernel_reference.py``
+and ``tests/core/test_update_masks_reference.py`` compare against.
 
 * :meth:`ScanningWorkerState.min_pass_slot` is the former scan behind
   ``StrideScheduler._pick_slot`` (and its inlined copy in
@@ -15,6 +16,11 @@
   (``tests/core/test_decay_reference.py``); the kernel comparison cannot
   see it, because :class:`ScanningStrideScheduler` inherits
   ``worker_finish``.
+* :class:`PerTargetUpdateScheduler` holds the former update-mask
+  fan-out (``tests/core/test_update_masks_reference.py``): a fresh
+  target list per push, one ``set_bit`` + one charge + one wake per
+  target in turn, and a pull that drains each mask into a list of slot
+  indices and skips returns through a set of the changed ones.
 
 :class:`ScanningStrideScheduler` swaps the scanning state into an
 otherwise unchanged :class:`~repro.core.stride.StrideScheduler`, so the
@@ -209,3 +215,58 @@ def inlined_charge(decay, duration):
         decay._accum = accum
         decay._quanta = quanta
     return priority, held
+
+
+class PerTargetUpdateScheduler(StrideScheduler):
+    """The stride scheduler with the former update-mask push and pull."""
+
+    def _update_targets(self, slot):
+        n_workers = self.n_workers
+        capacity = self._slots.capacity
+        occupied = self._slots.occupied
+        if not self.config.restrict_fanout or occupied * 2 <= capacity:
+            return list(range(n_workers))
+        half = capacity - capacity // 2
+        fraction = max(0.0, (capacity - occupied) / half)
+        count = max(1, math.ceil(n_workers * fraction))
+        start = slot % n_workers
+        return [(start + i) % n_workers for i in range(count)]
+
+    def _push_updates(self, slot, new_group):
+        for worker_id in self._update_targets(slot):
+            local = self._locals[worker_id]
+            mask = local.change_mask if new_group else local.return_mask
+            mask.set_bit(slot)
+            self.overhead.charge_mask_updates(1)
+            self.wake(worker_id)
+
+    def _pull_updates(self, local):
+        has_changes = local.change_mask.any_set()
+        has_returns = local.return_mask.any_set()
+        if not has_changes and not has_returns:
+            return
+        change_bits = local.change_mask.drain() if has_changes else []
+        return_bits = local.return_mask.drain() if has_returns else []
+        ops = 2  # the two atomic mask exchanges
+        changed = set(change_bits)
+        for slot in change_bits:
+            group = self._slots.owner(slot)
+            if group is not None:
+                self._init_local_slot(local, slot, group)
+            ops += 1
+        for slot in return_bits:
+            if slot in changed:
+                continue
+            state = local.slot_states.get(slot)
+            owner = self._slots.owner(slot)
+            if owner is None:
+                ops += 1
+                continue
+            if state is not None and state.group_id == owner.query_id:
+                local.return_slot(slot)
+            else:
+                # Missed the change event for this group (restricted
+                # fan-out); initialize from scratch.
+                self._init_local_slot(local, slot, owner)
+            ops += 1
+        self.overhead.charge_local_work(ops)
