@@ -3,12 +3,18 @@
 These complement the figure benchmarks: they measure the raw cost of
 the building blocks — scheduling-decision throughput of the simulator,
 atomic-bitmask operations, the self-simulation loop, the knob replay,
-workload compression, the optimizer, and the mini engine's scan rate —
-so regressions in any layer are visible in isolation.
+workload compression, the optimizer, a whole knob-search cycle, the §4
+controller's recorded calls, and the mini engine's scan rate — so
+regressions in any layer are visible in isolation.  Run with ``-s`` to
+see what a knob-search cycle simulated and what its memo answered.
 """
 
 from __future__ import annotations
 
+import pytest
+
+import repro.tuning.optimizer as optimizer
+import repro.tuning.replay as replay
 from repro.atomics import AtomicBitmask
 from repro.core import SchedulerConfig, make_scheduler
 from repro.core.decay import DecayParameters
@@ -16,6 +22,7 @@ from repro.core.specs import PipelineSpec, QuerySpec
 from repro.engine import build_engine_query, generate_tpch
 from repro.engine.operators import JoinTable
 from repro.engine.relation import filter_batch
+from repro.server import AnalyticsServer
 from repro.simcore import RngFactory, Simulator
 from repro.simcore.simulator import SimulationEnvironment
 from repro.tuning import (
@@ -24,7 +31,9 @@ from repro.tuning import (
     default_knob_space,
     optimize,
     replay_workload,
+    search_knob_space,
     simulate_policy,
+    simulate_policy_pairs,
 )
 from repro.workloads import generate_workload, tpch_mix
 from tests.engine.reference_kernels import ReferenceJoinTable, reference_filter_batch
@@ -95,6 +104,96 @@ def test_knob_replay_speed(benchmark):
     result = benchmark(replay_workload, tracked, values)
     assert len(result.pairs) == 256
     assert result.steps > 1000
+
+
+def _tuning_epochs(n: int):
+    """``n`` tracked queries, 88 per epoch in six bursts, one in eleven long."""
+    return [
+        TrackedQuery(
+            group_id=i,
+            name=f"q{i}",
+            scale_factor=1.0,
+            arrival_offset=4.0 * (i // 88) + 0.6 * (i % 6) + 0.001 * (i % 88 // 6),
+            work=0.004 + 0.002 * (i % 5) + (0.2 if i % 11 == 0 else 0.0),
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n_tracked", [88, 176, 264])
+def test_knob_search_cycle(benchmark, monkeypatch, n_tracked):
+    """One ``server.tune()``-sized search (0.05 s budget) after 1-3 epochs.
+
+    Prints the replays the search charged against those it simulated
+    (the rest its memo answered), in calls and in steps.
+    """
+    tracked = _tuning_epochs(n_tracked)
+    charged, simulated = [0, 0], [0, 0]
+    replay_cost, loop = optimizer.replay_cost, replay._stride_loop
+
+    def charging(*args, **kwargs):
+        cost, steps = replay_cost(*args, **kwargs)
+        charged[0], charged[1] = charged[0] + 1, charged[1] + steps
+        return cost, steps
+
+    def simulating(*args, **kwargs):
+        run = loop(*args, **kwargs)
+        simulated[0], simulated[1] = simulated[0] + 1, simulated[1] + run.steps
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "replay_cost", charging)
+        patch.setattr(replay, "_stride_loop", simulating)
+        expected = search_knob_space(default_knob_space(), tracked, budget_seconds=0.05)
+    assert charged[1] == expected.simulated_steps
+    benchmark.extra_info.update(
+        replays_charged=charged[0], replays_simulated=simulated[0],
+        steps_charged=charged[1], steps_executed=simulated[1],
+    )
+    print(
+        f"\n{n_tracked} tracked: {simulated[0]} of {charged[0]} replays simulated,"
+        f" {simulated[1]} of {charged[1]} charged steps executed"
+    )
+    result = benchmark(
+        search_knob_space, default_knob_space(), tracked, budget_seconds=0.05
+    )
+    assert result == expected
+
+
+def _controller_calls():
+    """The §4 controller's ``simulate_policy_pairs`` calls on a small fleet
+    shard: a two-worker tuning server, short tracking windows, tiny queries."""
+    calls = []
+    record = optimizer.simulate_policy_pairs
+
+    def recording(tracked, params, quantum):
+        calls.append((list(tracked), params, quantum))
+        return record(tracked, params, quantum)
+
+    optimizer.simulate_policy_pairs = recording
+    try:
+        server = AnalyticsServer(
+            scheduler="tuning", n_workers=2, seed=7, environment="model"
+        )
+        for i in range(240):
+            server.submit(("Q6", "Q1", "Q6", "Q3", "Q6", "Q18")[i % 6], at=0.025 * i)
+        server.drain()
+        server.shutdown()
+    finally:
+        optimizer.simulate_policy_pairs = record
+    return calls
+
+
+def test_controller_call_replay(benchmark):
+    """Every recorded controller call replayed once: the fleet's small-call
+    cost of the §4 loop (median 20 tracked queries a call)."""
+    calls = _controller_calls()
+
+    def replay_all():
+        return [simulate_policy_pairs(*call) for call in calls]
+
+    results = benchmark(replay_all)
+    assert len(results) == len(calls) >= 40
 
 
 def test_decide_speed_many_active(benchmark):

@@ -435,17 +435,9 @@ def search_knob_space(
             vector[name] = space[name].domain.clamp(value)
     if not tracked:
         return KnobSearchResult(
-            values=vector,
-            cost=0.0,
-            baseline_cost=0.0,
-            evaluations=0,
-            verified=0,
-            simulated_steps=0,
-            budget_steps=None,
-            knobs_evaluated=0,
-            fidelity=1.0,
-            compressed_queries=0,
-            tracked_queries=0,
+            values=vector, cost=0.0, baseline_cost=0.0, evaluations=0, verified=0,
+            simulated_steps=0, budget_steps=None, knobs_evaluated=0, fidelity=1.0,
+            compressed_queries=0, tracked_queries=0,
         )
 
     signature = workload_signature(tracked)
@@ -460,8 +452,11 @@ def search_knob_space(
     evaluations = 0
     verified = 0
 
+    # One replay memo per workload, for this search only; an answered
+    # replay is charged the stored run's steps, as if replayed.
+    full_memo: Dict[tuple, list] = {}
     # Mandatory full-replay baseline: the bar any candidate must beat.
-    baseline_cost, steps = replay_cost(tracked, vector, min_quantum, cost_fn)
+    baseline_cost, steps = replay_cost(tracked, vector, min_quantum, cost_fn, memo=full_memo)
     steps_used += steps
     evaluations += 1
 
@@ -475,6 +470,7 @@ def search_knob_space(
         eval_queries = list(tracked)
         fidelity = 1.0
         compression_active = False
+    eval_memo = {} if compression_active else full_memo
     eval_work = sum(q.work for q in eval_queries)
 
     # Reserve budget for the full-workload replays that follow the
@@ -520,7 +516,7 @@ def search_knob_space(
         )
         if not afford(projected, reserve):
             return None
-        cost, steps = replay_cost(eval_queries, values, min_quantum, cost_fn)
+        cost, steps = replay_cost(eval_queries, values, min_quantum, cost_fn, memo=eval_memo)
         steps_used += steps
         evaluations += 1
         seen_keys.add(key)
@@ -606,7 +602,7 @@ def search_knob_space(
             if not afford(projected, 0):
                 continue
             full_cost, steps = replay_cost(
-                tracked, values, min_quantum, cost_fn
+                tracked, values, min_quantum, cost_fn, memo=full_memo
             )
             steps_used += steps
             evaluations += 1
@@ -647,7 +643,7 @@ def search_knob_space(
                             continue
                         affordable = True
                         full_cost, steps = replay_cost(
-                            tracked, candidate, min_quantum, cost_fn
+                            tracked, candidate, min_quantum, cost_fn, memo=full_memo
                         )
                         steps_used += steps
                         evaluations += 1

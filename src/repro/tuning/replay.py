@@ -31,7 +31,7 @@ tuning decisions are bit-reproducible across processes and hash seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.decay import DEFAULT_P0, DEFAULT_PMIN
 from repro.tuning.cost import CostFunction, mean_slowdown_cost
@@ -92,6 +92,7 @@ def replay_workload(
     tracked: Sequence[TrackedQuery],
     values: Mapping[str, object],
     min_quantum: Optional[float] = None,
+    memo: Optional[Dict[tuple, list]] = None,
 ) -> ReplayResult:
     """Replay ``tracked`` under the knob vector ``values``.
 
@@ -100,6 +101,11 @@ def replay_workload(
     ``max(core.t_max, min_quantum)``.  Unknown knob names are ignored —
     the replay reads only the knobs it models — so richer spaces degrade
     gracefully.
+
+    ``memo``, a dict the caller keeps for one workload, reuses a run of
+    the same (quantum, λ, d_start) whose slot limit, admission bound and
+    backoff are equal or were never reached, and whose retry budget is
+    equal up to its failure count; every channel capacity shares a run.
     """
     if not tracked:
         return ReplayResult(pairs=[], steps=0)
@@ -107,30 +113,48 @@ def replay_workload(
     def value(name: str):
         return values.get(name, KNOBS[name].default)
 
-    capacity = int(value("runtime.channel_capacity"))
     queries = sorted(tracked, key=lambda q: (q.arrival_offset, q.group_id))
-    # Channel effects, charged at finish: stalls beyond capacity plus
-    # the buffer touch.
+    quantum = max(float(value("core.t_max")), min_quantum or 0.0)
+    decay, d_start = float(value("core.decay")), int(value("core.d_start"))
+    limits = slots, bound, budget, backoff = (
+        int(value("core.slot_limit")),
+        int(values.get("admission.max_pending", UNBOUNDED_PENDING)),
+        int(value("runtime.retry_budget")),
+        float(value("runtime.retry_backoff")),
+    )
+    runs = [] if memo is None else memo.setdefault((quantum, decay, d_start), [])
+    for run, (run_slots, run_bound, run_budget, run_backoff) in runs:
+        failures = run.retried + run.failed - run.shed
+        if (
+            (run_slots == slots or run.peak_active < run_slots and run.peak_active <= slots)
+            and (run_bound == bound or run.peak_pending < min(run_bound, bound))
+            and min(run_budget, failures) == min(budget, failures)
+            and (run_backoff == backoff or not run.retried)
+        ):
+            break
+    else:
+        run = _stride_loop(
+            queries, quantum, DEFAULT_P0, DEFAULT_PMIN, decay, d_start,
+            overhead=DECISION_OVERHEAD_SECONDS,
+            slot_limit=slots, max_pending=bound,
+            will_fail=[_fails_transiently(q.group_id) for q in queries],
+            retry_budget=budget, retry_backoff=backoff,
+            shed_slowdown=SHED_SLOWDOWN, failure_slowdown=FAILURE_SLOWDOWN,
+        )
+        runs.append((run, limits))
+    # Channel effects, charged at finish: stalls beyond capacity plus the
+    # buffer touch.  A shed entry (order -1) reads the trailing 0.0.
+    capacity = int(value("runtime.channel_capacity"))
     channel: List[float] = []
     for q in queries:
         chunks = max(1, int(q.work / CHUNK_WORK_SECONDS) + 1)
         stall = max(0, chunks - capacity) * CHANNEL_STALL_SECONDS
         channel.append(stall + capacity * BUFFER_TOUCH_SECONDS)
-    return ReplayResult(*_stride_loop(
-        queries,
-        max(float(value("core.t_max")), min_quantum or 0.0),
-        DEFAULT_P0, DEFAULT_PMIN,
-        float(value("core.decay")),
-        int(value("core.d_start")),
-        overhead=DECISION_OVERHEAD_SECONDS,
-        slot_limit=int(value("core.slot_limit")),
-        max_pending=int(values.get("admission.max_pending", UNBOUNDED_PENDING)),
-        channel=channel,
-        will_fail=[_fails_transiently(q.group_id) for q in queries],
-        retry_budget=int(value("runtime.retry_budget")),
-        retry_backoff=float(value("runtime.retry_backoff")),
-        shed_slowdown=SHED_SLOWDOWN, failure_slowdown=FAILURE_SLOWDOWN,
-    ))
+    channel.append(0.0)
+    return ReplayResult(
+        [(latency + channel[i], base) for (latency, base), i in zip(run.pairs, run.order)],
+        run.steps, run.shed, run.retried, run.failed,
+    )
 
 
 def replay_cost(
@@ -138,8 +162,9 @@ def replay_cost(
     values: Mapping[str, object],
     min_quantum: Optional[float] = None,
     cost_fn: Optional[CostFunction] = None,
+    memo: Optional[Dict[tuple, list]] = None,
 ) -> Tuple[float, int]:
     """Replay and reduce to ``(cost, steps)`` with ``cost_fn``."""
     cost_fn = cost_fn or mean_slowdown_cost
-    result = replay_workload(tracked, values, min_quantum)
+    result = replay_workload(tracked, values, min_quantum, memo)
     return cost_fn(result.pairs), result.steps

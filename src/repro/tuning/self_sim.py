@@ -14,15 +14,15 @@ latency if it had the worker to itself).
 
 :func:`_stride_loop` is that loop, and the only one: the knob tuner's
 replay (:mod:`repro.tuning.replay`) runs it with its extra cost terms
-switched on.  The minimum pass comes from a heap, but the priority sum
-is re-summed over every active query after any step that changed a
-priority or the active set.  Under decay most steps do, until the
-priorities reach ``p_min`` (or with λ = 1), so a step costs more the
-more queries are active.  The re-sum repeats the same additions in the
-same order, which keeps a replay bit-identical.  Only an admission or a
-retry wake-up reads the global pass, so once no arrival, no parked retry
-and no retry a pending failure could still trigger is left, the loop
-stops re-summing and stops advancing the pass.
+switched on.  The minimum pass comes from a heap and each query's stride
+is cached until its priority decays.  Arrivals, parked retries and slot
+promotions are handled only when the next of them is due, so a step
+between events is one quantum of arithmetic.  The priority sum is
+re-summed, same additions in the same order, after any step that changed
+a priority or the active set, which keeps a replay bit-identical.  Only
+an admission or a retry wake-up reads the global pass, so once no
+arrival, no parked retry and no retry a pending failure could still
+trigger is left, the loop stops re-summing and stops advancing the pass.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ import math
 from collections import deque
 from heapq import heappop, heappush, heapreplace
 from itertools import count
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import Deque, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.decay import DecayParameters
 from repro.core.worker import STRIDE_SCALE
+from repro.tuning.cost import mean_slowdown_cost
 from repro.tuning.tracker import TrackedQuery
+
 
 def simulate_policy(
     tracked: Sequence[TrackedQuery],
@@ -51,10 +53,7 @@ def simulate_policy(
     from :mod:`repro.tuning.cost`.
     """
     pairs, steps = simulate_policy_pairs(tracked, params, quantum)
-    if not pairs:
-        return 0.0, steps
-    cost = sum(latency / base for latency, base in pairs if base > 0.0)
-    return cost / len(pairs), steps
+    return mean_slowdown_cost(pairs), steps
 
 
 def simulate_policy_pairs(
@@ -66,9 +65,30 @@ def simulate_policy_pairs(
     if not tracked:
         return [], 0
     queries = sorted(tracked, key=lambda q: (q.arrival_offset, q.group_id))
-    return _stride_loop(  # (pairs, steps) of (pairs, steps, shed, ...)
+    run = _stride_loop(
         queries, quantum, params.p0, params.p_min, params.decay, params.d_start
-    )[:2]
+    )
+    return run.pairs, run.steps
+
+
+class Schedule(NamedTuple):
+    """One run of :func:`_stride_loop`, and how close it came to its limits.
+
+    ``pairs`` are the finished queries' ``(latency, base)`` and ``order``
+    their indices (-1: shed).  A run whose ``peak_active`` (slot holders)
+    stayed below its slot limit never queued and acts the same under any
+    limit of at least that; so for ``peak_pending``, the largest pending
+    count an admission check saw, and the admission bound.
+    """
+
+    pairs: List[Tuple[float, float]]
+    order: List[int]
+    steps: int
+    shed: int
+    retried: int
+    failed: int
+    peak_active: int
+    peak_pending: int
 
 
 def _stride_loop(
@@ -77,26 +97,26 @@ def _stride_loop(
     p0: float, p_min: float, decay: float, d_start: int,
     overhead: float = 0.0,
     slot_limit: float = math.inf, max_pending: float = math.inf,
-    channel: Optional[List[float]] = None, will_fail: Optional[List[bool]] = None,
+    will_fail: Optional[List[bool]] = None,
     retry_budget: int = 0, retry_backoff: float = 0.0,
     shed_slowdown: float = 0.0, failure_slowdown: float = 0.0,
-) -> Tuple[List[Tuple[float, float]], int, int, int, int]:
+) -> Schedule:
     """Run ``queries`` (sorted by arrival) on one simulated stride worker.
 
-    Returns ``(pairs, steps, shed, retried, failed)``.  The arguments
-    after ``d_start`` are the replay's cost terms (``channel[i]`` is
-    added to query ``i``'s latency at finish, ``will_fail[i]`` is its
-    failure lottery; :mod:`repro.tuning.replay` documents the rest);
+    The arguments after ``d_start`` are the replay's cost terms, which
+    :mod:`repro.tuning.replay` documents (``will_fail`` is only read);
     their defaults switch them off, which is the §4 decay-only model.
     """
     n_queries = len(queries)
     base: List[float] = [q.work for q in queries]
     remaining: List[float] = list(base)
     arrival: List[float] = [q.arrival_offset for q in queries]
-    quanta_done: List[int] = [0] * n_queries
+    arrival.append(math.inf)  # no arrival left
+    undecayed: List[int] = [d_start] * n_queries  # quanta left before decay
     priority: List[float] = [p0] * n_queries
-    channel = channel or [0.0] * n_queries
-    will_fail = will_fail or [False] * n_queries
+    #: ``STRIDE_SCALE / priority[i]``, recomputed only when it decays.
+    stride: List[float] = [STRIDE_SCALE / p0] * n_queries
+    will_fail = list(will_fail) if will_fail else [False] * n_queries
 
     #: Slot holders in activation order, and the same queries as a heap of
     #: (pass, activation number, index): pass ties go to ``active`` order.
@@ -107,106 +127,122 @@ def _stride_loop(
     parked: List[Tuple[float, int]] = []  # heap of (retry time, index)
 
     time = global_pass = total_priority = 0.0
+    #: The next arrival or parked wake-up (now, when a freed slot has a taker).
+    next_event = arrival[0]
+    full_step = quantum + overhead  # a full quantum's time, with overhead
     stale = True  # membership or a priority changed since the last sum
     #: Unfinished queries whose failure lottery is still pending.
     pending_failures = sum(will_fail)
-    #: Whether the global pass can still be read: by an arrival, a
-    #: parked retry, or a retry a pending failure can still trigger.
-    #: Once false it stays false, and the re-sum and the pass update
-    #: are skipped (a waiting query keeps the pass it queued with).
+    #: Whether an arrival, a parked retry or a retry a pending failure can
+    #: still trigger will read the global pass.  Once false it stays false,
+    #: and the re-sum and the pass update are skipped (a waiting query
+    #: keeps the pass it queued with).
     pass_live = True
     pairs: List[Tuple[float, float]] = []
-    next_arrival = finished = steps = shed = retried = failed = 0
+    order: List[int] = []
+    next_arrival = finished = steps = shed = retried = failed = peak_active = peak_pending = 0
     while finished < n_queries:
-        # Admit everything that has arrived by now.
-        while next_arrival < n_queries and arrival[next_arrival] <= time:
-            index = next_arrival
-            next_arrival += 1
-            if remaining[index] <= 0.0:
-                # Degenerate zero-work entry: completes instantly.
-                pending_failures -= will_fail[index]
-                finished += 1
-                continue
-            if len(active) + len(waiting) + len(parked) >= max_pending:
-                # Overloaded: shed the newcomer at the admission edge.
-                pending_failures -= will_fail[index]
-                shed += 1
-                failed += 1
-                finished += 1
-                pairs.append((shed_slowdown * base[index], base[index]))
-                continue
-            if len(active) < slot_limit:
+        if time >= next_event:
+            # Admit everything that has arrived by now, then wake the
+            # parked retries whose backoff elapsed.
+            while True:
+                if next_arrival < n_queries and arrival[next_arrival] <= time:
+                    index = next_arrival
+                    next_arrival += 1
+                    if remaining[index] <= 0.0:
+                        # Degenerate zero-work entry: completes instantly.
+                        pending_failures -= will_fail[index]
+                        finished += 1
+                        continue
+                    pending = len(active) + len(waiting) + len(parked)
+                    peak_pending = pending if pending > peak_pending else peak_pending
+                    if pending >= max_pending:
+                        # Overloaded: shed the newcomer at the admission edge.
+                        pending_failures -= will_fail[index]
+                        shed += 1
+                        finished += 1
+                        pairs.append((shed_slowdown * base[index], base[index]))
+                        order.append(-1)
+                        continue
+                elif parked and parked[0][0] <= time:
+                    index = heappop(parked)[1]
+                else:
+                    break
+                if len(active) < slot_limit:
+                    active.append(index)
+                    heappush(ready, (global_pass, next(activations), index))
+                    stale = True
+                else:
+                    waiting.append((global_pass, index))
+            # Promote waiting queries into free slots (FIFO).
+            while waiting and len(active) < slot_limit:
+                queued_pass, index = waiting.popleft()
                 active.append(index)
-                heappush(ready, (global_pass, next(activations), index))
+                heappush(ready, (queued_pass, next(activations), index))
                 stale = True
-            else:
-                waiting.append((global_pass, index))
-        # Wake parked retries whose backoff elapsed.
-        while parked and parked[0][0] <= time:
-            index = heappop(parked)[1]
-            if len(active) < slot_limit:
-                active.append(index)
-                heappush(ready, (global_pass, next(activations), index))
-                stale = True
-            else:
-                waiting.append((global_pass, index))
-        # Promote waiting queries into free slots (FIFO).
-        while waiting and len(active) < slot_limit:
-            queued_pass, index = waiting.popleft()
-            active.append(index)
-            heappush(ready, (queued_pass, next(activations), index))
-            stale = True
+            if len(active) > peak_active:
+                peak_active = len(active)
+            next_event = arrival[next_arrival]
+            if parked and parked[0][0] < next_event:
+                next_event = parked[0][0]
         if not active:
             # Idle until the next arrival or parked wake-up.
-            if next_arrival < n_queries:
-                time = arrival[next_arrival]
-                if parked and parked[0][0] < time:
-                    time = parked[0][0]
-            elif parked:
-                time = parked[0][0]
-            else:
+            if next_arrival == n_queries and not parked:
                 break  # defensive: nothing left to run
+            time = next_event
             continue
         if pass_live and next_arrival == n_queries and not parked and (
             retry_budget <= 0 or not pending_failures
         ):
             pass_live = False
-        # The active query with minimal pass (stride scheduling).
-        best_pass, activation, best = ready[0]
-        # Execute one quantum (or the final sliver of work).
-        work = remaining[best]
-        slice_seconds = quantum if work > quantum else work
-        fraction = slice_seconds / quantum
-        time += slice_seconds + overhead
-        steps += 1
-        work -= slice_seconds
-        remaining[best] = work
-        # Stride pass updates (§2.1, non-preemptive fractional form).
-        held = priority[best]
-        stride = STRIDE_SCALE / held
-        best_pass += fraction * stride
-        if pass_live:
-            if stale:
-                total_priority = 0.0
-                for index in active:
-                    total_priority += priority[index]
-                stale = False
-            global_pass += fraction * STRIDE_SCALE / total_priority
-        # Priority decay after each completed quantum (§3.2).
-        done = quanta_done[best] + 1
-        quanta_done[best] = done
-        if done > d_start:
-            decayed = decay * held
-            decayed = decayed if decayed > p_min else p_min
-            if decayed != held:
-                priority[best] = decayed
-                stale = True
+        # Step until a query leaves or an event is due: the query with
+        # minimal pass runs one quantum (fraction 1.0) or its last sliver.
+        while True:
+            best_pass, activation, best = ready[0]
+            work = remaining[best]
+            steps += 1
+            # Stride pass updates (§2.1, non-preemptive fractional form).
+            if pass_live:
+                if stale:
+                    total_priority = 0.0
+                    for index in active:
+                        total_priority += priority[index]
+                    stale = False
+                global_pass += (
+                    STRIDE_SCALE if work > quantum else work / quantum * STRIDE_SCALE
+                ) / total_priority
+            if work > quantum:
+                time += full_step
+                work -= quantum
+                best_pass += stride[best]
+            else:  # the last sliver: the query leaves, its pass with it
+                time += work + overhead
+                work = 0.0
+            # Priority decay after the first ``d_start`` quanta (§3.2).
+            left = undecayed[best]
+            if left > 0:
+                undecayed[best] = left - 1
+            else:
+                held = priority[best]
+                decayed = decay * held
+                decayed = decayed if decayed > p_min else p_min
+                if decayed != held:
+                    priority[best] = decayed
+                    stride[best] = STRIDE_SCALE / decayed
+                    stale = True
+            if work > 0.0:
+                remaining[best] = work
+                heapreplace(ready, (best_pass, activation, best))
+                if time < next_event:
+                    continue
+            break
         if work > 0.0:
-            heapreplace(ready, (best_pass, activation, best))
-            continue
+            continue  # an arrival or a wake-up is due
         heappop(ready)
         active.remove(best)
         stale = True
+        if waiting:
+            next_event = time  # promote into the freed slot
         if will_fail[best]:
             will_fail[best] = False
             pending_failures -= 1
@@ -216,12 +252,15 @@ def _stride_loop(
                 retry_budget -= 1
                 retried += 1
                 remaining[best] = base[best]
-                heappush(parked, (time + retry_backoff, best))
+                wake = time + retry_backoff
+                heappush(parked, (wake, best))
+                next_event = wake if wake < next_event else next_event
                 continue
             failed += 1
             latency = failure_slowdown * base[best]
         else:
             latency = time - arrival[best]
         finished += 1
-        pairs.append((latency + channel[best], base[best]))
-    return pairs, steps, shed, retried, failed
+        pairs.append((latency, base[best]))
+        order.append(best)
+    return Schedule(pairs, order, steps, shed, retried, failed + shed, peak_active, peak_pending)

@@ -10,6 +10,8 @@ the minimum pass, once for the priority sum), and a greedy merge that
 re-merges every adjacent cluster pair after every merge.  Slow by
 design; the shipped functions must return the same values, bit for bit.
 
+``replay_cost`` accepts the shipped one's ``memo`` keyword and ignores it.
+
 One deliberate difference: when the last arrivals are zero-work entries
 and nothing is active, ``simulate_policy_pairs`` here indexes past the
 end of its arrival list (``IndexError``); the one loop stops there, as
@@ -281,8 +283,12 @@ def replay_cost(
     values: Mapping[str, object],
     min_quantum: Optional[float] = None,
     cost_fn: Optional[CostFunction] = None,
+    memo: Optional[dict] = None,
 ) -> Tuple[float, int]:
-    """Replay and reduce to ``(cost, steps)`` with ``cost_fn``."""
+    """Replay and reduce to ``(cost, steps)`` with ``cost_fn``.
+
+    ``memo`` is accepted and ignored: this side replays every call.
+    """
     cost_fn = cost_fn or mean_slowdown_cost
     result = replay_workload(tracked, values, min_quantum)
     return cost_fn(result.pairs), result.steps

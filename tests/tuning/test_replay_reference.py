@@ -189,7 +189,12 @@ def bursty_cycles(n_cycles=3, per_cycle=30):
 
 
 class Transcript:
-    """Every call into the patched functions, with its result."""
+    """Every call into the patched functions, with its result.
+
+    A call is recorded without its ``memo`` keyword: the shipped replay
+    fills the search's memo, the reference ignores it, and both must see
+    the same workloads and vectors and return the same results.
+    """
 
     def __init__(self, monkeypatch, impls):
         self.calls = []
@@ -199,7 +204,8 @@ class Transcript:
     def _wrap(self, name, fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            self.calls.append((name, args, kwargs, result))
+            recorded = {k: v for k, v in kwargs.items() if k != "memo"}
+            self.calls.append((name, args, recorded, result))
             return result
 
         return wrapper

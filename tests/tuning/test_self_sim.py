@@ -1,9 +1,15 @@
 """Tests for the self-simulation (§4)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.decay import DecayParameters
-from repro.tuning import TrackedQuery, simulate_policy
+from repro.tuning import TrackedQuery, simulate_policy, simulate_policy_pairs
+from repro.tuning.cost import mean_slowdown_cost
+from repro.tuning.self_sim import _stride_loop
+
+from tests.tuning.test_replay_reference import FAILING_IDS, decay_parameters, workloads
 
 
 def tq(group_id, arrival, work, name="q"):
@@ -74,3 +80,46 @@ class TestSimulatePolicy:
         assert simulate_policy(queries, params, QUANTUM) == simulate_policy(
             queries, params, QUANTUM
         )
+
+
+class TestStrideLoopArguments:
+    def test_will_fail_is_left_untouched(self):
+        """The loop reads its failure lottery and never writes it: a list
+        reused across runs gives the same schedule every time."""
+        queries = [tq(g, 0.001 * i, 0.005) for i, g in enumerate(FAILING_IDS[:4])]
+        will_fail = [True, False, True, True]
+        kwargs = dict(will_fail=will_fail, retry_budget=2, retry_backoff=0.01)
+        first = _stride_loop(queries, QUANTUM, 10_000.0, 100.0, 0.8, 1, **kwargs)
+        assert will_fail == [True, False, True, True]
+        second = _stride_loop(queries, QUANTUM, 10_000.0, 100.0, 0.8, 1, **kwargs)
+        assert will_fail == [True, False, True, True]
+        assert first == second
+        assert first.retried == 2 and first.failed == 1
+
+
+def reference_mean(pairs):
+    """The mean ``simulate_policy`` computed before it used Equation 1's
+    one implementation, :func:`repro.tuning.cost.mean_slowdown_cost`."""
+    if not pairs:
+        return 0.0
+    return sum(latency / base for latency, base in pairs if base > 0.0) / len(pairs)
+
+
+class TestOneEquationOne:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tracked=workloads(),
+        params=decay_parameters,
+        quantum=st.sampled_from([0.001, 0.002, 0.005]),
+    )
+    def test_simulate_policy_is_mean_slowdown_cost(self, tracked, params, quantum):
+        pairs, steps = simulate_policy_pairs(tracked, params, quantum)
+        cost = mean_slowdown_cost(pairs)
+        assert cost == reference_mean(pairs)
+        assert simulate_policy(tracked, params, quantum) == (cost, steps)
+
+    def test_zero_work_entries_leave_no_pair(self):
+        tracked = [tq(0, 0.0, 0.0), tq(1, 0.0, 0.004), tq(2, 0.01, 0.0)]
+        pairs, _ = simulate_policy_pairs(tracked, DecayParameters(), QUANTUM)
+        assert len(pairs) == 1
+        assert simulate_policy(tracked, DecayParameters(), QUANTUM)[0] == reference_mean(pairs)
