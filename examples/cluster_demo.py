@@ -61,7 +61,7 @@ def run_cluster(placement):
     by_class = {"latency": [], "bulk": []}
     for handle in handles:
         sla = router.tickets.sla_of(int(handle))
-        by_class[sla].append(router.latency(handle) * 1000.0)
+        by_class[sla].append(router.record(handle).latency * 1000.0)
     return by_class
 
 
@@ -95,7 +95,7 @@ def main() -> None:
         environment="model",
     )
     handles = router.submit_workload(tenant_workload())
-    victim = handles[0].address.shard
+    victim = router.address_of(handles[0]).shard
     moved = router.drain_shard(victim)
     router.drain()
     lost = sum(1 for h in handles if router.record(h) is None)

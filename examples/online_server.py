@@ -72,7 +72,7 @@ def main() -> None:
     records = server.drain()
     print(f"\ndrained {len(records)} remaining queries:\n")
     rows = [
-        (ticket, server.record(ticket).name, f"{server.latency(ticket) * 1e3:8.1f}")
+        (ticket, server.record(ticket).name, f"{server.record(ticket).latency * 1e3:8.1f}")
         for ticket in tickets
     ]
     print(format_table(("ticket", "query", "latency [ms]"), rows))
@@ -127,7 +127,7 @@ def main() -> None:
     gilfree.drain()
     rows = [
         (ticket, gilfree.record(ticket).name,
-         f"{gilfree.latency(ticket) * 1e3:8.1f}")
+         f"{gilfree.record(ticket).latency * 1e3:8.1f}")
         for ticket in epoch1 + epoch2
     ]
     print(format_table(("ticket", "query", "latency [ms]"), rows))

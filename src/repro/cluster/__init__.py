@@ -10,7 +10,6 @@ can provide:
   calibrated online from observed latency records;
 * cluster-wide tenant quotas with the typed
   :class:`~repro.errors.TenantQuotaError`;
-* cross-shard fan-out queries with streams merged into one cursor;
 * shard draining/handoff for rolling decommissions with zero lost
   tickets.
 
@@ -25,13 +24,11 @@ from repro.cluster.placement import (
     RoundRobinPlacement,
     make_placement_policy,
 )
-from repro.cluster.router import ClusterHandle, ClusterRouter, FanoutHandle
+from repro.cluster.router import ClusterRouter
 
 __all__ = [
     "PLACEMENT_POLICIES",
-    "ClusterHandle",
     "ClusterRouter",
-    "FanoutHandle",
     "PlacementPolicy",
     "PredictivePlacement",
     "RoundRobinPlacement",

@@ -3,7 +3,7 @@
 :class:`ClusterRouter` owns a fleet of
 :class:`~repro.server.AnalyticsServer` shards and presents the same
 submit/drain/result surface one server does, plus the cluster-only
-operations — placement, fan-out and shard draining:
+operations — placement and shard draining:
 
 * **Placement** — every :meth:`submit` picks a shard through a
   :class:`~repro.cluster.placement.PlacementPolicy`; the default
@@ -13,12 +13,13 @@ operations — placement, fan-out and shard draining:
 * **Cluster tickets** — the router issues its own ticket namespace and
   maps each ticket to a live ``(shard, shard_ticket)``
   :class:`~repro.runtime.tickets.ShardAddress`.  Shard-level retries
-  stay invisible: the address points at the *original* shard ticket and
-  the shard resolves its own alias chain (PR 5's machinery), so a
-  cluster ticket follows every attempt automatically.
-* **Fan-out** — :meth:`fanout` submits one query to every active shard
-  and returns a :class:`FanoutHandle` merging the per-shard result
-  streams, in shard order, behind one cursor.
+  stay invisible: the address points at the *original* shard ticket.
+  The router's resolver, :meth:`_locate`, reads the address and chains
+  into the shard's, which follows the shard's alias chain, so a cluster
+  ticket resolves to the ``(backend, job)`` of its latest attempt in
+  one call.  :meth:`submit` returns a
+  :class:`~repro.runtime.handle.QueryHandle` bound to the router, which
+  answers through the same chain.
 * **Drain/handoff** — :meth:`drain_shard` moves every unfinished query
   off a shard (cancel at the source, resubmit at a placement-chosen
   target, re-address the cluster ticket) and optionally decommissions
@@ -35,11 +36,11 @@ determinism the routing benchmarks and CI smoke are built on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.specs import QuerySpec
 from repro.engine.datagen import TpchDatabase, generate_tpch
-from repro.errors import ReproError, TenantQuotaError
+from repro.errors import ReproError, TenantQuotaError, UnknownTicketError
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.admission import AdmissionPolicy, SlaClass
 from repro.runtime.handle import QueryHandle
@@ -47,109 +48,6 @@ from repro.runtime.tickets import ShardAddress, TicketRegistry
 from repro.server import AnalyticsServer
 from repro.cluster.placement import PlacementPolicy, make_placement_policy
 from repro.workloads.phased import sla_of, tenant_of
-
-
-class ClusterHandle(int):
-    """A cluster ticket that doubles as a result cursor.
-
-    Mirrors :class:`~repro.runtime.handle.QueryHandle` (which backs it
-    one hop down): the value is the router-assigned cluster ticket, and
-    the cursor methods delegate to the shard handle the ticket currently
-    resolves to — transparently following retries and handoffs.
-    """
-
-    _router = None
-
-    @classmethod
-    def attach(cls, ticket: int, router: "ClusterRouter") -> "ClusterHandle":
-        handle = cls(ticket)
-        handle._router = router
-        return handle
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ClusterHandle({int(self)})"
-
-    def __str__(self) -> str:
-        return str(int(self))
-
-    def _require_router(self) -> "ClusterRouter":
-        if self._router is None:
-            raise ReproError(
-                f"cluster handle {int(self)} is not attached to a router"
-            )
-        return self._router
-
-    @property
-    def address(self) -> ShardAddress:
-        """Where the query currently lives: ``(shard, ticket)``."""
-        return self._require_router().address_of(int(self))
-
-    def _shard_handle(self) -> QueryHandle:
-        return self._require_router().handle(int(self))
-
-    def fetch(self, n: int = 65536):
-        """Up to ``n`` result rows from the query's current attempt."""
-        return self._shard_handle().fetch(n)
-
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._shard_handle())
-
-    def result(self):
-        return self._require_router().result(int(self))
-
-    def cancel(self) -> bool:
-        return self._require_router().cancel(int(self))
-
-    def progress(self) -> dict:
-        return self._shard_handle().progress()
-
-
-class FanoutHandle:
-    """One cursor over a query fanned out to every shard.
-
-    Per-shard result streams are merged in shard order: :meth:`fetch`
-    and iteration exhaust shard 0's stream, then shard 1's, and so on —
-    a deterministic merge that preserves each shard's internal order.
-    For pipeline-breaker queries (aggregates, top-k) each shard
-    contributes one whole final payload, so iteration yields exactly one
-    batch per shard.
-    """
-
-    def __init__(
-        self, router: "ClusterRouter", tickets: Sequence[ClusterHandle]
-    ) -> None:
-        self._router = router
-        self.tickets: Tuple[ClusterHandle, ...] = tuple(tickets)
-        self._cursor = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"FanoutHandle({[int(t) for t in self.tickets]})"
-
-    def fetch(self, n: int = 65536):
-        """The next batch of up to ``n`` rows, ``None`` when exhausted."""
-        while self._cursor < len(self.tickets):
-            handle = self._router.handle(self.tickets[self._cursor])
-            batch = handle.fetch(n)
-            if batch is not None:
-                return batch
-            self._cursor += 1
-        return None
-
-    def __iter__(self) -> Iterator[object]:
-        for ticket in self.tickets:
-            yield from self._router.handle(ticket)
-
-    def results(self) -> List[object]:
-        """Per-shard assembled results, in shard order."""
-        return [self._router.result(ticket) for ticket in self.tickets]
-
-    def records(self) -> List[LatencyRecord]:
-        """Per-shard latency records, in shard order."""
-        return [self._router.record(ticket) for ticket in self.tickets]
-
-    def cancel(self) -> int:
-        """Cancel every per-shard query; returns how many were cancelled."""
-        return sum(1 for t in self.tickets if self._router.cancel(t))
 
 
 class ClusterRouter:
@@ -309,7 +207,7 @@ class ClusterRouter:
         """The ``(shard, shard_ticket)`` a cluster ticket resolves to."""
         address = self._tickets.address_of(ticket)
         if address is None:
-            raise ReproError(f"unknown cluster ticket {int(ticket)}")
+            raise UnknownTicketError(f"unknown cluster ticket {int(ticket)}")
         return address
 
     # ------------------------------------------------------------------
@@ -360,13 +258,13 @@ class ClusterRouter:
         tenant: Optional[str] = None,
         sla: Optional[Union[str, SlaClass]] = None,
         shard: Optional[int] = None,
-    ) -> ClusterHandle:
-        """Route one query by name; returns its :class:`ClusterHandle`.
+    ) -> QueryHandle:
+        """Route one query by name; returns its :class:`QueryHandle`.
 
         All :meth:`AnalyticsServer.submit` keywords apply per shard
         (``backoff=None`` takes the shard's ``runtime.retry_backoff``);
-        ``shard=`` pins the query to an explicit shard (fan-out and
-        tests), otherwise the placement policy chooses.
+        ``shard=`` pins the query to an explicit shard, otherwise the
+        placement policy chooses.
         """
         return self.submit_spec(
             self.query_spec(name),
@@ -392,7 +290,7 @@ class ClusterRouter:
         tenant: Optional[str] = None,
         sla: Optional[Union[str, SlaClass]] = None,
         shard: Optional[int] = None,
-    ) -> ClusterHandle:
+    ) -> QueryHandle:
         """Route a pre-built :class:`QuerySpec` (model environment)."""
         self._check_tenant_quota(tenant)
         at_time = 0.0 if at is None else float(at)
@@ -440,7 +338,7 @@ class ClusterRouter:
             "weight": weight,
             "charge": charge,
         }
-        return ClusterHandle.attach(ticket, self)
+        return QueryHandle.attach(ticket, self)
 
     def _weight_of(
         self, spec: QuerySpec, sla: Optional[Union[str, SlaClass]]
@@ -462,7 +360,7 @@ class ClusterRouter:
         *,
         retries: int = 0,
         backoff: Optional[float] = None,
-    ) -> List[ClusterHandle]:
+    ) -> List[QueryHandle]:
         """Route a ``[(arrival, spec)]`` workload (e.g. a phased
         multi-tenant stream): each query's tenant and SLA class are read
         off its ``tenant:<name>`` / ``sla:<name>`` tags, so §3.2
@@ -480,31 +378,6 @@ class ClusterRouter:
                 )
             )
         return handles
-
-    def fanout(
-        self,
-        name: str,
-        at: Optional[float] = None,
-        *,
-        deadline: Optional[float] = None,
-        priority: int = 0,
-        tenant: Optional[str] = None,
-        sla: Optional[Union[str, SlaClass]] = None,
-    ) -> FanoutHandle:
-        """Submit ``name`` to *every* active shard; merge the streams."""
-        tickets = [
-            self.submit(
-                name,
-                at=at,
-                deadline=deadline,
-                priority=priority,
-                tenant=tenant,
-                sla=sla,
-                shard=shard,
-            )
-            for shard in self.active_shards()
-        ]
-        return FanoutHandle(self, tickets)
 
     def _check_tenant_quota(self, tenant: Optional[str]) -> None:
         if tenant is None:
@@ -556,7 +429,8 @@ class ClusterRouter:
             address = self._tickets.address_of(ticket)
             if address.shard != shard:
                 continue
-            if server.backend.terminal(server.tickets.resolve(address.ticket)):
+            backend, job = server._locate(address.ticket)
+            if backend.terminal(job):
                 continue  # already finished here; settles normally
             at_time = 0.0 if entry["at"] is None else float(entry["at"])
             target = self._placement.choose(
@@ -603,50 +477,34 @@ class ClusterRouter:
         self._active[shard] = True
 
     # ------------------------------------------------------------------
-    # Results (all resolve the cluster ticket to its current address)
+    # Results: one resolver, then one backend call
     # ------------------------------------------------------------------
-    def _locate(self, ticket: int) -> Tuple[AnalyticsServer, int]:
+    def _locate(self, ticket: int):
+        """``(backend, job)`` of the cluster ticket's latest attempt:
+        its shard address, chained into that shard's resolver."""
         address = self.address_of(ticket)
-        return self.shards[address.shard], address.ticket
+        return self.shards[address.shard]._locate(address.ticket)
 
     def poll(self, ticket: int) -> Optional[LatencyRecord]:
-        server, shard_ticket = self._locate(ticket)
-        return server.poll(shard_ticket)
-
-    def wait(
-        self, ticket: int, timeout: Optional[float] = None
-    ) -> LatencyRecord:
-        server, shard_ticket = self._locate(ticket)
-        return server.wait(shard_ticket, timeout=timeout)
+        backend, job = self._locate(ticket)
+        return backend.poll(job)
 
     def cancel(self, ticket: int) -> bool:
-        server, shard_ticket = self._locate(ticket)
-        return server.cancel(shard_ticket)
-
-    def handle(self, ticket: int) -> QueryHandle:
-        """The shard-level handle of the ticket's current attempt."""
-        server, shard_ticket = self._locate(ticket)
-        return server.handle(shard_ticket)
-
-    def failed(self, ticket: int) -> bool:
-        server, shard_ticket = self._locate(ticket)
-        return server.failed(shard_ticket)
+        """Cancel through the owning shard, which also disarms its retries."""
+        address = self.address_of(ticket)
+        return self.shards[address.shard].cancel(address.ticket)
 
     def failure(self, ticket: int) -> Optional[BaseException]:
-        server, shard_ticket = self._locate(ticket)
-        return server.failure(shard_ticket)
+        backend, job = self._locate(ticket)
+        return backend.failure(job)
 
     def result(self, ticket: int):
-        server, shard_ticket = self._locate(ticket)
-        return server.result(shard_ticket)
-
-    def latency(self, ticket: int) -> float:
-        server, shard_ticket = self._locate(ticket)
-        return server.latency(shard_ticket)
+        backend, job = self._locate(ticket)
+        return backend.result(job)
 
     def record(self, ticket: int) -> LatencyRecord:
-        server, shard_ticket = self._locate(ticket)
-        return server.record(shard_ticket)
+        backend, job = self._locate(ticket)
+        return backend.record(job)
 
     # ------------------------------------------------------------------
     # Settlement: feed completions back into the placement predictor

@@ -39,10 +39,12 @@ All backends present the same *online* lifecycle, which the
 Results flow through one bounded
 :class:`~repro.runtime.channel.ResultChannel` per job.  The engine
 pushes row chunks as morsels of the final pipeline complete; callers
-either consume the live stream through the handle (threaded backend —
-bounded memory) or let ``drain()`` absorb the stream into the handle's
-spill so ``results[job_id]`` holds the assembled value exactly as it
-did before the streaming refactor.
+either consume the live stream through a handle (threaded backend —
+bounded memory) or let ``drain()`` absorb the stream into the job's
+:class:`~repro.runtime.handle.ResultCursor` so ``results[job_id]``
+holds the assembled value.  A handle of any layer reaches that cursor
+through :meth:`ExecutionBackend._locate`, the bottom of the one ticket
+resolver chain.
 
 However a query ends — completed, cancelled, failed, timed out, served
 from a fold or a cache — its outcome is published by one method,
@@ -77,7 +79,7 @@ from repro.runtime.channel import (
 )
 from repro.runtime.clock import Clock, VirtualClock
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.handle import QueryHandle
+from repro.runtime.handle import QueryHandle, ResultCursor
 
 
 class BackendState(enum.Enum):
@@ -111,8 +113,8 @@ class ExecutionBackend(abc.ABC):
         #: How many chunks each job's result channel buffers before
         #: applying backpressure.
         self.channel_capacity = channel_capacity
-        self._channels: Dict[int, ResultChannel] = {}
-        self._handles: Dict[int, QueryHandle] = {}
+        #: Each job's result channel and the cursor over it.
+        self._cursors: Dict[int, ResultCursor] = {}
         #: Serializes _absorb_stream: on a real-time backend several
         #: caller threads may absorb one job (two waiters of one fold).
         self._absorb_lock = threading.Lock()
@@ -161,14 +163,11 @@ class ExecutionBackend(abc.ABC):
                 )
             job_id = self._next_job_id
             self._next_job_id += 1
-            channel = ResultChannel(
-                self.channel_capacity, blocking=self._channel_blocking
+            self._cursors[job_id] = ResultCursor(
+                ResultChannel(self.channel_capacity, blocking=self._channel_blocking)
             )
-            handle = QueryHandle.attach(job_id, self, channel)
-            self._channels[job_id] = channel
-            self._handles[job_id] = handle
         self._do_submit(job_id, spec, at)
-        return handle
+        return QueryHandle.attach(job_id, self)
 
     def drain(self) -> List[LatencyRecord]:
         """Run every submitted job to completion; return the new records."""
@@ -213,7 +212,7 @@ class ExecutionBackend(abc.ABC):
 
     def _abort(self, job_id: int, error: Optional[BaseException]) -> bool:
         """The body of :meth:`cancel` (``error is None``) and :meth:`fail`."""
-        self._check_job(job_id)
+        self._locate(job_id)
         with self._lifecycle_lock:
             if self._state is BackendState.CLOSED:
                 verb = "cancel" if error is None else "fail a job"
@@ -230,25 +229,22 @@ class ExecutionBackend(abc.ABC):
                 self.failures[job_id] = error
             if self.on_terminal is not None:
                 self.on_terminal(job_id)
-        channel = self._channels.get(job_id)
-        if channel is not None:
-            # Fail the channel *first*: a threaded producer parked in a
-            # full channel must wake (and see its puts become drops)
-            # before the scheduler drains the query's remaining work.
+        # Fail the channel *first*: a threaded producer parked in a full
+        # channel must wake (and see its puts become drops) before the
+        # scheduler drains the query's remaining work.
+        channel = self._cursors[job_id].channel
+        if error is None:
+            channel.fail(QueryCancelledError(f"query job {job_id} was cancelled"))
+        else:
+            self._fail_channel(job_id, error, error_text(error))
+        if not channel.failed:
+            # The job completed in the race window; its clean close won,
+            # so the result stands and the abort is a no-op.
             if error is None:
-                channel.fail(
-                    QueryCancelledError(f"query job {job_id} was cancelled")
-                )
+                self._cancelled.discard(job_id)
             else:
-                self._fail_channel(job_id, error, error_text(error))
-            if not channel.failed:
-                # The job completed in the race window; its clean close
-                # won, so the result stands and the abort is a no-op.
-                if error is None:
-                    self._cancelled.discard(job_id)
-                else:
-                    self.failures.pop(job_id, None)
-                return False
+                self.failures.pop(job_id, None)
+            return False
         if error is None:
             self._do_cancel(job_id)
         else:
@@ -288,11 +284,9 @@ class ExecutionBackend(abc.ABC):
 
     def _fail_channel(self, job_id: int, cause: BaseException, text: str) -> None:
         """Fail a job's channel with ``QueryFailedError`` chaining ``cause``."""
-        channel = self._channels.get(job_id)
-        if channel is not None:
-            failure = QueryFailedError(f"query job {job_id} failed: {text}")
-            failure.__cause__ = cause
-            channel.fail(failure)
+        failure = QueryFailedError(f"query job {job_id} failed: {text}")
+        failure.__cause__ = cause
+        self._cursors[job_id].channel.fail(failure)
 
     def _settle(
         self,
@@ -313,13 +307,13 @@ class ExecutionBackend(abc.ABC):
         close.  The record is written last: ``drain()`` counts records,
         so a counted job is guaranteed fully materialised.
         """
-        channel = self._channels.get(job_id)
+        channel = self._cursors[job_id].channel
         if record.failed:
             if cause is None:
                 cause = error_from_text(record.error)
             self.failures[job_id] = cause
             self._fail_channel(job_id, cause, record.error)
-        elif not record.cancelled and channel is not None:
+        elif not record.cancelled:
             if self._channel_blocking:
                 # Real time: the chunks are already in memory, so
                 # backpressure would bound nothing — it would only park
@@ -410,24 +404,30 @@ class ExecutionBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Job status
     # ------------------------------------------------------------------
-    def _check_job(self, job_id: int) -> None:
+    def _locate(self, job_id: int) -> Tuple["ExecutionBackend", int]:
+        """The bottom of the ticket resolver chain: ``(self, job_id)``.
+
+        Every per-job call checks its job id here; one never issued
+        raises :class:`~repro.errors.UnknownTicketError`.
+        """
         if job_id >= self._next_job_id or job_id < 0:
             raise UnknownTicketError(f"unknown job id {job_id}")
+        return self, job_id
 
     def poll(self, job_id: int) -> Optional[LatencyRecord]:
         """The job's latency record if it completed, else ``None``."""
-        self._check_job(job_id)
+        self._locate(job_id)
         return self.records.get(job_id)
 
-    def handle(self, job_id: int) -> QueryHandle:
-        """The :class:`QueryHandle` issued for ``job_id`` at submit."""
-        self._check_job(job_id)
-        return self._handles[job_id]
-
-    def cancelled(self, job_id: int) -> bool:
-        """Whether ``job_id`` was cancelled."""
-        self._check_job(job_id)
-        return job_id in self._cancelled
+    def record(self, job_id: int) -> LatencyRecord:
+        """The job's latency record; raises if it has not finished."""
+        record = self.records.get(job_id)
+        if record is None:
+            self._locate(job_id)
+            raise ReproError(
+                f"job {job_id} has not finished; drain() or wait() for it"
+            )
+        return record
 
     def terminal(self, job_id: int) -> bool:
         """Whether ``job_id`` stopped being pending: settled or aborted."""
@@ -439,11 +439,7 @@ class ExecutionBackend(abc.ABC):
 
     def failed(self, job_id: int) -> bool:
         """Whether ``job_id`` failed (exception, fault, deadline, shed)."""
-        self._check_job(job_id)
-        if job_id in self.failures:
-            return True
-        record = self.records.get(job_id)
-        return record is not None and record.failed
+        return self.failure(job_id) is not None
 
     def failure(self, job_id: int) -> Optional[BaseException]:
         """The exception that failed ``job_id``, if it failed.
@@ -452,7 +448,7 @@ class ExecutionBackend(abc.ABC):
         crossed a process pipe are reconstructed from the record's error
         text (class identity preserved for library errors).
         """
-        self._check_job(job_id)
+        self._locate(job_id)
         error = self.failures.get(job_id)
         if error is not None:
             return error
@@ -469,19 +465,17 @@ class ExecutionBackend(abc.ABC):
         ``chunks_pending`` (buffered, not yet fetched), ``rows_fetched``
         (consumed via the handle).
         """
-        self._check_job(job_id)
-        channel = self._channels.get(job_id)
-        handle = self._handles.get(job_id)
-        record = self.records.get(job_id)
+        self._locate(job_id)
+        cursor = self._cursors[job_id]
+        channel = cursor.channel
         return {
             "done": job_id in self.records,
             "cancelled": job_id in self._cancelled,
-            "failed": job_id in self.failures
-            or (record is not None and record.failed),
-            "chunks_put": channel.chunks_put if channel is not None else 0,
-            "rows_put": channel.rows_put if channel is not None else 0,
-            "chunks_pending": channel.depth if channel is not None else 0,
-            "rows_fetched": handle.fetched_rows if handle is not None else 0,
+            "failed": self.failed(job_id),
+            "chunks_put": channel.chunks_put,
+            "rows_put": channel.rows_put,
+            "chunks_pending": channel.depth,
+            "rows_fetched": cursor.fetched_rows,
         }
 
     def result(self, job_id: int):
@@ -495,27 +489,25 @@ class ExecutionBackend(abc.ABC):
         never materialized), or ran in an environment that produces no
         results.
         """
-        self._check_job(job_id)
+        self._locate(job_id)
+        if not self.terminal(job_id):
+            raise ReproError(f"job {job_id} has no result yet (did you run()?)")
         if job_id in self._cancelled:
             raise QueryCancelledError(
                 f"query job {job_id} was cancelled; it has no result"
             )
-        record = self.records.get(job_id)
-        if job_id in self.failures or (record is not None and record.failed):
-            cause = self.failure(job_id)
+        cause = self.failure(job_id)
+        if cause is not None:
             raise QueryFailedError(
                 f"query job {job_id} failed: {error_text(cause)}"
             ) from cause
         if job_id in self.results:
             return self.results[job_id]
-        handle = self._handles.get(job_id)
-        if handle is not None and handle._streamed:
+        if self._cursors[job_id].streamed:
             raise ReproError(
                 f"job {job_id} was consumed as a stream; its full result "
                 "was never materialized"
             )
-        if job_id not in self.records:
-            raise ReproError(f"job {job_id} has not finished")
         self._absorb_stream(job_id)
         if job_id not in self.results:
             raise ReproError(
@@ -525,21 +517,19 @@ class ExecutionBackend(abc.ABC):
         return self.results[job_id]
 
     def _absorb_stream(self, job_id: int) -> None:
-        """Move buffered chunks into the handle's spill; assemble if done.
+        """Move buffered chunks into the job's spill; assemble if done.
 
         Called by ``drain()`` (and ``result``): popping the channel
         unblocks any producer parked on a full channel, and once the
         channel closes cleanly the spilled chunks reassemble into
         ``results[job_id]`` — bit-identical to the pre-streaming value,
         because the chunks are exactly the old sink buffer in order.
-        Handles being consumed as live streams are left alone.
+        Streams being consumed live are left alone.
         """
-        handle = self._handles.get(job_id)
-        channel = self._channels.get(job_id)
-        if handle is None or channel is None:
-            return
+        cursor = self._cursors[job_id]
+        channel = cursor.channel
         with self._absorb_lock:
-            if handle._streamed or handle._materialized:
+            if cursor.streamed or cursor.materialized:
                 return
             while True:
                 try:
@@ -548,11 +538,11 @@ class ExecutionBackend(abc.ABC):
                     return  # failed channel (cancellation); nothing to keep
                 if chunk is None:
                     break
-                handle._spill.append(chunk)
+                cursor.spill.append(chunk)
             if channel.closed and not channel.failed:
-                handle._materialized = True
-                if handle._spill and job_id not in self.results:
-                    assembled = assemble_chunks(handle._spill)
+                cursor.materialized = True
+                if cursor.spill and job_id not in self.results:
+                    assembled = assemble_chunks(cursor.spill)
                     if assembled is not NO_RESULT:
                         self.results[job_id] = assembled
 

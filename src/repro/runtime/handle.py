@@ -1,30 +1,28 @@
-"""Query handles: cursor-style access to a submitted query's results.
+"""Query handles: one ticket class for every layer, one cursor per job.
 
-``ExecutionBackend.submit`` returns a :class:`QueryHandle`.  The handle
-*is* the job ticket — it subclasses :class:`int`, so every caller that
-treated the old integer ticket as a dict key, compared it, or passed it
-back into ``poll``/``wait``/``result`` keeps working unchanged — but it
-also fronts the query's :class:`~repro.runtime.channel.ResultChannel`
-with cursor semantics:
+A :class:`QueryHandle` is the ticket a backend, server or router issued
+— an :class:`int`, usable as a dict key and passable back into
+``poll``/``wait``/``result`` — bound to that *owner*.  Every call
+resolves it through the owner's one resolver, ``owner._locate(ticket)
+-> (backend, job_id)`` (a server follows retry aliases, a router its
+shard address and then the shard's), so a handle follows retries and
+handoffs by construction:
 
-* :meth:`fetch` pops up to ``n`` result rows (splitting chunks when
-  needed), blocking for the next chunk on the threaded backend;
-* iterating yields batches at their natural chunk boundaries;
-* :meth:`cancel` propagates down to task-set tagging in ``core/``;
-* :meth:`progress` reports streaming counters without consuming.
+* :meth:`~QueryHandle.fetch` pops up to ``n`` result rows (splitting
+  chunks), blocking for the next chunk on the threaded backend;
+  iteration yields batches at their natural chunk boundaries;
+* :meth:`~QueryHandle.cancel` is the owner's ``cancel`` (a server's also
+  disarms the ticket's retries);
+* ``progress``, ``result``, ``failed`` and ``failure`` are the
+  backend's answers for the resolved job.
 
-Two consumption modes share the interface:
-
-**streaming** (threaded backend, before ``drain``)
-    ``fetch`` pops the live channel, so peak buffered memory stays
-    bounded by the channel capacity no matter how large the result is.
-    Popped rows are gone — ``result()`` afterwards raises, because the
-    full result was deliberately never materialized.
-
-**materialized** (after ``drain``, and always on virtual-time backends)
-    The backend has absorbed the stream into the handle's spill list;
-    ``fetch``/iteration *replay* from the spill without consuming it,
-    so ``result()`` and ``results[ticket]`` still see the whole value.
+The cursor state lives with the backend's job, one :class:`ResultCursor`
+per job, in one of two modes.  **Streaming** (threaded backend, before
+``drain``): ``fetch`` pops the live channel, so buffered memory stays
+bounded by the channel capacity; popped rows are gone and ``result()``
+afterwards raises.  **Materialized** (after ``drain``, and always on
+virtual-time backends): the backend absorbed the stream into the
+cursor's spill, which ``fetch``/iteration replay without consuming it.
 """
 
 from __future__ import annotations
@@ -35,97 +33,92 @@ from repro.errors import ReproError
 from repro.runtime.channel import FINAL, ResultChannel, ResultChunk
 
 
-class QueryHandle(int):
-    """An integer job ticket that doubles as a result cursor.
+class ResultCursor:
+    """One job's position in its result stream; the backend keeps one per job.
 
-    Instances are created by the backend via :meth:`attach`; the value
-    is the backend-assigned job id.
+    ``spill`` is replayed from ``position``; ``partial`` is the rest of a
+    chunk ``fetch(n)`` split.
     """
 
-    #: Attribute defaults so an un-attached handle (e.g. one built by
-    #: pickling the plain int) degrades to a bare ticket gracefully.
-    _backend = None
-    _channel: Optional[ResultChannel] = None
+    __slots__ = (
+        "channel", "spill", "position", "partial", "streamed",
+        "materialized", "fetched_rows",
+    )
 
-    @classmethod
-    def attach(
-        cls, job_id: int, backend, channel: ResultChannel
-    ) -> "QueryHandle":
-        """Build a handle for ``job_id`` wired to its backend + channel."""
-        handle = cls(job_id)
-        handle._backend = backend
-        handle._channel = channel
-        handle._spill: List[ResultChunk] = []
-        handle._cursor = 0
-        handle._partial: Optional[Tuple[dict, int, int]] = None
-        handle._streamed = False
-        handle._materialized = False
-        handle.fetched_rows = 0
-        return handle
+    def __init__(self, channel: ResultChannel) -> None:
+        self.channel = channel
+        self.spill: List[ResultChunk] = []
+        self.position = 0
+        self.partial: Optional[Tuple[dict, int, int]] = None
+        self.streamed = False
+        self.materialized = False
+        self.fetched_rows = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"QueryHandle({int(self)})"
-
-    def __str__(self) -> str:
-        # int has no tp_str of its own, so without this str() would fall
-        # back to __repr__ and error messages would read
-        # "job QueryHandle(3)" instead of "job 3".
-        return str(int(self))
-
-    # ------------------------------------------------------------------
-    # Chunk cursor
-    # ------------------------------------------------------------------
-    def _next_chunk(self) -> Optional[ResultChunk]:
+    def next_chunk(self) -> Optional[ResultChunk]:
         """Advance to the next chunk: spilled first, then the live channel."""
-        if self._cursor < len(self._spill):
-            chunk = self._spill[self._cursor]
-            self._cursor += 1
+        if self.position < len(self.spill):
+            chunk = self.spill[self.position]
+            self.position += 1
             return chunk
-        if self._materialized:
-            return None
-        channel = self._channel
-        if channel is None:
+        if self.materialized:
             return None
         # From here on we are consuming the live stream destructively;
-        # drain() must leave this handle's channel alone.
-        self._streamed = True
-        return channel.get(timeout=30.0)
+        # drain() must leave this job's channel alone.
+        self.streamed = True
+        return self.channel.get(timeout=30.0)
 
-    def _take(self, limit: int):
+    def take(self, limit: int):
         """Pop up to ``limit`` rows; returns ``(batch, rows)``.
 
         ``(None, 0)`` means end-of-stream; ``rows is None`` flags a
         ``final`` chunk whose payload is returned whole (pipeline
         breakers produce exactly one, and it need not be sliceable).
         """
-        if self._partial is not None:
-            batch, offset, total = self._partial
+        if self.partial is not None:
+            batch, offset, total = self.partial
             take = min(limit, total - offset)
             out = {
                 name: column[offset : offset + take]
                 for name, column in batch.items()
             }
             if offset + take >= total:
-                self._partial = None
+                self.partial = None
             else:
-                self._partial = (batch, offset + take, total)
+                self.partial = (batch, offset + take, total)
             return out, take
-        chunk = self._next_chunk()
+        chunk = self.next_chunk()
         if chunk is None:
             return None, 0
         if chunk.kind == FINAL:
             return chunk.payload, None
         if chunk.rows <= limit:
             return chunk.payload, chunk.rows
-        self._partial = (chunk.payload, limit, chunk.rows)
+        self.partial = (chunk.payload, limit, chunk.rows)
         return (
             {name: column[:limit] for name, column in chunk.payload.items()},
             limit,
         )
 
-    # ------------------------------------------------------------------
-    # Public cursor API
-    # ------------------------------------------------------------------
+
+class QueryHandle(int):
+    """An integer ticket that doubles as a result cursor.
+
+    Built by the issuing layer via :meth:`attach`; the value is that
+    layer's ticket, and every call resolves it through the owner.  It
+    prints as the bare number, so error messages read "job 3".
+    """
+
+    @classmethod
+    def attach(cls, ticket: int, owner) -> "QueryHandle":
+        """A handle for ``ticket`` answered by ``owner._locate``."""
+        handle = cls(ticket)
+        handle._owner = owner
+        return handle
+
+    def _cursor(self) -> ResultCursor:
+        backend, job_id = self._owner._locate(int(self))
+        return backend._cursors[job_id]
+
     def fetch(self, n: int = 65536):
         """Return a batch of up to ``n`` result rows, ``None`` at the end.
 
@@ -137,10 +130,11 @@ class QueryHandle(int):
         """
         if n < 1:
             raise ReproError(f"fetch(n) needs n >= 1, got {n}")
+        cursor = self._cursor()
         gathered: List[dict] = []
         got = 0
         while got < n:
-            batch, rows = self._take(n - got)
+            batch, rows = cursor.take(n - got)
             if batch is None:
                 break
             if rows is None:
@@ -153,7 +147,7 @@ class QueryHandle(int):
             got += rows
         if not gathered:
             return None
-        self.fetched_rows += got
+        cursor.fetched_rows += got
         if len(gathered) == 1:
             return gathered[0]
         import numpy as np
@@ -165,59 +159,58 @@ class QueryHandle(int):
 
     def __iter__(self) -> Iterator[object]:
         """Yield result batches at their natural chunk boundaries."""
+        cursor = self._cursor()
         while True:
-            if self._partial is not None:
-                batch, offset, total = self._partial
-                self._partial = None
-                self.fetched_rows += total - offset
+            if cursor.partial is not None:
+                batch, offset, total = cursor.partial
+                cursor.partial = None
+                cursor.fetched_rows += total - offset
                 yield {
                     name: column[offset:] for name, column in batch.items()
                 }
                 continue
-            chunk = self._next_chunk()
+            chunk = cursor.next_chunk()
             if chunk is None:
                 return
             if chunk.kind != FINAL:
-                self.fetched_rows += chunk.rows
+                cursor.fetched_rows += chunk.rows
             yield chunk.payload
 
     def rewind(self) -> None:
-        """Reset the cursor to the start (materialized handles only)."""
-        if self._streamed and not self._materialized:
+        """Reset the cursor to the start (materialized results only)."""
+        cursor = self._cursor()
+        if cursor.streamed and not cursor.materialized:
             raise ReproError(
                 "cannot rewind a live stream; rows already fetched are gone"
             )
-        self._cursor = 0
-        self._partial = None
-
-    # ------------------------------------------------------------------
-    # Lifecycle passthroughs
-    # ------------------------------------------------------------------
-    def _require_backend(self):
-        if self._backend is None:
-            raise ReproError(
-                f"handle {int(self)} is not attached to a backend"
-            )
-        return self._backend
+        cursor.position = 0
+        cursor.partial = None
 
     def cancel(self) -> bool:
-        """Cancel the query; see :meth:`ExecutionBackend.cancel`."""
-        return self._require_backend().cancel(int(self))
+        """Cancel the query exactly as the owner's ``cancel`` does."""
+        return self._owner.cancel(int(self))
 
     def progress(self) -> dict:
         """Streaming counters + completion state, without consuming."""
-        return self._require_backend().progress(int(self))
+        backend, job_id = self._owner._locate(int(self))
+        return backend.progress(job_id)
 
     def result(self):
-        """The fully assembled result (materialized handles only)."""
-        return self._require_backend().result(int(self))
+        """The fully assembled result (materialized streams only)."""
+        backend, job_id = self._owner._locate(int(self))
+        return backend.result(job_id)
+
+    def failed(self) -> bool:
+        """Whether the query's latest attempt failed."""
+        backend, job_id = self._owner._locate(int(self))
+        return backend.failed(job_id)
+
+    def failure(self) -> Optional[BaseException]:
+        """The exception that failed the latest attempt, if it failed."""
+        backend, job_id = self._owner._locate(int(self))
+        return backend.failure(job_id)
 
     @property
-    def state(self) -> str:
-        """The backend's view of this job: pending/running/done."""
-        return self._require_backend().poll(int(self))
-
-    @property
-    def channel(self) -> Optional[ResultChannel]:
-        """The underlying result channel (observability, tests)."""
-        return self._channel
+    def channel(self) -> ResultChannel:
+        """The result channel of the latest attempt (observability, tests)."""
+        return self._cursor().channel

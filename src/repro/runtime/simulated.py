@@ -115,7 +115,7 @@ class SimulatedBackend(EpochBackend):
         open_channel = getattr(environment, "open_channel", None)
         if open_channel is not None:
             for arrival_index, (_, _, job_id) in enumerate(run):
-                open_channel(arrival_index, self._channels[job_id])
+                open_channel(arrival_index, self._cursors[job_id].channel)
         result = self.execute(
             [(arrival, spec) for arrival, spec, _ in run],
             environment=environment,
@@ -144,7 +144,7 @@ class SimulatedBackend(EpochBackend):
             # The leader's spilled chunks are the fold's replay buffer:
             # they fan out to every attached query and (on success) into
             # the fragment cache for future epochs.
-            spill = self._handles[job_id]._spill
+            spill = self._cursors[job_id].spill
             chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
             finished.extend(self._settle_fold(record, chunks, fold.members))
             if chunks and not record.failed:

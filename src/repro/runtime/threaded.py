@@ -181,7 +181,7 @@ class ThreadedBackend(ExecutionBackend):
             if open_channel is not None:
                 # Before the group becomes runnable, so the engine wraps
                 # the final sink ahead of the query's first morsel.
-                channel = self._channels[job_id]
+                channel = self._cursors[job_id].channel
                 fold = self._folds.led_by(job_id)
                 if fold is not None:
                     # Fold leader: tee produced chunks into the bounded
@@ -272,8 +272,8 @@ class ThreadedBackend(ExecutionBackend):
         ``ResultChannel.fail`` is a no-op on cleanly closed channels, so
         completed results are never poisoned.
         """
-        for channel in list(self._channels.values()):
-            channel.fail(error)
+        for cursor in list(self._cursors.values()):
+            cursor.channel.fail(error)
 
     # ------------------------------------------------------------------
     # Worker threads
@@ -383,7 +383,7 @@ class ThreadedBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def wait(self, job_id: int, timeout: Optional[float] = None) -> LatencyRecord:
         """Block until one job completes; returns its latency record."""
-        self._check_job(job_id)
+        self._locate(job_id)
         # The deadline runs on the OS monotonic clock, not the backend's
         # WallClock: before start() the latter is pinned at 0.0 and a
         # timed wait would never expire.

@@ -6,8 +6,8 @@ submitted queries.  A ticket's life is more complicated than one
 backend job id:
 
 * a retried query gets a fresh backend ticket per attempt, and the
-  caller's original ticket must transparently follow the chain to the
-  latest attempt (PR 5's alias machinery);
+  caller's original ticket must follow the alias chain to the latest
+  attempt;
 * a query handed off to another shard keeps its cluster ticket but
   changes its :class:`ShardAddress`;
 * admission policies need the submission priority, tenant and SLA
@@ -15,8 +15,11 @@ backend job id:
   per-tenant quotas.
 
 :class:`TicketRegistry` centralises that bookkeeping behind one small
-API, so the server is free to treat tickets as opaque and the cluster
-router can address any query as ``(shard, ticket)``.  Beside the
+API.  It is the mapping step of each layer's one resolver, ``_locate``:
+the server's returns ``backend._locate(resolve(ticket))``, the router's reads
+:meth:`~TicketRegistry.address_of` and chains into the shard's, so a
+cluster ticket reaches the ``(backend, job)`` of its latest attempt in
+one call (see "One ticket path" in ``docs/architecture.md``).  Beside the
 per-ticket metadata it keeps the *pending ledger* of its namespace —
 which tickets are still pending, how many per tenant, which per
 ``(priority, sla)`` class, which retry chains can still fire — updated
@@ -151,10 +154,6 @@ class TicketRegistry:
             ticket = self._aliases[ticket]
         return ticket
 
-    def known(self, ticket: int) -> bool:
-        """Whether this registry ever issued ``ticket``."""
-        return int(ticket) in self._states
-
     def __len__(self) -> int:
         return len(self._states)
 
@@ -183,12 +182,8 @@ class TicketRegistry:
             ]
 
     # ------------------------------------------------------------------
-    # Metadata (resolved through alias chains on lookup)
+    # Metadata (a replacement inherits its chain's when aliased)
     # ------------------------------------------------------------------
-    def state_of(self, ticket: int) -> Optional[TicketState]:
-        """The ticket's own state record (not alias-resolved)."""
-        return self._states.get(int(ticket))
-
     def priority_of(self, ticket: int, default: int = 0) -> int:
         state = self._states.get(int(ticket))
         return state.priority if state is not None else default

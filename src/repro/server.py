@@ -76,16 +76,22 @@ Example::
     long_ = server.submit("Q18")
     server.run()
     print(server.result(short))          # real query result
-    print(server.latency(short) * 1e3, "ms")
+    print(server.record(short).latency * 1e3, "ms")
 
-Streaming: :meth:`submit` returns a
-:class:`~repro.runtime.handle.QueryHandle` — an ``int`` ticket that
-doubles as a result cursor.  On the threaded backend row batches can be
-consumed while the query runs (``handle.fetch(n)`` or iteration), with
-the producer throttled by the bounded result channel; on the
-virtual-time backends the same calls replay the stream after
-``drain()``.  ``server.cancel(ticket)`` aborts an in-flight query: its
-stream fails with :class:`~repro.errors.QueryCancelledError` and the
+Tickets: :meth:`submit` returns a
+:class:`~repro.runtime.handle.QueryHandle` bound to this server — an
+``int`` ticket that doubles as a result cursor.  A retried ticket is
+an alias chain in the :class:`~repro.runtime.tickets.TicketRegistry`,
+and one resolver, :meth:`_locate`, maps a ticket to the ``(backend,
+job)`` of its latest attempt.  Every per-ticket method (``poll``,
+``wait``, ``cancel``, ``result``, ``record``) and every handle call
+resolves through it, so the handle and the server always agree.  On the
+threaded backend row batches can be consumed while the query runs
+(``handle.fetch(n)`` or iteration), with the producer throttled by the
+bounded result channel; on the virtual-time backends the same calls
+replay the stream after ``drain()``.  ``server.cancel(ticket)`` (or
+``handle.cancel()``) aborts an in-flight query and disarms its retries:
+its stream fails with :class:`~repro.errors.QueryCancelledError` and the
 scheduler winds the query down through the normal finalization
 protocol, freeing its admission slot.
 
@@ -481,8 +487,8 @@ class AnalyticsServer:
         """Submit one query by name; returns its :class:`QueryHandle`.
 
         The handle is an ``int`` (usable everywhere a ticket is) that
-        additionally exposes the streaming cursor API: ``fetch(n)``,
-        iteration, ``cancel()`` and ``progress()``.
+        additionally exposes the streaming cursor API (``fetch(n)``,
+        iteration) and this server's answers for the ticket.
 
         On the virtual-time backends ``at`` is the virtual arrival time
         relative to the next :meth:`drain` (default 0.0).  On the
@@ -502,7 +508,7 @@ class AnalyticsServer:
         attempts, capped by the server-wide ``retry_budget``.  Permanent
         failures (plan errors, timeouts, cancellations, shedding) are
         never retried.  Retried tickets stay valid: :meth:`poll`,
-        :meth:`wait`, :meth:`result`, :meth:`record` and :meth:`latency`
+        :meth:`wait`, :meth:`result`, :meth:`record` and the handle
         transparently follow the ticket to its latest attempt.
 
         ``tenant`` charges the query to a tenant's admission quota;
@@ -572,8 +578,7 @@ class AnalyticsServer:
         )
         self._admission_policy.admit(self._backend, self._tickets, request)
         spec = self._decorate_spec(spec, deadline, tenant, sla_class)
-        handle = self._backend.submit(spec, at=at)
-        ticket = int(handle)
+        ticket = int(self._backend.submit(spec, at=at))
         self._tickets.register(
             ticket,
             priority=request.effective_priority,
@@ -585,7 +590,7 @@ class AnalyticsServer:
             self._tickets.arm_retry(
                 ticket, spec=spec, at=at, retries=retries, backoff=backoff
             )
-        return handle
+        return QueryHandle.attach(ticket, self)
 
     def _recheck(self, ticket: int) -> None:
         """Register, then re-check: on real threads a job can finish (and
@@ -632,10 +637,6 @@ class AnalyticsServer:
     # ------------------------------------------------------------------
     # Retries
     # ------------------------------------------------------------------
-    def _resolve(self, ticket: int) -> int:
-        """Follow a ticket through its retry replacements."""
-        return self._tickets.resolve(ticket)
-
     def _maybe_retry(self) -> bool:
         """Resubmit retry-eligible failed tickets; True if any were."""
         resubmitted = False
@@ -654,7 +655,7 @@ class AnalyticsServer:
         state = self._tickets.retry_state(original)
         if state is None:
             return None
-        current = self._resolve(original)
+        current = self._tickets.resolve(original)
         backend = self._backend
         if current not in backend.records:
             return None
@@ -688,14 +689,18 @@ class AnalyticsServer:
         return replacement
 
     # ------------------------------------------------------------------
-    # Results
+    # Results: one resolver, then one backend call
     # ------------------------------------------------------------------
-    def poll(self, ticket: int) -> Optional[LatencyRecord]:
-        """The latency record if the query completed, else ``None``.
+    def _locate(self, ticket: int) -> Tuple[ExecutionBackend, int]:
+        """``(backend, job)`` of the ticket's latest attempt: the retry
+        alias chain, then the backend's resolver (which raises
+        :class:`~repro.errors.UnknownTicketError` for a ticket never issued)."""
+        return self._backend._locate(self._tickets.resolve(ticket))
 
-        Follows retried tickets to their latest attempt.
-        """
-        return self._backend.poll(self._resolve(ticket))
+    def poll(self, ticket: int) -> Optional[LatencyRecord]:
+        """The latency record if the query completed, else ``None``."""
+        backend, job = self._locate(ticket)
+        return backend.poll(job)
 
     def wait(self, ticket: int, timeout: Optional[float] = None) -> LatencyRecord:
         """Block until one query completes (threaded backend).
@@ -706,26 +711,13 @@ class AnalyticsServer:
         are retried here too: a transient failure resubmits (after the
         backoff) and the wait continues on the replacement attempt.
         """
-        ticket = int(ticket)
-        if isinstance(self._backend, ThreadedBackend):
-            while True:
-                record = self._backend.wait(
-                    self._resolve(ticket), timeout=timeout
-                )
-                if (
-                    record.failed
-                    and self._retry_one(ticket, sleep=True) is not None
-                ):
-                    continue
+        while True:
+            backend, job = self._locate(ticket)
+            if not isinstance(backend, ThreadedBackend):
+                return backend.record(job)
+            record = backend.wait(job, timeout=timeout)
+            if not record.failed or self._retry_one(int(ticket), sleep=True) is None:
                 return record
-        record = self._backend.poll(self._resolve(ticket))
-        if record is None:
-            raise ReproError(
-                f"ticket {ticket} has not finished; the "
-                f"{self._backend_name} backend completes queries in "
-                f"drain()/run()"
-            )
-        return record
 
     def cancel(self, ticket: int) -> bool:
         """Abort one in-flight query; ``True`` if it was cancelled.
@@ -738,21 +730,9 @@ class AnalyticsServer:
         Cancelling a retried ticket cancels its latest attempt and stops
         further retries.
         """
-        ticket = int(ticket)
         self._tickets.disarm_retry(ticket)
-        return self._backend.cancel(self._resolve(ticket))
-
-    def handle(self, ticket: int) -> QueryHandle:
-        """The :class:`QueryHandle` of the ticket's latest attempt."""
-        return self._backend.handle(self._resolve(ticket))
-
-    def failed(self, ticket: int) -> bool:
-        """Whether the ticket's latest attempt failed."""
-        return self._backend.failed(self._resolve(ticket))
-
-    def failure(self, ticket: int) -> Optional[BaseException]:
-        """The exception that failed the ticket's latest attempt."""
-        return self._backend.failure(self._resolve(ticket))
+        backend, job = self._locate(ticket)
+        return backend.cancel(job)
 
     def result(self, ticket: int):
         """The fully assembled query result for a completed ticket.
@@ -760,30 +740,15 @@ class AnalyticsServer:
         Raises :class:`~repro.errors.QueryCancelledError` for cancelled
         queries, :class:`~repro.errors.QueryFailedError` for failed ones
         (chaining the cause), and :class:`~repro.errors.ReproError` for
-        unfinished tickets or tickets consumed as live streams.  Follows
-        retried tickets to their latest attempt.
+        unfinished tickets or tickets consumed as live streams.
         """
-        backend = self._backend
-        ticket = self._resolve(ticket)
-        if 0 <= ticket < backend.submitted_count and not backend.terminal(ticket):
-            raise ReproError(
-                f"ticket {ticket} has no result (did you run()?)"
-            )
-        return backend.result(ticket)
-
-    def latency(self, ticket: int) -> float:
-        """End-to-end latency of a finished query in seconds."""
-        record = self._backend.records.get(self._resolve(ticket))
-        if record is None:
-            raise ReproError(f"ticket {ticket} has not finished")
-        return record.latency
+        backend, job = self._locate(ticket)
+        return backend.result(job)
 
     def record(self, ticket: int) -> LatencyRecord:
         """The full latency record of a finished query (latest attempt)."""
-        record = self._backend.records.get(self._resolve(ticket))
-        if record is None:
-            raise ReproError(f"ticket {ticket} has not finished")
-        return record
+        backend, job = self._locate(ticket)
+        return backend.record(job)
 
     # ------------------------------------------------------------------
     # Fault injection

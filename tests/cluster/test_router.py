@@ -1,4 +1,4 @@
-"""Tests for the cluster router: routing, fan-out, draining, quotas.
+"""Tests for the cluster router: routing, draining, quotas.
 
 The determinism tests pin down the PR 7 acceptance criterion: a
 4-shard cluster on the simulated backend (model environment) runs a
@@ -77,27 +77,27 @@ class TestRouting:
         router = make_router()
         handle = router.submit("Q6")
         assert handle == 0
-        assert handle.address == ShardAddress(0, 0)
+        assert router.address_of(handle) == ShardAddress(0, 0)
         router.drain()
-        assert router.latency(handle) > 0.0
+        assert router.record(handle).latency > 0.0
         assert router.record(handle).name == "Q6"
 
     def test_predictive_spreads_heavy_queries(self):
         router = make_router()
-        shards = {router.submit("Q18").address.shard for _ in range(4)}
+        shards = {router.address_of(router.submit("Q18")).shard for _ in range(4)}
         assert shards == {0, 1, 2, 3}  # equal work fans out across shards
 
     def test_light_query_avoids_loaded_shard(self):
         router = make_router(n_shards=2)
         heavy = router.submit("Q18")
         light = router.submit("Q6")
-        assert heavy.address.shard == 0
-        assert light.address.shard == 1
+        assert router.address_of(heavy).shard == 0
+        assert router.address_of(light).shard == 1
 
     def test_explicit_shard_pins(self):
         router = make_router()
         handle = router.submit("Q6", shard=2)
-        assert handle.address.shard == 2
+        assert router.address_of(handle).shard == 2
 
     def test_bad_shard_rejected(self):
         router = make_router(n_shards=2)
@@ -106,7 +106,7 @@ class TestRouting:
 
     def test_unknown_ticket_rejected(self):
         with pytest.raises(ReproError, match="unknown cluster ticket"):
-            make_router().latency(99)
+            make_router().record(99)
 
     def test_calibration_updates_after_drain(self):
         router = make_router()
@@ -152,31 +152,13 @@ class TestTenantQuotas:
         assert router.placement.snapshot() == before
 
 
-class TestFanout:
-    def test_fanout_hits_every_active_shard(self):
-        router = make_router()
-        fan = router.fanout("Q6")
-        assert [t.address.shard for t in fan.tickets] == [0, 1, 2, 3]
-        router.drain()
-        records = fan.records()
-        assert [r.name for r in records] == ["Q6"] * 4
-        assert all(r.latency > 0.0 for r in records)
-
-    def test_fanout_cancel(self):
-        router = make_router()
-        fan = router.fanout("Q6")
-        assert fan.cancel() == 4
-        router.drain()
-        assert all(router.record(t).cancelled for t in fan.tickets)
-
-
 class TestDrainShard:
     def test_handoff_moves_pending_queries(self):
         router = make_router()
         handles = [router.submit("Q6", shard=1) for _ in range(3)]
         moved = router.drain_shard(1)
         assert moved == 3
-        assert all(h.address.shard != 1 for h in handles)
+        assert all(router.address_of(h).shard != 1 for h in handles)
         assert router.active_shards() == [0, 2, 3]
         router.drain()
         for handle in handles:
@@ -186,7 +168,7 @@ class TestDrainShard:
     def test_zero_lost_tickets_mid_workload(self):
         router = make_router()
         handles = router.submit_workload(tenant_workload())
-        victim = handles[0].address.shard
+        victim = router.address_of(handles[0]).shard
         router.drain_shard(victim)
         router.drain()
         # Every ticket resolves to a completed record, none dangling.
@@ -194,16 +176,16 @@ class TestDrainShard:
             record = router.record(handle)
             assert record is not None
             assert not record.failed and not record.cancelled
-        assert victim not in {h.address.shard for h in handles}
+        assert victim not in {router.address_of(h).shard for h in handles}
 
     def test_completed_queries_stay_readable_on_retired_shard(self):
         router = make_router()
         done = router.submit("Q6", shard=1)
         router.drain()
-        latency = router.latency(done)
+        latency = router.record(done).latency
         router.drain_shard(1)
-        assert done.address.shard == 1  # never moved
-        assert router.latency(done) == latency
+        assert router.address_of(done).shard == 1  # never moved
+        assert router.record(done).latency == latency
 
     def test_handoff_preserves_tenant_and_sla(self):
         router = make_router(tenant_quotas={"etl": 8})
@@ -211,7 +193,7 @@ class TestDrainShard:
         router.drain_shard(0)
         ticket = int(handle)
         assert router.tickets.tenant_of(ticket) == "etl"
-        target = handle.address
+        target = router.address_of(handle)
         shard = router.shards[target.shard]
         assert shard.tickets.tenant_of(target.ticket) == "etl"
         assert shard.tickets.sla_of(target.ticket) == "bulk"
@@ -222,7 +204,7 @@ class TestDrainShard:
             shard.knob_space().apply({"runtime.retry_backoff": 0.1 * (index + 1)})
 
         def backoff(handle):
-            address = handle.address
+            address = router.address_of(handle)
             shard = router.shards[address.shard]
             return shard.tickets.retry_state(address.ticket)["backoff"]
 
@@ -230,7 +212,7 @@ class TestDrainShard:
         assert backoff(plain) == 0.2
         moved = router.submit("Q6", shard=0, retries=2)
         router.drain_shard(0)
-        target = moved.address.shard
+        target = router.address_of(moved).shard
         assert target != 0
         assert backoff(moved) == 0.1 * (target + 1)
         router.drain()
@@ -271,7 +253,7 @@ class TestPredictiveVsRoundRobin:
             handles = router.submit_workload(workload)
             router.drain()
             latencies = [
-                router.latency(h)
+                router.record(h).latency
                 for h in handles
                 if router.tickets.sla_of(int(h)) == "latency"
             ]
@@ -288,7 +270,8 @@ class TestPredictiveVsRoundRobin:
             handles = router.submit_workload(tenant_workload(seed=9))
             router.drain()
             return [
-                (int(h), h.address, router.latency(h)) for h in handles
+                (int(h), router.address_of(h), router.record(h).latency)
+                for h in handles
             ]
 
         assert run() == run()
@@ -313,7 +296,7 @@ router.drain_shard(1)
 router.drain()
 for handle in handles:
     record = router.record(handle)
-    print(int(handle), tuple(handle.address), record.name,
+    print(int(handle), tuple(router.address_of(handle)), record.name,
           repr(record.latency), record.failed, record.cancelled)
 print(router.placement.snapshot())
 """
@@ -358,21 +341,6 @@ class TestEngineEnvironment:
         b = router.submit("Q6", shard=1)
         router.drain()
         assert router.result(a) == pytest.approx(router.result(b))
-
-    def test_engine_fanout_streams_per_shard_finals(self):
-        router = ClusterRouter(
-            n_shards=2,
-            scale_factor=0.003,
-            scheduler="stride",
-            n_workers=2,
-            seed=5,
-            environment="engine",
-        )
-        fan = router.fanout("Q1")
-        router.drain()
-        batches = list(fan)
-        assert len(batches) == 2  # one final aggregate payload per shard
-        assert len(fan.results()) == 2
 
     def test_custom_placement_instance(self):
         policy = PredictivePlacement(alpha=0.5)

@@ -17,7 +17,7 @@ def is_pending(backend, ticket: int) -> bool:
     return (
         ticket not in backend.records
         and ticket not in backend.failures
-        and not backend.cancelled(ticket)
+        and not backend.progress(ticket)["cancelled"]
     )
 
 

@@ -153,8 +153,8 @@ class TestSheddingRespectsSla:
         protected = server.submit("Q6", sla="latency")
         victim = server.submit("Q6", sla="bulk")
         server.submit("Q6", priority=1)
-        assert isinstance(server.failure(victim), AdmissionError)
-        assert not server.failed(protected)
+        assert isinstance(victim.failure(), AdmissionError)
+        assert not protected.failed()
 
     def test_sla_base_priority_orders_shedding(self, server_db):
         # An un-classed newcomer cannot shed a latency-class query even

@@ -185,7 +185,7 @@ def test_terminal_outcomes_settle_identically(make, outcome):
     assert record.completion_time >= record.arrival_time
     if outcome != "raising_morsel":
         assert record.cpu_seconds == 0.0
-    assert backend.cancelled(victim) == cancelled
+    assert backend.progress(victim)["cancelled"] == cancelled
     assert backend.failed(victim) == failed
     failure = backend.failure(victim)
     if failure_class is None:

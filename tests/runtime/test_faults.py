@@ -111,7 +111,7 @@ class TestSimulatedIsolation:
         assert by_name["Q18"].failed
         assert "InjectedFault" in by_name["Q18"].error
         assert not by_name["Q6"].failed
-        assert server.failed(victim)
+        assert victim.failed()
         with pytest.raises(QueryFailedError) as excinfo:
             server.result(victim)
         assert isinstance(excinfo.value.__cause__, InjectedFault)
@@ -140,7 +140,7 @@ class TestSimulatedIsolation:
         f_victim = faulted.submit("Q18")
         faulted.run()
 
-        assert faulted.failed(f_victim)
+        assert f_victim.failed()
         reference = baseline.result(b_qs)
         survivor = faulted.result(f_qs)
         for name in reference:
@@ -177,9 +177,9 @@ class TestSimulatedIsolation:
         stalled.run()
         # Virtual time: the stall lands as +0.5s of morsel duration —
         # orders of magnitude above the query's fault-free latency.
-        assert not stalled.failed(s_ticket)
-        assert stalled.latency(s_ticket) >= 0.5
-        assert quiet.latency(q_ticket) < 0.5
+        assert not s_ticket.failed()
+        assert stalled.record(s_ticket).latency >= 0.5
+        assert quiet.record(q_ticket).latency < 0.5
         assert stalled.result(s_ticket) == pytest.approx(
             quiet.result(q_ticket)
         )
@@ -211,12 +211,12 @@ class TestSimulatedIsolation:
         injector = server.install_faults(operator_fault("Q6", morsel=0))
         first = server.submit("Q6")
         server.run()
-        assert server.failed(first)
+        assert first.failed()
         assert len(injector.fired) == 1
         # Same query again: the fault is spent, the query succeeds.
         second = server.submit("Q6")
         server.run()
-        assert not server.failed(second)
+        assert not second.failed()
         assert len(injector.fired) == 1
         server.shutdown()
 
@@ -265,10 +265,10 @@ class TestDeadlines:
         ticket = server.submit("Q18", deadline=1e-6)
         keeper = server.submit("Q6")
         server.run()
-        assert server.failed(ticket)
+        assert ticket.failed()
         assert "QueryTimeoutError" in server.record(ticket).error
-        assert isinstance(server.failure(ticket), QueryTimeoutError)
-        assert not server.failed(keeper)
+        assert isinstance(ticket.failure(), QueryTimeoutError)
+        assert not keeper.failed()
         server.shutdown()
 
     def test_queued_query_expires_in_the_wait_queue(self):
@@ -304,7 +304,7 @@ class TestDeadlines:
         server = make_server(db)
         ticket = server.submit("Q6", deadline=3600.0)
         server.run()
-        assert not server.failed(ticket)
+        assert not ticket.failed()
         assert server.result(ticket) == pytest.approx(
             build_engine_query("Q6", db).execute()
         )
@@ -314,7 +314,7 @@ class TestDeadlines:
         server = make_server(db)
         ticket = server.submit("Q18", deadline=1e-6, retries=3)
         server.run()
-        assert server.failed(ticket)
+        assert ticket.failed()
         assert server.retries_used == 0
         server.shutdown()
 
@@ -329,7 +329,7 @@ class TestRetries:
         # clean retry.
         assert [r.failed for r in records] == [True, False]
         assert server.retries_used == 1
-        assert not server.failed(ticket)
+        assert not ticket.failed()
         assert server.record(ticket).failed is False
         assert server.result(ticket) == pytest.approx(
             build_engine_query("Q6", db).execute()
@@ -351,7 +351,7 @@ class TestRetries:
         # One retry allowed; it also failed (second planned fault), and
         # the budget stops further attempts.
         assert server.retries_used == 1
-        assert server.failed(ticket)
+        assert ticket.failed()
         server.shutdown()
 
     def test_zero_retries_fail_immediately(self, db):
@@ -359,7 +359,7 @@ class TestRetries:
         server.install_faults(operator_fault("Q6", morsel=0))
         ticket = server.submit("Q6")
         server.run()
-        assert server.failed(ticket)
+        assert ticket.failed()
         assert server.retries_used == 0
         server.shutdown()
 
@@ -370,13 +370,13 @@ class TestShedding:
         low = server.submit("Q18", priority=1)
         lower = server.submit("Q18", priority=0)
         vip = server.submit("Q6", priority=5)
-        assert server.failed(lower)
-        assert isinstance(server.failure(lower), AdmissionError)
+        assert lower.failed()
+        assert isinstance(lower.failure(), AdmissionError)
         server.run()
         assert server.result(vip) == pytest.approx(
             build_engine_query("Q6", db).execute()
         )
-        assert not server.failed(low)
+        assert not low.failed()
         server.shutdown()
 
     def test_no_lower_priority_victim_rejects_newcomer(self, db):
@@ -392,7 +392,7 @@ class TestShedding:
         victim = server.submit("Q18", priority=0, retries=3)
         server.submit("Q6", priority=1)
         server.run()
-        assert server.failed(victim)
+        assert victim.failed()
         assert server.retries_used == 0
         server.shutdown()
 
@@ -452,14 +452,14 @@ class TestShedding:
             # attempt's failure instead of dangling.
             record = outcome["record"]
             assert record.failed
-            assert server.failed(original)
-            assert isinstance(server.failure(original), AdmissionError)
+            assert original.failed()
+            assert isinstance(original.failure(), AdmissionError)
             assert server.record(original).query_id == record.query_id
             assert server.record(original).query_id != int(original)
             # Shedding is permanent: no further retries were attempted.
             assert server.retries_used == 1
             server.wait(vip, timeout=30.0)
-            assert not server.failed(vip)
+            assert not vip.failed()
         finally:
             server.shutdown()
 
@@ -473,7 +473,7 @@ class TestThreadedFaults:
             victim = server.submit("Q18")
             keeper = server.submit("Q6")
             server.drain()
-            assert server.failed(victim)
+            assert victim.failed()
             with pytest.raises(QueryFailedError):
                 server.result(victim)
             assert server.result(keeper) == pytest.approx(
@@ -499,9 +499,9 @@ class TestThreadedFaults:
             dead = server.submit("QS")
             keeper = server.submit("Q6")
             server.drain()
-            assert server.failed(dead)
+            assert dead.failed()
             assert server.backend.dead_workers == 1
-            assert not server.failed(keeper)
+            assert not keeper.failed()
             # The replacement thread serves new work.
             after = server.submit("Q6")
             record = server.wait(after, timeout=30.0)
@@ -561,7 +561,7 @@ class TestProcessFaults:
             victim = server.submit("Q18")
             keeper = server.submit("Q6")
             server.run()
-            assert server.failed(victim)
+            assert victim.failed()
             with pytest.raises(QueryFailedError) as excinfo:
                 server.result(victim)
             # Class identity survives the pipe via error_from_text.

@@ -316,7 +316,7 @@ records = backend.drain()
 for record in records:
     print(record.name, record.cancelled, repr(record.latency))
 for job in jobs:
-    print(int(job), backend.cancelled(job), repr(backend.poll(job).latency))
+    print(int(job), backend.progress(job)["cancelled"], repr(backend.poll(job).latency))
 backend.shutdown()
 """
 

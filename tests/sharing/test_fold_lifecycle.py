@@ -233,7 +233,7 @@ class TestMemberLifecycle:
         record = server.record(expired)
         assert record.failed
         assert "QueryTimeoutError" in record.error
-        assert isinstance(server.failure(expired), QueryTimeoutError)
+        assert isinstance(expired.failure(), QueryTimeoutError)
         with pytest.raises(QueryFailedError):
             server.result(expired)
         assert not server.record(leader).failed
@@ -257,7 +257,7 @@ class TestMemberLifecycle:
         assert server.sharing_stats.folds == 1  # retries did not fold
         expected = build_engine_query("Q6", db).execute()
         for ticket in tickets:
-            assert not server.failed(ticket)
+            assert not ticket.failed()
             assert server.result(ticket) == pytest.approx(expected)
 
 

@@ -48,7 +48,7 @@ class TestExecution:
         assert len(records) == 1
         expected = build_engine_query("Q6", server_db).execute()
         assert server.result(ticket) == pytest.approx(expected)
-        assert server.latency(ticket) > 0.0
+        assert server.record(ticket).latency > 0.0
 
     def test_results_map_to_tickets_with_out_of_order_arrivals(self, server_db):
         server = make_server(server_db)
@@ -68,7 +68,7 @@ class TestExecution:
         with pytest.raises(ReproError):
             server.result(ticket)
         with pytest.raises(ReproError):
-            server.latency(ticket)
+            server.record(ticket)
 
     def test_multiple_runs_accumulate(self, server_db):
         server = make_server(server_db)
@@ -76,7 +76,7 @@ class TestExecution:
         server.run()
         second = server.submit("Q13")
         server.run()
-        assert server.latency(first) > 0.0
+        assert server.record(first).latency > 0.0
         assert server.record(second).name == "Q13"
 
     def test_tuning_scheduler_variant(self, server_db):
@@ -84,7 +84,7 @@ class TestExecution:
         tickets = [server.submit("Q6") for _ in range(3)]
         server.run()
         for ticket in tickets:
-            assert server.latency(ticket) > 0.0
+            assert server.record(ticket).latency > 0.0
 
 
 class TestConstruction:
@@ -141,7 +141,7 @@ class TestLifecycle:
         ticket = server.submit("Q6")
         server.run()
         server.shutdown()
-        assert server.latency(ticket) > 0.0
+        assert server.record(ticket).latency > 0.0
         assert server.record(ticket).name == "Q6"
 
     def test_drain_then_submit_again(self, server_db):
@@ -152,7 +152,7 @@ class TestLifecycle:
         assert server.state is BackendState.RUNNING
         second = server.submit("Q1")
         server.drain()
-        assert server.latency(second) > 0.0
+        assert server.record(second).latency > 0.0
 
 
 class TestBackpressure:
@@ -175,7 +175,7 @@ class TestBackpressure:
         server.drain()
         ticket = server.submit("Q6")  # accepted: nothing pending anymore
         server.drain()
-        assert server.latency(ticket) > 0.0
+        assert server.record(ticket).latency > 0.0
 
     def test_pending_and_completed_counts(self, server_db):
         server = make_server(server_db)
@@ -202,7 +202,7 @@ class TestThreadedBackend:
         assert len(records) == 1
         expected = build_engine_query("Q6", server_db).execute()
         assert server.result(ticket) == pytest.approx(expected)
-        assert server.latency(ticket) > 0.0
+        assert server.record(ticket).latency > 0.0
 
     def test_submit_while_running(self, server_db):
         server = self.make_threaded(server_db)
@@ -277,7 +277,7 @@ class TestThreadedBackend:
             ]
             assert server.cancel(doomed)
             server.drain()
-            assert server.failed(victim)
+            assert victim.failed()
             assert server.record(doomed).cancelled
             assert isinstance(server.result(served[0]), list)
             environment = server._backend._environment
@@ -309,7 +309,7 @@ class TestThreadedBackend:
             server.shutdown()
         assert len(tickets) == 5
         for ticket in tickets:
-            assert server.latency(ticket) > 0.0
+            assert server.record(ticket).latency > 0.0
 
     def test_wait_on_simulated_backend_requires_drain(self, server_db):
         server = make_server(server_db)
@@ -332,7 +332,7 @@ class TestProcessBackend:
         assert len(records) == 1
         expected = build_engine_query("Q6", server_db).execute()
         assert server.result(ticket) == pytest.approx(expected)
-        assert server.latency(ticket) > 0.0
+        assert server.record(ticket).latency > 0.0
 
     def test_matches_simulated_backend_results(self, server_db):
         # Engine morsels are timed with the wall clock, so latencies
@@ -429,7 +429,7 @@ class TestProcessBackend:
         ticket = server.submit("Q6")
         server.drain()
         server.shutdown()
-        assert server.latency(ticket) > 0.0
+        assert server.record(ticket).latency > 0.0
         assert server.record(ticket).name == "Q6"
 
 
@@ -532,3 +532,53 @@ class TestResultErrorPaths:
                 server.result(ticket)
         finally:
             server.shutdown()
+
+
+class TestHandleFollowsTheTicket:
+    """The handle ``submit`` returns answers what the server answers for
+    its ticket, through the ticket's retries.  The model environment
+    produces no result values, so every answer compares exactly."""
+
+    @staticmethod
+    def faulted_server():
+        server = AnalyticsServer(
+            scheduler="stride", n_workers=2, seed=5, environment="model"
+        )
+        server.install_faults(
+            FaultPlan(faults=(FaultSpec(kind=OPERATOR_RAISE, query_index=0),))
+        )
+        return server
+
+    @staticmethod
+    def raised(call, *args):
+        with pytest.raises(ReproError) as caught:
+            call(*args)
+        return type(caught.value), str(caught.value)
+
+    def test_handle_follows_a_retried_ticket(self):
+        server = self.faulted_server()
+        handle = server.submit("Q6", retries=2)
+        server.drain()
+        assert server.retries_used == 1
+        assert server.tickets.resolve(handle) != int(handle)
+        record = server.record(handle)
+        assert not record.failed and not record.cancelled
+        assert handle.failed() is False and handle.failure() is None
+        progress = handle.progress()
+        assert progress["done"] and not progress["failed"]
+        assert progress["cancelled"] is record.cancelled
+        # No engine, no value: the handle raises what the server raises.
+        assert self.raised(handle.result) == self.raised(server.result, handle)
+        # The first attempt's stream failed; the latest one is empty.
+        assert handle.fetch() is None
+
+    @pytest.mark.parametrize("by_handle", [False, True])
+    def test_cancel_disarms_the_retries(self, by_handle):
+        server = self.faulted_server()
+        handle = server.submit("Q6", retries=2)
+        assert server.tickets.retryable_tickets() == [int(handle)]
+        assert (handle.cancel() if by_handle else server.cancel(handle)) is True
+        assert server.tickets.retryable_tickets() == []
+        assert server.tickets.retry_state(handle) is None
+        server.drain()
+        assert server.record(handle).cancelled and server.retries_used == 0
