@@ -1,12 +1,14 @@
 """Bit-identity gate: work sharing must not change any query's result.
 
-Runs a high-overlap engine-mode scenario on the simulated backend twice
-— ``sharing=False`` and ``sharing=True`` — against the same generated
-database, and demands that every per-query result row set is
-bit-identical between the two modes.  CI repeats the script under
-``PYTHONHASHSEED`` 0..2 and several workload seeds, so any dict- or
-set-iteration-order dependence in the fold/attach/replay path shows up
-as a digest mismatch.
+Runs a high-overlap engine-mode scenario twice — ``sharing=False`` and
+``sharing=True`` — against the same generated database, on the
+simulated backend and again on the process backend, and demands that
+every per-query result row set is bit-identical across all four runs.
+CI repeats the script under ``PYTHONHASHSEED`` 0..2 and several workload
+seeds, so any dict- or set-iteration-order dependence in the
+fold/attach/replay path shows up as a digest mismatch.  The simulated
+digests of seeds 0..2 are also a committed golden
+(``tests/golden/test_sharing_digests.py``).
 
 Specs are pinned to fixed-size morsels (``supports_adaptive=False``):
 adaptive sizing feeds *measured wall time* into the morsel boundaries,
@@ -19,7 +21,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/sharing_determinism.py --seed 0
 
-Exit status 0 when both modes agree, 1 otherwise.
+Exit status 0 when every run agrees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from repro.workloads import DEFAULT_MIX_NAMES
 
 SCALE_FACTOR = 0.02
 N_QUERIES = 16
+#: The simulated row is the reference every other backend must print.
+BACKENDS = ("simulated", "process")
 
 
 def fixed_spec(server: AnalyticsServer, name: str):
@@ -49,7 +53,7 @@ def fixed_spec(server: AnalyticsServer, name: str):
     )
 
 
-def run_scenario(database, names, sharing: bool):
+def run_scenario(database, names, sharing: bool, backend: str = "simulated"):
     """Submit the sampled queries and return per-query result reprs."""
     server = AnalyticsServer(
         scale_factor=SCALE_FACTOR,
@@ -58,11 +62,43 @@ def run_scenario(database, names, sharing: bool):
         seed=7,
         database=database,
         sharing=sharing,
+        backend=backend,
     )
     tickets = [server.submit_spec(fixed_spec(server, name)) for name in names]
     server.run()
     rows = [(name, repr(server.result(t))) for name, t in zip(names, tickets)]
     return rows, server.sharing_stats.as_dict()
+
+
+def sampled_names(seed: int) -> list:
+    """The ``N_QUERIES`` query names workload seed ``seed`` samples."""
+    rng = np.random.default_rng(seed)
+    return [
+        DEFAULT_MIX_NAMES[int(i)]
+        for i in rng.integers(0, len(DEFAULT_MIX_NAMES), size=N_QUERIES)
+    ]
+
+
+def digest(rows) -> str:
+    return hashlib.sha1(repr(rows).encode()).hexdigest()[:16]
+
+
+def measure(seed: int, database, backend: str) -> dict:
+    """Both sharing modes of one backend: rows, digests and counters."""
+    names = sampled_names(seed)
+    rows_off, _ = run_scenario(database, names, False, backend)
+    rows_on, stats = run_scenario(database, names, True, backend)
+    return {
+        "queries": names,
+        "off": digest(rows_off),
+        "on": digest(rows_on),
+        "stats": stats,
+        "mismatches": [
+            name
+            for (name, off), (_, on) in zip(rows_off, rows_on)
+            if off != on
+        ],
+    }
 
 
 def main(argv=None) -> int:
@@ -75,36 +111,32 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    rng = np.random.default_rng(args.seed)
-    names = [
-        DEFAULT_MIX_NAMES[int(i)]
-        for i in rng.integers(0, len(DEFAULT_MIX_NAMES), size=N_QUERIES)
-    ]
     database = generate_tpch(scale_factor=SCALE_FACTOR, seed=7)
-
-    rows_off, _ = run_scenario(database, names, sharing=False)
-    rows_on, stats = run_scenario(database, names, sharing=True)
-
-    digest_off = hashlib.sha1(repr(rows_off).encode()).hexdigest()[:16]
-    digest_on = hashlib.sha1(repr(rows_on).encode()).hexdigest()[:16]
-    print(f"seed={args.seed} queries={names}")
-    print(f"sharing off digest: {digest_off}")
-    print(f"sharing on  digest: {digest_on}")
-    print(f"sharing stats     : {stats}")
-    if rows_off != rows_on:
-        mismatches = [
-            name
-            for (name, off), (_, on) in zip(rows_off, rows_on)
-            if off != on
-        ]
-        print(f"MISMATCH: results differ for {mismatches}")
-        return 1
-    if stats["folds"] == 0 and stats["cache_hits"] == 0:
-        # A determinism gate that never folds anything gates nothing.
-        print("MISMATCH: sharing run neither folded nor hit the cache")
-        return 1
-    print("identical per-query results with sharing on and off")
-    return 0
+    rows = {backend: measure(args.seed, database, backend) for backend in BACKENDS}
+    reference = rows["simulated"]
+    print(f"seed={args.seed} queries={reference['queries']}")
+    print(f"sharing off digest: {reference['off']}")
+    print(f"sharing on  digest: {reference['on']}")
+    print(f"sharing stats     : {reference['stats']}")
+    for backend in BACKENDS[1:]:
+        print(f"{backend} off digest: {rows[backend]['off']}")
+        print(f"{backend} on  digest: {rows[backend]['on']}")
+        print(f"{backend} stats     : {rows[backend]['stats']}")
+    status = 0
+    for backend, row in rows.items():
+        if row["mismatches"]:
+            print(f"MISMATCH: {backend} results differ for {row['mismatches']}")
+            status = 1
+        elif any(row[key] != reference[key] for key in ("off", "on", "stats")):
+            print(f"MISMATCH: {backend} row differs from the simulated row")
+            status = 1
+        if row["stats"]["folds"] == 0 and row["stats"]["cache_hits"] == 0:
+            # A determinism gate that never folds anything gates nothing.
+            print(f"MISMATCH: {backend} sharing run neither folded nor hit the cache")
+            status = 1
+    if status == 0:
+        print("identical per-query results with sharing on and off, on every backend")
+    return status
 
 
 if __name__ == "__main__":

@@ -11,9 +11,11 @@ never know whether time is virtual or real:
 * :class:`ThreadedBackend` drives the *same* scheduler objects from
   real OS worker threads, making the atomics and the §2.3 finalization
   protocol genuinely concurrent;
-* :class:`ProcessBackend` executes each drain epoch in a warm worker
-  process of the shared sweep pool, so CPU-bound engine/simulator work
-  runs without holding the submitting process's GIL.
+* :class:`ProcessBackend` is a :class:`SimulatedBackend` that executes
+  each drain epoch in a warm worker process of the shared sweep pool,
+  so CPU-bound engine/simulator work runs without holding the
+  submitting process's GIL; folds and the fragment cache stay on the
+  one epoch loop in this process.
 
 Results flow through one bounded :class:`ResultChannel` per job:
 ``submit`` returns a :class:`QueryHandle` cursor over the stream of

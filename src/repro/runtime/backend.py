@@ -10,7 +10,9 @@ The schedulers in :mod:`repro.core` are driven through three calls
   figure of the paper is reproduced on);
 * the :class:`~repro.runtime.threaded.ThreadedBackend` runs one real OS
   thread per worker, so the scheduler's atomics, update masks and the
-  finalization protocol are exercised under genuine concurrency.
+  finalization protocol are exercised under genuine concurrency;
+* the :class:`~repro.runtime.process.ProcessBackend` is a simulated
+  backend whose epochs execute in a warm pool worker.
 
 All backends present the same *online* lifecycle, which the
 :class:`~repro.server.AnalyticsServer` builds on:
@@ -49,8 +51,10 @@ resolver chain.
 However a query ends — completed, cancelled, failed, timed out, served
 from a fold or a cache — its outcome is published by one method,
 :meth:`ExecutionBackend._settle`.  A backend keeps only what differs
-with its time model: when time advances and where morsels run
-(:class:`EpochBackend` holds what the two virtual-time backends share).
+with its time model: when time advances and where morsels run.  The two
+virtual-time backends share one epoch loop,
+:class:`~repro.runtime.simulated.SimulatedBackend`; the process backend
+overrides only the step that executes an epoch.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from repro.runtime.channel import (
     ResultChannel,
     assemble_chunks,
 )
-from repro.runtime.clock import Clock, VirtualClock
+from repro.runtime.clock import Clock
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.handle import QueryHandle, ResultCursor
 
@@ -606,100 +610,3 @@ class ExecutionBackend(abc.ABC):
         raise ReproError(
             f"{type(self).__name__} does not support fail()"
         )
-
-
-class EpochBackend(ExecutionBackend):
-    """The pending-epoch model shared by the virtual-time backends.
-
-    Submissions accumulate with their requested arrival times; each
-    ``drain()`` executes everything pending as one simulation *epoch* —
-    a fresh scheduler and a virtual clock starting at zero.  Epochs run
-    synchronously, so a job can only be cancelled or shed while it is
-    still pending.  A subclass supplies ``_do_drain``: run the ordered
-    workload of :meth:`_begin_epoch` (in process, or in a pool worker)
-    and :meth:`_settle` each record with the value it fetched.
-    """
-
-    def __init__(
-        self,
-        scheduler_factory: Callable,
-        *,
-        seed: int,
-        noise_sigma: float,
-        environment_factory: Optional[Callable],
-        max_time: Optional[float],
-        channel_capacity: int,
-    ) -> None:
-        super().__init__(channel_capacity=channel_capacity)
-        self._scheduler_factory = scheduler_factory
-        self._seed = seed
-        self._noise_sigma = noise_sigma
-        self._environment_factory = environment_factory
-        self._max_time = max_time
-        #: job id -> ``(arrival, spec, job id)``, in submission order.
-        self._pending: Dict[int, Tuple[float, QuerySpec, int]] = {}
-        #: Jobs settled while pending; the next drain reports them.
-        self._unreported_cancels: List[int] = []
-        self._clock = VirtualClock()
-        #: The environment of the most recent epoch (engine results).
-        self.last_environment: Optional[object] = None
-
-    @property
-    def clock(self) -> VirtualClock:
-        """Virtual time of the most recent epoch."""
-        return self._clock
-
-    def set_scheduler_factory(self, factory: Callable) -> None:
-        """Build every later epoch's scheduler from ``factory``.
-
-        Epochs already run keep their configuration.  The process
-        backend pickles the factory into its worker at each drain, so it
-        must be a picklable zero-argument callable.
-        """
-        self._scheduler_factory = factory
-
-    def _do_submit(self, job_id: int, spec: QuerySpec, at: Optional[float]) -> None:
-        arrival = 0.0 if at is None else float(at)
-        if arrival < 0.0:
-            raise ReproError("arrival time must be non-negative")
-        self._pending[job_id] = (arrival, spec, job_id)
-
-    def _begin_epoch(self):
-        """Open a drain: ``(records to report, pending in arrival order)``.
-
-        Jobs cancelled or shed since the previous drain are "finished"
-        jobs too: their records surface exactly once, like every
-        completion.  The pending set is stably sorted by arrival time —
-        ties resolve in submission order, and the scheduler numbers
-        resource groups in arrival order, so a job's index in the
-        returned list is its query id in the epoch.
-        """
-        finished = [self.records[job_id] for job_id in self._unreported_cancels]
-        self._unreported_cancels = []
-        pending = sorted(self._pending.values(), key=lambda entry: entry[0])
-        self._pending = {}
-        return finished, pending
-
-    def _do_shutdown(self) -> None:
-        self._pending.clear()
-
-    def _do_cancel(self, job_id: int) -> None:
-        self._settle_pending(job_id, None)
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        self._settle_pending(job_id, error)
-
-    def _settle_pending(self, job_id: int, error: Optional[BaseException]) -> None:
-        # An abortable job is always still pending: remove it and record
-        # the outcome at its arrival time (zero CPU, zero latency) so
-        # counters settle and the next drain() reports it once.
-        arrival, spec, _ = self._pending.pop(job_id)
-        record = self._synthetic_record(
-            spec,
-            arrival,
-            arrival,
-            cancelled=error is None,
-            error="" if error is None else error_text(error),
-        )
-        self._settle(job_id, record, error)
-        self._unreported_cancels.append(job_id)

@@ -1,14 +1,15 @@
 """The process execution backend: virtual-time epochs, GIL-free.
 
-:class:`ProcessBackend` presents the same online lifecycle as the other
-backends but executes each drain *epoch* in a warm worker process of the
-shared sweep pool (:mod:`repro.experiments.pool`).  The submitting
-process never holds the GIL for engine or simulator work — it ships a
-compact workload payload, the worker runs the epoch through the exact
-:class:`~repro.runtime.simulated.SimulatedBackend` code path, and the
-latency records come back as flat arrays, both through the one wire
-codec (:mod:`repro.wire`).  Results are therefore bit-identical to the
-simulated backend on the same submissions.
+:class:`ProcessBackend` is a :class:`~repro.runtime.simulated.SimulatedBackend`
+that overrides one step, running the ordered epoch: the workload crosses
+to a warm worker of the shared sweep pool (:mod:`repro.experiments.pool`),
+which drains it on a :class:`SimulatedBackend` of its own and sends the
+settled records, values and spilled chunks back as flat arrays through
+the one wire codec (:mod:`repro.wire`).  Fold offers, the §3.2 leader
+weight, settlement, fold fan-out and the fragment cache stay on the one
+epoch loop in the submitting process, so results are bit-identical to
+the simulated backend's, with ``sharing=True`` or without, and fold
+members' chunks never cross the pipe.
 
 Worker-side warm state: everything the epoch needs that is expensive to
 build crosses as *parameters*, not objects.  The scheduler is
@@ -24,7 +25,10 @@ Lifecycle notes:
 
 * ``submit(spec, at=...)`` takes virtual arrival times, like the
   simulated backend;
-* ``drain()`` runs one epoch remotely and blocks for its results;
+* ``drain()`` runs one epoch remotely and blocks for its results; a
+  worker that dies mid-epoch is replaced and the epoch re-run, up to
+  ``max_epoch_retries`` times, after which every query of the epoch
+  fails with :class:`~repro.errors.WorkerFailedError`;
 * ``shutdown()`` drops pending submissions but leaves the shared pool
   running for other users (a privately passed pool is also left to its
   owner).
@@ -32,12 +36,13 @@ Lifecycle notes:
 
 from __future__ import annotations
 
+import itertools
+import os
 from concurrent.futures import BrokenExecutor
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import WorkerFailedError, error_text
-from repro.metrics.latency import LatencyRecord
-from repro.runtime.backend import EpochBackend
+from repro.metrics.latency import LatencyCollector
 from repro.runtime.channel import (
     DEFAULT_CHANNEL_CAPACITY,
     FINAL,
@@ -45,97 +50,56 @@ from repro.runtime.channel import (
 )
 from repro.runtime.clock import VirtualClock
 from repro.runtime.faults import WORKER_DEATH
+from repro.runtime.simulated import EpochStep, SimulatedBackend
 
 
 # ----------------------------------------------------------------------
 # Worker-side epoch execution (module level: picklable)
 # ----------------------------------------------------------------------
 def _execute_epoch(payload: dict) -> dict:
-    """Run one virtual-time epoch in this (worker) process."""
-    from repro.runtime.channel import STREAMED, ResultChannel, chunks_to_arrays
-    from repro.runtime.simulated import SimulatedBackend
+    """Drain one shipped epoch on a :class:`SimulatedBackend` here."""
+    from repro.runtime.channel import chunks_to_arrays
     from repro.workloads.serialize import workload_from_arrays
 
-    workload = workload_from_arrays(payload["workload"])
     backend = SimulatedBackend(
-        payload["scheduler_factory"],
-        seed=payload["seed"],
-        noise_sigma=payload["noise_sigma"],
-        max_time=payload["max_time"],
+        payload["scheduler_factory"], **{key: payload[key] for key in _OPTIONS}
     )
-    environment_factory = payload["environment_factory"]
-    environment = environment_factory() if environment_factory else None
-    injector = None
-    plan = payload.get("fault_plan")
+    plan, spent = payload["fault_plan"], set(payload["fault_spent"])
     if plan is not None:
-        spent = set(payload.get("fault_spent", ()))
-        if payload.get("attempt", 0) == 0 and any(
-            fault.kind == WORKER_DEATH and index not in spent
-            for index, fault in enumerate(plan.faults)
-        ):
-            # Injected worker death at process level: this epoch worker
-            # dies abruptly, the submitting side sees a broken pool and
-            # exercises the rebuild-and-retry path.  Only the first
-            # attempt dies — the retry marks the fault spent.
-            import os
-
+        if payload["attempt"] == 0 and WORKER_DEATH in {
+            fault.kind for index, fault in enumerate(plan.faults) if index not in spent
+        }:
+            # Injected worker death at process level: the parent rebuilds
+            # the pool and re-runs the epoch with the death marked spent.
             os._exit(23)
-        # Worker deaths are process-level here, never morsel-level: the
-        # wrapped environment skips them so the retried epoch does not
-        # also fail the target query.
-        injector = backend.install_faults(
-            plan, spent=spent, skip_kinds=(WORKER_DEATH,)
-        )
-        environment = backend._wrap_environment(environment)
-    # Worker-side result channels, one per query (the scheduler numbers
-    # resource groups in arrival order, so arrival index == query id).
-    channels = {}
-    open_channel = getattr(environment, "open_channel", None)
-    if open_channel is not None:
-        for arrival_index in range(len(workload)):
-            channel = ResultChannel(
-                payload.get("channel_capacity", DEFAULT_CHANNEL_CAPACITY)
-            )
-            channels[arrival_index] = channel
-            open_channel(arrival_index, channel)
-    result = backend.execute(workload, environment=environment)
-    results = {}
-    chunks = {}
-    finish_query = getattr(environment, "finish_query", None)
-    discard_query = getattr(environment, "discard_query", None)
-    for record in result.records.records:
-        if record.failed:
-            # Failure isolation: drop the failed query's plan state and
-            # ship nothing for it — the record's error text is the
-            # authoritative cause on the other side of the pipe.
-            if discard_query is not None:
-                discard_query(record.query_id)
-            continue
-        if finish_query is None:
-            continue
-        value = finish_query(record.query_id)
-        if value is STREAMED:
-            # The channel holds the result: ship its chunks as flat
-            # arrays so pickle-5 keeps every column buffer
-            # out-of-band, preserving the chunk boundaries instead
-            # of collapsing the stream into one terminal blob.
-            channel = channels[record.query_id]
-            channel.close()
-            chunks[record.query_id] = chunks_to_arrays(list(channel))
-        else:
-            results[record.query_id] = value
+        # Worker deaths are process-level here, never morsel-level.
+        backend.install_faults(plan, spent=spent, skip_kinds=(WORKER_DEATH,))
+    for arrival, spec in workload_from_arrays(payload["workload"]):
+        backend.submit(spec, at=arrival)
+    # Job id == arrival index == record query id; drain() settles in order.
+    records, results, chunks = LatencyCollector(), {}, {}
+    for record in backend.drain():
+        records.add(record)
+        job_id = record.query_id
+        spill = backend._cursors[job_id].spill
+        if spill and spill[0].kind != FINAL:  # streamed: ship its chunks
+            chunks[job_id] = chunks_to_arrays(spill)
+        elif job_id in backend.results:
+            results[job_id] = backend.results[job_id]
+    result, injector = backend.last_result, backend.fault_injector
     out = {
-        "records": result.records,
-        "results": results,
-        "chunks": chunks,
-        "tasks_executed": result.tasks_executed,
+        "records": records, "results": results, "chunks": chunks,
+        "tasks_executed": result.tasks_executed, "end_time": result.end_time,
         "events_processed": result.events_processed,
-        "end_time": result.end_time,
-        "faults_fired": injector.fired if injector is not None else [],
+        "faults_fired": [] if injector is None else injector.fired,
     }
     if payload["return_environment"]:
-        out["environment"] = environment
+        out["environment"] = backend.last_environment
     return out
+
+
+#: The worker backend's options, shipped under their own names.
+_OPTIONS = ("seed", "noise_sigma", "environment_factory", "max_time", "channel_capacity")
 
 
 #: Per-worker memoized TPC-H databases, keyed by (scale_factor, seed).
@@ -172,7 +136,7 @@ def warm_engine_database(scale_factor: float, seed: int) -> int:
     return len(_database_for(scale_factor, seed).tables)
 
 
-class ProcessBackend(EpochBackend):
+class ProcessBackend(SimulatedBackend):
     """Run virtual-time epochs in warm worker processes (GIL-free)."""
 
     def __init__(
@@ -187,13 +151,18 @@ class ProcessBackend(EpochBackend):
         pool=None,
         channel_capacity: int = DEFAULT_CHANNEL_CAPACITY,
         max_epoch_retries: int = 2,
+        sharing: bool = False,
+        sharing_cache_entries: int = 64,
+        sharing_attach_buffer: int = 16,
     ) -> None:
         """``scheduler_factory`` and ``environment_factory`` must be
         picklable zero-argument callables (module-level functions or
         :func:`functools.partial` over them) — they are invoked in the
         worker process, never here.  ``return_environment`` ships the
         epoch's environment object back after each drain (it must then
-        be picklable) and exposes it as :attr:`last_environment`.
+        be picklable) and exposes it as :attr:`last_environment`.  The
+        sharing options are the simulated backend's: folds and the
+        fragment cache live in this process, not in the worker.
         """
         super().__init__(
             scheduler_factory,
@@ -202,6 +171,9 @@ class ProcessBackend(EpochBackend):
             environment_factory=environment_factory,
             max_time=max_time,
             channel_capacity=channel_capacity,
+            sharing=sharing,
+            sharing_cache_entries=sharing_cache_entries,
+            sharing_attach_buffer=sharing_attach_buffer,
         )
         self._return_environment = return_environment
         self._pool = pool
@@ -212,9 +184,6 @@ class ProcessBackend(EpochBackend):
         #: How many times a broken worker pool was rebuilt (recovery).
         self.pool_rebuilds = 0
 
-    # ------------------------------------------------------------------
-    # ExecutionBackend contract
-    # ------------------------------------------------------------------
     def _get_pool(self):
         if self._pool is not None:
             return self._pool
@@ -227,16 +196,13 @@ class ProcessBackend(EpochBackend):
         # pays no startup cost.
         self._get_pool()
 
-    def _do_drain(self) -> List[LatencyRecord]:
-        finished, run = self._begin_epoch()
-        if not run:
-            return finished
-        workload = [(arrival, spec) for arrival, spec, _ in run]
+    def _run_epoch(self, run) -> Iterator[EpochStep]:
+        """Execute one ordered epoch in a pool worker; one step per query."""
         from repro.workloads.serialize import workload_to_arrays
 
+        workload = workload_to_arrays([(arrival, spec) for arrival, spec, _ in run])
         injector = self._fault_injector
-        attempt = 0
-        while True:
+        for attempt in itertools.count():
             payload = {
                 "scheduler_factory": self._scheduler_factory,
                 "seed": self._seed,
@@ -245,69 +211,55 @@ class ProcessBackend(EpochBackend):
                 "environment_factory": self._environment_factory,
                 "return_environment": self._return_environment,
                 "channel_capacity": self.channel_capacity,
-                "workload": workload_to_arrays(workload),
+                "workload": workload,
                 "fault_plan": injector.plan if injector is not None else None,
-                "fault_spent": tuple(sorted(injector.spent))
-                if injector is not None
-                else (),
+                "fault_spent": () if injector is None else tuple(sorted(injector.spent)),
                 "attempt": attempt,
             }
             try:
                 epoch = self._get_pool().call(_execute_epoch, payload)
                 break
             except BrokenExecutor as exc:
-                # A worker process died mid-epoch (injected or real).
-                # The epoch is pure — nothing was applied locally — so
-                # rebuild the pool and re-run it, bounded by
-                # max_epoch_retries.
-                attempt += 1
+                # A worker process died mid-epoch (injected or real).  The
+                # epoch is pure — nothing was applied here — so rebuild
+                # the pool and re-run it, up to max_epoch_retries times.
                 if injector is not None:
                     # Planned deaths fired as a real process death;
                     # record them so the retry does not die again.
                     for index, fault in enumerate(injector.plan.faults):
-                        if (
-                            fault.kind == WORKER_DEATH
-                            and index not in injector.spent
-                        ):
-                            injector.mark_fired(
-                                index, fault.query or "", fault.morsel
-                            )
+                        if fault.kind == WORKER_DEATH and index not in injector.spent:
+                            injector.mark_fired(index, fault.query or "", fault.morsel)
                 self._rebuild_pool()
-                if attempt > self._max_epoch_retries:
+                if attempt >= self._max_epoch_retries:
                     error = WorkerFailedError(
-                        f"epoch worker processes died {attempt} times; "
+                        f"epoch worker processes died {attempt + 1} times; "
                         "giving up on this epoch"
                     )
                     error.__cause__ = exc
-                    return finished + self._fail_epoch(run, error)
-        self._merge_fired(injector, epoch.get("faults_fired", []))
+                    yield from self._fail_epoch(run, error)
+                    return
+        # The worker's firing log (empty unless this side has a plan).
+        for index, _, name, morsel in epoch["faults_fired"]:
+            if index not in injector.spent:
+                injector.mark_fired(index, name, morsel)
         self._clock = VirtualClock(epoch["end_time"])
         self.last_tasks_executed = epoch["tasks_executed"]
         self.last_events_processed = epoch["events_processed"]
         self.last_environment = epoch.get("environment")
-        results = epoch["results"]
-        chunk_payloads = epoch.get("chunks", {})
+        results, chunk_payloads = epoch["results"], epoch["chunks"]
         for record in epoch["records"].records:
-            job_id = run[record.query_id][2]
             # A failed query ships nothing: the worker isolated it, and
             # _settle reconstructs the cause from the record's error
             # text (class identity is preserved for library errors).
             chunks = ()
             if record.query_id in results:
-                # Materialized results cross as-is; replay them as one
-                # terminal chunk so the handle can still fetch.
-                value = self.results[job_id] = results[record.query_id]
-                chunks = ((FINAL, value, 0),)
+                # A materialized value replays as one terminal chunk so
+                # the handle can still fetch.
+                chunks = ((FINAL, results[record.query_id], 0),)
             elif record.query_id in chunk_payloads:
-                # Streamed result: refill the local channel with the
-                # worker's chunks.
                 chunks = chunks_from_arrays(chunk_payloads[record.query_id])
-            finished.append(self._settle(job_id, record, chunks=chunks))
-        return finished
+            yield run[record.query_id][2], record, None, chunks
 
-    # ------------------------------------------------------------------
-    # Worker recovery
-    # ------------------------------------------------------------------
     def _rebuild_pool(self) -> None:
         """Replace a broken worker pool with a fresh, equivalent one."""
         self.pool_rebuilds += 1
@@ -328,24 +280,9 @@ class ProcessBackend(EpochBackend):
             shutdown_pool()
             get_pool()
 
-    def _fail_epoch(self, run, error: BaseException) -> List[LatencyRecord]:
+    def _fail_epoch(self, run, error: BaseException) -> Iterator[EpochStep]:
         """Fail every job of one lost epoch (retries exhausted)."""
         text = error_text(error)
-        return [
-            self._settle(
-                job_id,
-                self._synthetic_record(spec, arrival, arrival, error=text),
-                error,
-            )
-            for arrival, spec, job_id in run
-        ]
-
-    @staticmethod
-    def _merge_fired(injector, fired) -> None:
-        """Fold a worker-side firing log into the local injector."""
-        if injector is None:
-            return
-        for index, kind, name, morsel in fired:
-            if index not in injector.spent:
-                injector.spent.add(index)
-                injector.fired.append((index, kind, name, morsel))
+        for arrival, spec, job_id in run:
+            record = self._synthetic_record(spec, arrival, arrival, error=text)
+            yield job_id, record, error, ()

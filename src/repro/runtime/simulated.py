@@ -17,16 +17,25 @@ times.  Submit-during-drain is meaningless in virtual time (the event
 loop is synchronous), so true mid-flight admission is what the
 :class:`~repro.runtime.threaded.ThreadedBackend` provides; the epoch
 model is the faithful virtual-time analogue.
+
+This class holds the one epoch loop.  A drain offers the pending set to
+the fold coordinator, runs the epoch (:meth:`SimulatedBackend._run_epoch`,
+one ``(job, record, cause, chunks)`` step per finished query), settles
+each step, fans each sealed fold out and fills the fragment cache.  The
+:class:`~repro.runtime.process.ProcessBackend` overrides only the step
+that runs the epoch, so folds, the §3.2 leader weight and the cache work
+the same on both.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.scheduler_base import SchedulerBase
 from repro.core.specs import QuerySpec
+from repro.errors import ReproError, error_text
 from repro.metrics.latency import LatencyRecord
-from repro.runtime.backend import EpochBackend
+from repro.runtime.backend import ExecutionBackend
 from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, STREAMED
 from repro.runtime.clock import VirtualClock
 from repro.runtime.trace import TraceRecorder
@@ -44,9 +53,16 @@ from repro.simcore.simulator import (
     Simulator,
 )
 
+#: One epoch step: ``(job id, record, cause, chunks)`` for :meth:`_settle`.
+EpochStep = Tuple[int, LatencyRecord, Optional[BaseException], tuple]
 
-class SimulatedBackend(EpochBackend):
-    """Run schedulers in virtual time on the discrete-event simulator."""
+
+class SimulatedBackend(ExecutionBackend):
+    """Run schedulers in virtual time on the discrete-event simulator.
+
+    Epochs run synchronously, so a job can only be cancelled or shed
+    while it is still pending.
+    """
 
     def __init__(
         self,
@@ -62,15 +78,20 @@ class SimulatedBackend(EpochBackend):
         sharing_cache_entries: int = 64,
         sharing_attach_buffer: int = 16,
     ) -> None:
-        super().__init__(
-            scheduler_factory,
-            seed=seed,
-            noise_sigma=noise_sigma,
-            environment_factory=environment_factory,
-            max_time=max_time,
-            channel_capacity=channel_capacity,
-        )
+        super().__init__(channel_capacity=channel_capacity)
+        self._scheduler_factory = scheduler_factory
+        self._seed = seed
+        self._noise_sigma = noise_sigma
+        self._environment_factory = environment_factory
+        self._max_time = max_time
         self._trace = trace
+        #: job id -> ``(arrival, spec, job id)``, in submission order.
+        self._pending: Dict[int, Tuple[float, QuerySpec, int]] = {}
+        #: Jobs settled while pending; the next drain reports them.
+        self._unreported_cancels: List[int] = []
+        self._clock = VirtualClock()
+        #: The environment of the most recent epoch (engine results).
+        self.last_environment: Optional[object] = None
         #: Work sharing (off by default): fold compatible pending queries
         #: into one execution per drain epoch and serve repeats from the
         #: fragment cache.  With sharing off ``_do_drain`` offers no
@@ -84,8 +105,22 @@ class SimulatedBackend(EpochBackend):
             if self._sharing
             else None
         )
-        #: The result of the most recent epoch (for counters/overhead).
+        #: The result of the most recent in-process epoch.
         self.last_result: Optional[SimulationResult] = None
+
+    @property
+    def clock(self) -> VirtualClock:
+        """Virtual time of the most recent epoch."""
+        return self._clock
+
+    def set_scheduler_factory(self, factory: Callable) -> None:
+        """Build every later epoch's scheduler from ``factory``.
+
+        Epochs already run keep their configuration.  The process
+        backend pickles the factory into its worker at each drain, so it
+        must be a picklable zero-argument callable.
+        """
+        self._scheduler_factory = factory
 
     # ------------------------------------------------------------------
     # ExecutionBackend contract
@@ -93,18 +128,83 @@ class SimulatedBackend(EpochBackend):
     def _do_start(self) -> None:
         pass  # virtual time only advances inside drain()
 
+    def _do_submit(self, job_id: int, spec: QuerySpec, at: Optional[float]) -> None:
+        arrival = 0.0 if at is None else float(at)
+        if arrival < 0.0:
+            raise ReproError("arrival time must be non-negative")
+        self._pending[job_id] = (arrival, spec, job_id)
+
+    def _do_shutdown(self) -> None:
+        self._pending.clear()
+
+    def _do_cancel(self, job_id: int) -> None:
+        self._settle_pending(job_id, None)
+
+    def _do_fail(self, job_id: int, error: BaseException) -> None:
+        self._settle_pending(job_id, error)
+
+    def _settle_pending(self, job_id: int, error: Optional[BaseException]) -> None:
+        # An abortable job is always still pending: remove it and record
+        # the outcome at its arrival time (zero CPU, zero latency) so
+        # counters settle and the next drain() reports it once.
+        arrival, spec, _ = self._pending.pop(job_id)
+        record = self._synthetic_record(
+            spec,
+            arrival,
+            arrival,
+            cancelled=error is None,
+            error="" if error is None else error_text(error),
+        )
+        self._settle(job_id, record, error)
+        self._unreported_cancels.append(job_id)
+
+    def _begin_epoch(self):
+        """Open a drain: ``(records to report, pending in arrival order)``.
+
+        Jobs cancelled or shed since the previous drain are "finished"
+        jobs too: their records surface exactly once, like every
+        completion.  The pending set is stably sorted by arrival time —
+        ties resolve in submission order, and the scheduler numbers
+        resource groups in arrival order, so a job's index in the
+        returned list is its query id in the epoch.
+        """
+        finished = [self.records[job_id] for job_id in self._unreported_cancels]
+        self._unreported_cancels = []
+        pending = sorted(self._pending.values(), key=lambda entry: entry[0])
+        self._pending = {}
+        return finished, pending
+
     def _do_drain(self) -> List[LatencyRecord]:
         finished, run = self._begin_epoch()
-        if not self._sharing:
-            return self._run_epoch(finished, run)
+        sharing = self._sharing
         try:
-            return self._run_epoch(finished, self._offer_folds(run, finished))
+            if sharing:
+                run = self._offer_folds(run, finished)
+            for job_id, record, cause, chunks in self._run_epoch(run) if run else ():
+                finished.append(self._settle(job_id, record, cause, chunks))
+                fold = self._folds.seal(job_id) if sharing else None
+                if fold is None:
+                    continue
+                # The leader's spilled chunks are the fold's replay
+                # buffer: they fan out to every attached query and (on
+                # success) into the fragment cache for future epochs.
+                spill = self._cursors[job_id].spill
+                chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
+                finished.extend(self._settle_fold(record, chunks, fold.members))
+                if chunks and not record.failed:
+                    self._fragment_cache.put(fold.fingerprint, chunks)
         finally:
-            self._folds.seal_all()
+            if sharing:
+                self._folds.seal_all()
+        return finished
 
-    def _run_epoch(self, finished, run) -> List[LatencyRecord]:
-        if not run:
-            return finished
+    def _run_epoch(self, run) -> Iterator[EpochStep]:
+        """Execute one ordered epoch here; one step per finished query.
+
+        ``run`` holds ``(arrival, spec, job id)`` in arrival order.  The
+        steps come in the simulator's completion order, each query's
+        value already in its channel (or in :attr:`results`).
+        """
         environment = (
             self._environment_factory() if self._environment_factory else None
         )
@@ -137,19 +237,7 @@ class SimulatedBackend(EpochBackend):
                 value = finish_query(record.query_id)
                 if value is not STREAMED:
                     self.results[job_id] = value
-            finished.append(self._settle(job_id, record))
-            fold = self._folds.seal(job_id) if self._sharing else None
-            if fold is None:
-                continue
-            # The leader's spilled chunks are the fold's replay buffer:
-            # they fan out to every attached query and (on success) into
-            # the fragment cache for future epochs.
-            spill = self._cursors[job_id].spill
-            chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
-            finished.extend(self._settle_fold(record, chunks, fold.members))
-            if chunks and not record.failed:
-                self._fragment_cache.put(fold.fingerprint, chunks)
-        return finished
+            yield job_id, record, None, ()
 
     # ------------------------------------------------------------------
     # Work sharing (sharing=True only)

@@ -60,12 +60,13 @@ and deterministic fault plans (:mod:`repro.runtime.faults`) can be
 installed for chaos testing.  See ``docs/architecture.md`` for the
 failure-mode taxonomy.
 
-Work sharing (``sharing=True``; simulated and threaded backends) folds
-identical in-flight queries into one execution through one
+Work sharing (``sharing=True``; every backend) folds identical
+in-flight queries into one execution through one
 :class:`~repro.sharing.FoldCoordinator`.  ``sharing_attach_buffer``
-caps each fold's members on both backends and, on the threaded one,
+caps each fold's members on every backend and, on the threaded one,
 also the leader's replay buffer in chunks; ``sharing_cache_entries``
-sizes the simulated backend's fragment result cache.
+sizes the epoch backends' fragment result cache (the process backend
+keeps it in this process, so repeats hit it across epochs).
 
 Example::
 
@@ -129,7 +130,7 @@ from repro.runtime.admission import (
     SlaClass,
     make_admission_policy,
 )
-from repro.runtime.backend import BackendState, EpochBackend, ExecutionBackend
+from repro.runtime.backend import BackendState, ExecutionBackend
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.handle import QueryHandle
 from repro.runtime.process import ProcessBackend, engine_environment_factory
@@ -226,13 +227,6 @@ class AnalyticsServer:
             )
         if retry_budget < 0:
             raise ReproError("retry_budget must be >= 0")
-        if sharing and backend == "process":
-            raise ReproError(
-                "sharing=True needs an in-process backend: the process "
-                "backend's worker rebuilds its state per drain, so "
-                "folds and the fragment cache cannot span submissions — "
-                "use backend='simulated' or backend='threaded'"
-            )
         self._sharing = bool(sharing)
         self._sharing_cache_entries = sharing_cache_entries
         self._sharing_attach_buffer = sharing_attach_buffer
@@ -287,17 +281,17 @@ class AnalyticsServer:
         scheduler_factory = partial(
             make_scheduler, self._scheduler_name, self._config
         )
+        options = dict(
+            seed=self._seed,
+            sharing=self._sharing,
+            sharing_cache_entries=self._sharing_cache_entries,
+            sharing_attach_buffer=self._sharing_attach_buffer,
+        )
         if self._environment == "model":
             # Pure virtual time over the paper's cost model: the
             # simulator builds its own SimulationEnvironment, so runs
             # are bit-identical across repeats and hash seeds.
-            return SimulatedBackend(
-                scheduler_factory,
-                seed=self._seed,
-                sharing=self._sharing,
-                sharing_cache_entries=self._sharing_cache_entries,
-                sharing_attach_buffer=self._sharing_attach_buffer,
-            )
+            return SimulatedBackend(scheduler_factory, **options)
         if self._backend_name == "process":
             db = self.database
             if db.generated:
@@ -310,17 +304,12 @@ class AnalyticsServer:
             else:
                 environment_factory = partial(_environment_from_database, db)
             return ProcessBackend(
-                scheduler_factory,
-                seed=self._seed,
-                environment_factory=environment_factory,
+                scheduler_factory, environment_factory=environment_factory, **options
             )
         return SimulatedBackend(
             scheduler_factory,
-            seed=self._seed,
             environment_factory=lambda: EngineEnvironment(self.database),
-            sharing=self._sharing,
-            sharing_cache_entries=self._sharing_cache_entries,
-            sharing_attach_buffer=self._sharing_attach_buffer,
+            **options,
         )
 
     # ------------------------------------------------------------------
@@ -352,15 +341,10 @@ class AnalyticsServer:
     def sharing_stats(self):
         """Work-sharing counters (:class:`~repro.sharing.SharingStats`).
 
-        Zero everywhere when ``sharing=False`` — the counters exist on
-        every in-process backend so monitoring code need not branch.
+        Zero everywhere when ``sharing=False`` — every backend keeps the
+        counters, so monitoring code need not branch.
         """
-        stats = getattr(self._backend, "sharing_stats", None)
-        if stats is None:
-            from repro.sharing import SharingStats
-
-            return SharingStats()
-        return stats
+        return self._backend.sharing_stats
 
     def invalidate_sharing_cache(self) -> None:
         """Drop every cached fragment result and advance the epoch.
@@ -791,7 +775,7 @@ class AnalyticsServer:
         )
 
         backend, policy = self._backend, self._admission_policy
-        if isinstance(backend, EpochBackend):
+        if isinstance(backend, SimulatedBackend):
             knobs = config_knobs(
                 lambda: self._config,
                 self._update_config,

@@ -7,10 +7,10 @@ compatible submissions cost one execution:
 
 * :mod:`repro.sharing.fingerprint` — spec normalization: canonical
   content-hashed keys for the work a query spec describes;
-* :mod:`repro.sharing.fold` — the fold coordinator both in-process
-  backends call (attach, detach, completion, overflow and the §3.2
-  weight rule), the sharing counters and the bounded-replay tee;
-* :mod:`repro.sharing.cache` — the simulated backend's fragment result
+* :mod:`repro.sharing.fold` — the fold coordinator every backend
+  calls (attach, detach, completion, overflow and the §3.2 weight
+  rule), the sharing counters and the bounded-replay tee;
+* :mod:`repro.sharing.cache` — the epoch backends' fragment result
   cache, serving identical back-to-back queries without executing them.
 
 The layer is opt-in (``AnalyticsServer(sharing=True)`` /

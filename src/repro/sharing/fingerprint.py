@@ -6,7 +6,7 @@ from a :class:`~repro.core.specs.QuerySpec`'s query name, scale factor
 and full pipeline structure, hashed with a content hash.
 
 * :func:`spec_fingerprint` is what the backends fold by and what the
-  simulated backend's fragment result cache keys on.  Engine-mode specs
+  epoch backends' fragment result cache keys on.  Engine-mode specs
   are derived deterministically from the plans
   (:func:`~repro.engine.execution.engine_query_spec`), so equal spec
   fingerprints imply equal plans on the same database.

@@ -1,9 +1,10 @@
 """Fold bookkeeping: sharing counters, the fold coordinator and the tee.
 
 A *fold* is one shared execution serving several attached queries.
-:class:`FoldCoordinator` makes every fold decision for both in-process
-backends; they differ only in the attach window.  The virtual-time
-backend offers its pending set in arrival order at drain time, so the
+:class:`FoldCoordinator` makes every fold decision for every backend,
+always in the submitting process; the backends differ only in the
+attach window.  The virtual-time epoch loop (which the process backend
+shares) offers its pending set in arrival order at drain time, so the
 epoch is the window and the earliest arrival leads.  The threaded
 backend offers each query live at submit: a compatible query arriving
 while a leader is in flight attaches to it, and the leader's produced

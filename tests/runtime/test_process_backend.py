@@ -18,6 +18,13 @@ import pytest
 from repro.core import SchedulerConfig, make_scheduler
 from repro.errors import ReproError
 from repro.runtime import BackendState, ProcessBackend, SimulatedBackend
+from repro.runtime.faults import (
+    OPERATOR_RAISE,
+    WORKER_DEATH,
+    WORKER_STALL,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.simcore import RngFactory
 from repro.workloads import generate_workload, tpch_mix
 
@@ -45,6 +52,37 @@ def make_backend(**kwargs):
 
 def _record_reprs(records):
     return [repr(r) for r in records]
+
+
+class _TallyEnv:
+    """Picklable, deterministic environment that produces results.
+
+    Morsels cost ``tuples / rate`` virtual seconds; a query's value is
+    its arrival index and executed tuple count, pushed to its channel
+    as one terminal chunk, so folds and the fragment cache have
+    something to replay.
+    """
+
+    def __init__(self, rate: float = 2.0e7) -> None:
+        self.rate = rate
+        self.tuples = {}
+        self.channels = {}
+
+    def open_channel(self, query_id, channel):
+        self.channels[query_id] = channel
+
+    def run_morsel(self, task_set, tuples):
+        query_id = task_set.resource_group.query_id
+        self.tuples[query_id] = self.tuples.get(query_id, 0) + tuples
+        return tuples / self.rate
+
+    def finish_query(self, query_id):
+        value = (query_id, self.tuples.pop(query_id, 0))
+        self.channels[query_id].put_final(value)
+        return value
+
+    def discard_query(self, query_id):
+        self.tuples.pop(query_id, None)
 
 
 class TestBitIdenticalToSimulated:
@@ -90,6 +128,68 @@ class TestBitIdenticalToSimulated:
             assert run(process) == run(simulated)
         finally:
             process.shutdown()
+
+
+    def test_sharing_epochs_under_faults_match_simulated_backend(self):
+        # A process-level worker death, then seeded operator faults and
+        # stalls, over three sharing epochs: folds (a raising leader
+        # fails its members), fragment-cache hits and plain queries.
+        death = FaultSpec(kind=WORKER_DEATH)
+        plan = FaultPlan(
+            faults=(death,)
+            + FaultPlan.random(
+                seed=3,
+                n_queries=5,
+                kinds=(OPERATOR_RAISE, WORKER_STALL),
+                n_faults=4,
+                max_morsel=3,
+            ).faults
+        )
+        shapes = {
+            name: make_query(name, work=work)
+            for name, work in (
+                ("a", 0.004), ("b", 0.002), ("c", 0.006), ("d", 0.003), ("e", 0.005)
+            )
+        }
+        epochs = ("abacb", "abdda", "ecaeb")
+
+        def run(backend, **install):
+            backend.install_faults(plan, **install)
+            out = []
+            for names in epochs:
+                jobs = [
+                    backend.submit(shapes[name], at=0.001 * index)
+                    for index, name in enumerate(names)
+                ]
+                out.append(_record_reprs(backend.drain()))
+                out.append([repr(backend.results.get(job)) for job in jobs])
+            return out, backend.sharing_stats.as_dict(), backend.fault_injector.fired
+
+        options = dict(
+            seed=7, noise_sigma=0.05, environment_factory=_TallyEnv, sharing=True
+        )
+        # Virtual time has no process to kill: the reference skips the
+        # death, which the process backend spends on its first epoch.
+        reference = run(
+            SimulatedBackend(scheduler_factory(), **options),
+            skip_kinds=(WORKER_DEATH,),
+        )
+        process = ProcessBackend(scheduler_factory(), **options)
+        try:
+            outcome, stats, fired = run(process)
+        finally:
+            process.shutdown()
+        assert process.pool_rebuilds == 1
+        assert outcome == reference[0]
+        assert stats == reference[1]
+        assert fired == [(0, WORKER_DEATH, "", 0)] + reference[2]
+        # The case exercises what it claims to.
+        assert stats["folds"] and stats["cache_hits"]
+        assert {kind for _, kind, _, _ in reference[2]} == {
+            OPERATOR_RAISE,
+            WORKER_STALL,
+        }
+        assert any("InjectedFault" in line for line in outcome[0])
 
 
 class TestEpochSemantics:

@@ -1,7 +1,8 @@
 """Fold lifecycle: the epoch as attach window on the virtual-time backend,
-and the cases both in-process backends share through one
+and the cases every backend shares through one
 :class:`~repro.sharing.FoldCoordinator` (``SharedFoldCases``, run as
-``TestFolding`` on simulated and ``TestThreadedFolding`` on threaded).
+``TestFolding`` on simulated, ``TestThreadedFolding`` on threaded and
+``TestProcessFolding`` on process).
 
 Identity tests pin ``supports_adaptive=False`` on their specs: adaptive
 morsel sizing feeds *measured wall time* into the morsel boundaries,
@@ -22,8 +23,11 @@ from repro.errors import (
     QueryFailedError,
     QueryTimeoutError,
 )
+from repro.experiments.pool import SweepPool
 from repro.runtime.faults import OPERATOR_RAISE, FaultPlan, FaultSpec
+from repro.runtime.process import _execute_epoch
 from repro.server import AnalyticsServer
+from repro.workloads.serialize import workload_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +70,7 @@ def fixed_spec(server, name):
 
 
 class SharedFoldCases:
-    """Fold cases every in-process backend must pass.
+    """Fold cases every backend must pass.
 
     Subclasses set ``backend``; submissions land before a threaded
     server starts, so fold membership is deterministic.
@@ -121,25 +125,32 @@ class SharedFoldCases:
         # §3.2 for folds: a priority-9 query attached to a priority-1
         # leader runs at weight 9 with a share of 2, so the stride
         # scheduler installs user_scale 9 x 2 for the leader's slot.
-        scales = []
-        init_slot = WorkerLocalState.init_slot
-
-        def record(local, slot, group_id, params, user_scale=1.0, **kwargs):
-            scales.append(user_scale)
-            return init_slot(local, slot, group_id, params, user_scale, **kwargs)
-
-        monkeypatch.setattr(WorkerLocalState, "init_slot", record)
-
-        def submit(server):
-            spec = fixed_spec(server, "Q6")
-            return [
-                server.submit_spec(replace(spec, user_priority=priority))
-                for priority in (1.0, 9.0)
-            ]
-
-        server, _ = serve(db, self.backend, submit)
+        scales = record_slot_scales(monkeypatch)
+        server, _ = serve(db, self.backend, submit_weighted_pair)
         assert server.sharing_stats.attached_queries == 1
         assert scales and set(scales) == {18.0}
+
+
+def record_slot_scales(monkeypatch) -> list:
+    """The ``user_scale`` of every slot a scheduler in this process installs."""
+    scales = []
+    init_slot = WorkerLocalState.init_slot
+
+    def record(local, slot, group_id, params, user_scale=1.0, **kwargs):
+        scales.append(user_scale)
+        return init_slot(local, slot, group_id, params, user_scale, **kwargs)
+
+    monkeypatch.setattr(WorkerLocalState, "init_slot", record)
+    return scales
+
+
+def submit_weighted_pair(server):
+    """A priority-1 Q6 and an identical priority-9 one."""
+    spec = fixed_spec(server, "Q6")
+    return [
+        server.submit_spec(replace(spec, user_priority=priority))
+        for priority in (1.0, 9.0)
+    ]
 
 
 class TestFolding(SharedFoldCases):
@@ -205,6 +216,61 @@ class TestFolding(SharedFoldCases):
 
 class TestThreadedFolding(SharedFoldCases):
     backend = "threaded"
+
+
+class TestProcessFolding(SharedFoldCases):
+    backend = "process"
+
+    def test_leader_slot_weight_is_the_max_times_the_share(
+        self, db, monkeypatch
+    ):
+        # The epoch's scheduler runs in a pool worker, out of this
+        # process's monkeypatch: check the weight on the spec that
+        # crosses the pipe, then run that very payload here and read the
+        # slot scale the stride scheduler derives from it.
+        payloads = []
+        call = SweepPool.call
+
+        def record(pool, fn, *args):
+            if fn is _execute_epoch:
+                payloads.extend(args)
+            return call(pool, fn, *args)
+
+        monkeypatch.setattr(SweepPool, "call", record)
+        server, _ = serve(db, self.backend, submit_weighted_pair)
+        assert server.sharing_stats.attached_queries == 1
+        (payload,) = payloads
+        (leader,) = [spec for _, spec in workload_from_arrays(payload["workload"])]
+        assert "fold:2" in leader.tags and leader.user_priority == 9.0
+        scales = record_slot_scales(monkeypatch)
+        _execute_epoch(payload)
+        assert scales and set(scales) == {18.0}
+
+    def test_repeat_hits_the_fragment_cache_in_a_later_epoch(self, db):
+        # Folds and the cache live in the submitting process, so a
+        # repeat is served from the cache whichever worker ran the
+        # first execution; only the epoch's other query executes.
+        server = make_server(db, backend=self.backend)
+        try:
+            first = server.submit_spec(fixed_spec(server, "Q6"))
+            server.run()
+            again = server.submit_spec(fixed_spec(server, "Q6"))
+            server.submit_spec(fixed_spec(server, "Q1"))
+            server.run()
+            record = server.record(again)
+            assert server.sharing_stats.cache_hits == 1
+            assert record.cpu_seconds == 0.0
+            assert record.completion_time == record.arrival_time
+            assert repr(server.result(again)) == repr(server.result(first))
+            tasks = server.backend.last_tasks_executed
+        finally:
+            server.shutdown()
+        alone, _ = serve(
+            db,
+            self.backend,
+            lambda server: [server.submit_spec(fixed_spec(server, "Q1"))],
+        )
+        assert tasks == alone.backend.last_tasks_executed > 0
 
 
 class TestMemberLifecycle:
