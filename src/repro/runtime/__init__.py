@@ -20,7 +20,7 @@ never know whether time is virtual or real:
 Results flow through one bounded :class:`ResultChannel` per job:
 ``submit`` returns a :class:`QueryHandle` cursor over the stream of
 :class:`ResultChunk` row batches, and ``drain()`` absorbs unconsumed
-streams so ``results[job_id]`` still holds the assembled value.
+streams so ``result(job_id)`` can assemble the value on demand.
 
 The :class:`~repro.server.AnalyticsServer` selects a backend by name
 and layers online submission semantics on top.

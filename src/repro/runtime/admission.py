@@ -29,7 +29,6 @@ in principle be shared by many shards.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -210,12 +209,14 @@ class BlockingAdmission(AdmissionPolicy):
     requires_realtime = True
 
     def _on_full(self, backend, tickets, request):
-        # Worker failures surface through drain()/wait(); here a closed
-        # backend is the only reason to give up.
-        while backend.pending_count >= self.max_pending:
-            if backend.state is BackendState.CLOSED:
-                raise ReproError("server shut down while blocked on admission")
-            time.sleep(0.001)
+        # Sleeps on the backend's condition, which every settle and the
+        # shutdown notify: a freed slot wakes the submitter, no timer.
+        backend._await(
+            lambda: backend.pending_count < self.max_pending
+            or backend.state is BackendState.CLOSED
+        )
+        if backend.state is BackendState.CLOSED:
+            raise ReproError("server shut down while blocked on admission")
 
 
 class SheddingAdmission(AdmissionPolicy):

@@ -43,8 +43,8 @@ Results flow through one bounded
 pushes row chunks as morsels of the final pipeline complete; callers
 either consume the live stream through a handle (threaded backend —
 bounded memory) or let ``drain()`` absorb the stream into the job's
-:class:`~repro.runtime.handle.ResultCursor` so ``results[job_id]``
-holds the assembled value.  A handle of any layer reaches that cursor
+:class:`~repro.runtime.handle.ResultCursor`, which ``result()``
+assembles once, on first demand.  A handle of any layer reaches that cursor
 through :meth:`ExecutionBackend._locate`, the bottom of the one ticket
 resolver chain.
 
@@ -78,6 +78,7 @@ from repro.metrics.latency import LatencyRecord
 from repro.runtime.channel import (
     DEFAULT_CHANNEL_CAPACITY,
     NO_RESULT,
+    STREAMED,
     ResultChannel,
     assemble_chunks,
 )
@@ -102,6 +103,11 @@ class ExecutionBackend(abc.ABC):
     #: an epoch no consumer can run concurrently, so blocking would
     #: deadlock; the threaded backend overrides to ``True``.
     _channel_blocking = False
+    #: The one condition a real-time backend's waits sleep on.  Every
+    #: result channel of the backend shares it, so a settle and a
+    #: channel's put / close / fail wake the same sleepers.  ``None``
+    #: (virtual time): each channel keeps a condition of its own.
+    _done: Optional[threading.Condition] = None
 
     def __init__(
         self, *, channel_capacity: int = DEFAULT_CHANNEL_CAPACITY
@@ -111,9 +117,15 @@ class ExecutionBackend(abc.ABC):
         self._next_job_id = 0
         #: Latency records of completed jobs, keyed by job id.
         self.records: Dict[int, LatencyRecord] = {}
-        #: Engine results of completed jobs (only populated when the
-        #: execution environment produces real results).
+        #: Engine results of completed jobs: a pipeline breaker's value
+        #: at completion, a streamed result once ``result()`` assembled
+        #: it (only populated when the environment produces results).
         self.results: Dict[int, object] = {}
+        #: Jobs submitted and not yet settled.
+        self._live: Set[int] = set()
+        #: The drained-record ledger: jobs settled since the previous
+        #: ``drain()``, in settle order.
+        self._settled: List[int] = []
         #: How many chunks each job's result channel buffers before
         #: applying backpressure.
         self.channel_capacity = channel_capacity
@@ -168,8 +180,13 @@ class ExecutionBackend(abc.ABC):
             job_id = self._next_job_id
             self._next_job_id += 1
             self._cursors[job_id] = ResultCursor(
-                ResultChannel(self.channel_capacity, blocking=self._channel_blocking)
+                ResultChannel(
+                    self.channel_capacity,
+                    blocking=self._channel_blocking,
+                    condition=self._done,
+                )
             )
+            self._live.add(job_id)
         self._do_submit(job_id, spec, at)
         return QueryHandle.attach(job_id, self)
 
@@ -179,7 +196,7 @@ class ExecutionBackend(abc.ABC):
             raise ReproError("cannot drain a backend after shutdown()")
         if self._state is BackendState.NEW:
             self.start()
-        return self._do_drain()
+        return [self.records[job_id] for job_id in self._do_drain()]
 
     def shutdown(self) -> None:
         """Stop executing; the backend cannot be restarted."""
@@ -249,10 +266,7 @@ class ExecutionBackend(abc.ABC):
             else:
                 self.failures.pop(job_id, None)
             return False
-        if error is None:
-            self._do_cancel(job_id)
-        else:
-            self._do_fail(job_id, error)
+        self._do_abort(job_id, error)
         return True
 
     # ------------------------------------------------------------------
@@ -308,8 +322,10 @@ class ExecutionBackend(abc.ABC):
         channel); a completed one gets ``chunks`` — ``(kind, payload,
         rows)`` triples the caller already holds: a fold's replay
         buffer, a cache hit, a result off the process pipe — and a clean
-        close.  The record is written last: ``drain()`` counts records,
-        so a counted job is guaranteed fully materialised.
+        close.  The record is written last, then the job leaves the live
+        set and joins the drained-record ledger, so a job that ``wait()``
+        or ``drain()`` sees settled is fully materialised.  A real-time
+        backend calls this under its condition and notifies.
         """
         channel = self._cursors[job_id].channel
         if record.failed:
@@ -333,13 +349,39 @@ class ExecutionBackend(abc.ABC):
                 # leaves that to the caller's drain()/wait()/result().
                 self._absorb_stream(job_id)
         self.records[job_id] = record
+        self._live.discard(job_id)
+        self._settled.append(job_id)
         if self.on_terminal is not None:
             self.on_terminal(job_id)
         return record
 
-    def _settle_fold(
-        self, leader: LatencyRecord, chunks, members
-    ) -> List[LatencyRecord]:
+    def _take_settled(self) -> List[int]:
+        """Empty the drained-record ledger; returns the jobs it held."""
+        settled, self._settled = self._settled, []
+        return settled
+
+    def _complete(self, environment, job_id: int, record: LatencyRecord) -> None:
+        """The one completion step of a query the scheduler finished.
+
+        A failed or cancelled query's plan state is dropped, not
+        finalized: finalization would drain the remaining relation
+        through the pipeline, exactly the work cancellation and failure
+        isolation avoid.  Otherwise the query is finished, and a value
+        the engine materialized (a pipeline breaker's) is kept; a
+        streamed one is the chunks in the job's channel.
+        """
+        if record.failed or record.cancelled:
+            discard = getattr(environment, "discard_query", None)
+            if discard is not None:
+                discard(record.query_id)
+            return
+        finish = getattr(environment, "finish_query", None)
+        if finish is not None:
+            value = finish(record.query_id)
+            if value is not STREAMED:
+                self.results[job_id] = value
+
+    def _settle_fold(self, leader: LatencyRecord, chunks, members) -> None:
         """Settle the queries attached to one shared execution.
 
         ``leader`` is the shared execution's own record, ``chunks`` its
@@ -353,7 +395,6 @@ class ExecutionBackend(abc.ABC):
         the replayed chunks.  No outcome of one member disturbs the
         leader or its siblings.
         """
-        settled = []
         for job_id, spec, arrival in members:
             completion = max(leader.completion_time, arrival)
             cause = None
@@ -369,8 +410,7 @@ class ExecutionBackend(abc.ABC):
                 )
                 error = error_text(cause)
             record = self._synthetic_record(spec, arrival, completion, error=error)
-            settled.append(self._settle(job_id, record, cause, chunks))
-        return settled
+            self._settle(job_id, record, cause, chunks)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -507,27 +547,32 @@ class ExecutionBackend(abc.ABC):
             ) from cause
         if job_id in self.results:
             return self.results[job_id]
-        if self._cursors[job_id].streamed:
+        cursor = self._cursors[job_id]
+        if cursor.streamed:
             raise ReproError(
                 f"job {job_id} was consumed as a stream; its full result "
                 "was never materialized"
             )
         self._absorb_stream(job_id)
-        if job_id not in self.results:
+        # Assembled once, on first demand, then kept: bit-identical to
+        # the pre-streaming value, because the spilled chunks are
+        # exactly the old sink buffer in order.
+        value = assemble_chunks(cursor.spill) if cursor.materialized else NO_RESULT
+        if value is NO_RESULT:
             raise ReproError(
                 f"job {job_id} produced no result "
                 "(execution environment without an engine?)"
             )
-        return self.results[job_id]
+        self.results[job_id] = value
+        return value
 
     def _absorb_stream(self, job_id: int) -> None:
-        """Move buffered chunks into the job's spill; assemble if done.
+        """Move buffered chunks into the job's spill.
 
-        Called by ``drain()`` (and ``result``): popping the channel
-        unblocks any producer parked on a full channel, and once the
-        channel closes cleanly the spilled chunks reassemble into
-        ``results[job_id]`` — bit-identical to the pre-streaming value,
-        because the chunks are exactly the old sink buffer in order.
+        Called by ``drain()``, ``wait()`` and ``result()``: popping the
+        channel unblocks any producer parked on a full channel, and once
+        the channel has closed cleanly the spill is the whole stream
+        (``materialized``), which ``result()`` assembles on demand.
         Streams being consumed live are left alone.
         """
         cursor = self._cursors[job_id]
@@ -535,6 +580,9 @@ class ExecutionBackend(abc.ABC):
         with self._absorb_lock:
             if cursor.streamed or cursor.materialized:
                 return
+            # Read before popping: once closed, no chunk can follow the
+            # ones still buffered, so the spill below is complete.
+            complete = channel.closed and not channel.failed
             while True:
                 try:
                     chunk = channel.get_nowait()
@@ -543,12 +591,7 @@ class ExecutionBackend(abc.ABC):
                 if chunk is None:
                     break
                 cursor.spill.append(chunk)
-            if channel.closed and not channel.failed:
-                cursor.materialized = True
-                if cursor.spill and job_id not in self.results:
-                    assembled = assemble_chunks(cursor.spill)
-                    if assembled is not NO_RESULT:
-                        self.results[job_id] = assembled
+            cursor.materialized = complete
 
     @property
     def submitted_count(self) -> int:
@@ -582,31 +625,19 @@ class ExecutionBackend(abc.ABC):
         """Register one job with the execution substrate."""
 
     @abc.abstractmethod
-    def _do_drain(self) -> List[LatencyRecord]:
-        """Block until all submitted jobs completed; return new records."""
+    def _do_drain(self) -> List[int]:
+        """Block until all submitted jobs settled; return the ledger's jobs."""
 
     @abc.abstractmethod
     def _do_shutdown(self) -> None:
         """Backend-specific teardown (idempotence handled by the base)."""
 
-    def _do_cancel(self, job_id: int) -> None:
-        """Backend-specific cancellation.
+    @abc.abstractmethod
+    def _do_abort(self, job_id: int, error: Optional[BaseException]) -> None:
+        """Backend-specific cancellation (``error is None``) or failure.
 
         Called after the job's channel failed; the backend must ensure
-        a latency record (``cancelled=True``) is eventually settled so
-        ``pending_count`` drops and ``drain()`` does not wait forever.
+        a latency record (``cancelled=True``, or ``failed=True``) is
+        eventually settled so ``pending_count`` drops and ``drain()``
+        does not wait forever.
         """
-        raise ReproError(
-            f"{type(self).__name__} does not support cancel()"
-        )
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        """Backend-specific external failure (load shedding).
-
-        Called after the job's channel failed; the backend must ensure
-        a latency record (``failed=True``) is eventually settled so
-        ``pending_count`` drops and ``drain()`` does not wait forever.
-        """
-        raise ReproError(
-            f"{type(self).__name__} does not support fail()"
-        )

@@ -32,9 +32,13 @@ Two delivery regimes share the class:
     deterministically when ``drain()`` returns.  ``capacity`` still
     feeds :attr:`peak_depth` accounting.
 
-Thread-safety: every mutation runs under one condition variable; the
-sequential virtual-time paths pay a single uncontended lock acquisition
-per chunk, which is noise next to the numpy kernels producing it.
+Thread-safety: every mutation runs under one condition variable, which
+every state change (put, pop, close, fail) notifies; nothing waits on a
+timer.  A real-time backend passes the condition its own waits sleep
+on, so its channels share it and a channel state change wakes them too.
+The sequential virtual-time paths pay a single uncontended lock
+acquisition per chunk, which is noise next to the numpy kernels
+producing it.
 """
 
 from __future__ import annotations
@@ -86,13 +90,14 @@ class ResultChannel:
         capacity: int = DEFAULT_CHANNEL_CAPACITY,
         *,
         blocking: bool = False,
+        condition: Optional[threading.Condition] = None,
     ) -> None:
         if capacity < 1:
             raise ReproError("channel capacity must be at least 1")
         self.capacity = capacity
         self.blocking = blocking
         self._buffer: Deque[ResultChunk] = deque()
-        self._cond = threading.Condition()
+        self._cond = condition if condition is not None else threading.Condition()
         self._closed = False
         self._error: Optional[BaseException] = None
         # Armed consumer-disappearance fault (see fail_after()).
@@ -166,7 +171,7 @@ class ResultChannel:
                     and not self._closed
                     and self._error is None
                 ):
-                    self._cond.wait(timeout=0.05)
+                    self._cond.wait()
                 if self._error is not None:
                     return
             self._buffer.append(ResultChunk(kind, payload, rows))

@@ -77,6 +77,8 @@ def _execute_epoch(payload: dict) -> dict:
     for arrival, spec in workload_from_arrays(payload["workload"]):
         backend.submit(spec, at=arrival)
     # Job id == arrival index == record query id; drain() settles in order.
+    # Nothing is assembled here: the submitting side assembles a streamed
+    # result if and when its result() is asked for.
     records, results, chunks = LatencyCollector(), {}, {}
     for record in backend.drain():
         records.add(record)

@@ -36,7 +36,7 @@ from repro.core.specs import QuerySpec
 from repro.errors import ReproError, error_text
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, STREAMED
+from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY
 from repro.runtime.clock import VirtualClock
 from repro.runtime.trace import TraceRecorder
 from repro.sharing import (
@@ -87,8 +87,6 @@ class SimulatedBackend(ExecutionBackend):
         self._trace = trace
         #: job id -> ``(arrival, spec, job id)``, in submission order.
         self._pending: Dict[int, Tuple[float, QuerySpec, int]] = {}
-        #: Jobs settled while pending; the next drain reports them.
-        self._unreported_cancels: List[int] = []
         self._clock = VirtualClock()
         #: The environment of the most recent epoch (engine results).
         self.last_environment: Optional[object] = None
@@ -137,13 +135,7 @@ class SimulatedBackend(ExecutionBackend):
     def _do_shutdown(self) -> None:
         self._pending.clear()
 
-    def _do_cancel(self, job_id: int) -> None:
-        self._settle_pending(job_id, None)
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        self._settle_pending(job_id, error)
-
-    def _settle_pending(self, job_id: int, error: Optional[BaseException]) -> None:
+    def _do_abort(self, job_id: int, error: Optional[BaseException]) -> None:
         # An abortable job is always still pending: remove it and record
         # the outcome at its arrival time (zero CPU, zero latency) so
         # counters settle and the next drain() reports it once.
@@ -156,32 +148,27 @@ class SimulatedBackend(ExecutionBackend):
             error="" if error is None else error_text(error),
         )
         self._settle(job_id, record, error)
-        self._unreported_cancels.append(job_id)
 
     def _begin_epoch(self):
-        """Open a drain: ``(records to report, pending in arrival order)``.
+        """Open a drain: the pending set in arrival order.
 
-        Jobs cancelled or shed since the previous drain are "finished"
-        jobs too: their records surface exactly once, like every
-        completion.  The pending set is stably sorted by arrival time —
-        ties resolve in submission order, and the scheduler numbers
-        resource groups in arrival order, so a job's index in the
-        returned list is its query id in the epoch.
+        The sort is stable by arrival time — ties resolve in submission
+        order, and the scheduler numbers resource groups in arrival
+        order, so a job's index in the returned list is its query id in
+        the epoch.
         """
-        finished = [self.records[job_id] for job_id in self._unreported_cancels]
-        self._unreported_cancels = []
         pending = sorted(self._pending.values(), key=lambda entry: entry[0])
         self._pending = {}
-        return finished, pending
+        return pending
 
-    def _do_drain(self) -> List[LatencyRecord]:
-        finished, run = self._begin_epoch()
+    def _do_drain(self) -> List[int]:
+        run = self._begin_epoch()
         sharing = self._sharing
         try:
             if sharing:
-                run = self._offer_folds(run, finished)
+                run = self._offer_folds(run)
             for job_id, record, cause, chunks in self._run_epoch(run) if run else ():
-                finished.append(self._settle(job_id, record, cause, chunks))
+                self._settle(job_id, record, cause, chunks)
                 fold = self._folds.seal(job_id) if sharing else None
                 if fold is None:
                     continue
@@ -190,13 +177,15 @@ class SimulatedBackend(ExecutionBackend):
                 # success) into the fragment cache for future epochs.
                 spill = self._cursors[job_id].spill
                 chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
-                finished.extend(self._settle_fold(record, chunks, fold.members))
+                self._settle_fold(record, chunks, fold.members)
                 if chunks and not record.failed:
                     self._fragment_cache.put(fold.fingerprint, chunks)
         finally:
             if sharing:
                 self._folds.seal_all()
-        return finished
+        # Jobs cancelled or shed since the previous drain surface here
+        # too, exactly once, like every completion.
+        return self._take_settled()
 
     def _run_epoch(self, run) -> Iterator[EpochStep]:
         """Execute one ordered epoch here; one step per finished query.
@@ -222,21 +211,11 @@ class SimulatedBackend(ExecutionBackend):
         )
         self._clock = VirtualClock(result.end_time)
         self.last_environment = environment
-        finish_query = getattr(environment, "finish_query", None)
-        discard_query = getattr(environment, "discard_query", None)
         for record in result.records.records:
+            # A failed query was already wound down by the scheduler's
+            # abort protocol; survivors of the same epoch are untouched.
             job_id = run[record.query_id][2]
-            if record.failed:
-                # Per-query failure isolation: the scheduler already
-                # wound this query down through the abort protocol;
-                # drop its plan state.  Survivors of the same epoch are
-                # untouched.
-                if discard_query is not None:
-                    discard_query(record.query_id)
-            elif finish_query is not None:
-                value = finish_query(record.query_id)
-                if value is not STREAMED:
-                    self.results[job_id] = value
+            self._complete(environment, job_id, record)
             yield job_id, record, None, ()
 
     # ------------------------------------------------------------------
@@ -247,15 +226,15 @@ class SimulatedBackend(ExecutionBackend):
         if self._fragment_cache is not None:
             self._fragment_cache.invalidate()
 
-    def _offer_folds(self, pending, finished):
+    def _offer_folds(self, pending):
         """Offer one epoch's pending set to the fold coordinator.
 
         The epoch *is* the attach window: queries are offered in arrival
         order, so the earliest arrival of a fingerprint leads.  Returns
         what must execute, fold leaders stamped with the coordinator's
         §3.2 weight rule.  Repeats of a fingerprint that completed in an
-        earlier epoch are settled here (onto ``finished``) from the
-        fragment cache, at their arrival time and zero cost.
+        earlier epoch are settled here from the fragment cache, at their
+        arrival time and zero cost.
         """
         # Only engine results are worth caching (the cost model has none).
         cache = self._fragment_cache if self._environment_factory else None
@@ -268,7 +247,7 @@ class SimulatedBackend(ExecutionBackend):
                     chunks = cache.get(fp)
                     if chunks is not MISS:
                         record = self._synthetic_record(spec, arrival, arrival)
-                        finished.append(self._settle(job_id, record, chunks=chunks))
+                        self._settle(job_id, record, chunks=chunks)
                         continue
                 if folds.offer(job_id, spec, arrival, fp):
                     continue

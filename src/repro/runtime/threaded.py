@@ -16,12 +16,18 @@ Time is real: the :class:`~repro.runtime.clock.WallClock` starts at
 since then, so latency records are shaped like the simulator's (floats
 in seconds from a zero epoch).
 
-Workers never sleep while work is available.  A worker whose
-``worker_decide`` returns ``None`` parks on a per-worker event with a
-small timeout: the scheduler's wake callback sets the event when a mask
-update targets the worker, and the timeout bounds the cost of the
+Nothing polls.  A worker whose ``worker_decide`` returns ``None``
+parks on a per-worker event, which the scheduler's wake callback sets
+when a mask update targets the worker; :data:`PARK_TIMEOUT` bounds the
 inherent publish/park race (a wake between the last mask probe and the
-park would otherwise be lost).
+park would otherwise be lost) and time-based events nobody signals,
+such as an expiring deadline.  ``drain()``, ``wait()`` and a submitter
+blocked on admission sleep on one condition, which every settle, worker
+death, shutdown and channel put, pop, close and fail notify (the
+backend's channels share it).  A woken caller checks its predicate
+under the condition and absorbs buffered chunks outside it, so a
+producer parked on a full channel always has a consumer.  The one lock order: ``_absorb_lock``, then the
+condition; nothing that holds the condition takes ``_absorb_lock``.
 """
 
 from __future__ import annotations
@@ -42,10 +48,13 @@ from repro.errors import (
 )
 from repro.metrics.latency import LatencyRecord
 from repro.runtime.backend import ExecutionBackend
-from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, STREAMED
+from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY
 from repro.runtime.clock import WallClock
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.sharing import FoldCoordinator, SharingStats, TeeChannel, spec_fingerprint
+
+#: Longest a parked worker sleeps without a wake (see the module notes).
+PARK_TIMEOUT = 0.002
 
 
 class ThreadedBackend(ExecutionBackend):
@@ -61,7 +70,6 @@ class ThreadedBackend(ExecutionBackend):
         scheduler: SchedulerBase,
         environment: object,
         *,
-        park_timeout: float = 0.002,
         channel_capacity: int = DEFAULT_CHANNEL_CAPACITY,
         sharing: bool = False,
         sharing_attach_buffer: int = 16,
@@ -74,25 +82,21 @@ class ThreadedBackend(ExecutionBackend):
             )
         self._scheduler = scheduler
         self._environment = environment
-        self._park_timeout = park_timeout
         # Install the concurrency seams immediately: queries submitted
         # before start() must already produce lock-guarded task sets.
         scheduler.enable_concurrency()
         self._clock = WallClock()
         self._threads: List[threading.Thread] = []
-        self._park_events = [
-            threading.Event() for _ in range(scheduler.n_workers)
-        ]
+        self._park_events = [threading.Event() for _ in range(scheduler.n_workers)]
         self._stop = threading.Event()
-        #: Signalled on every completion (and on worker failure) so
-        #: drain() and wait() can block without polling the scheduler.
-        self._done = threading.Condition()
+        #: Re-entrant: a settle under it puts into and closes channels,
+        #: which take it too.
+        self._done = threading.Condition(threading.RLock())
         #: group.query_id -> job id; written under the scheduler's
         #: admission lock before the group becomes runnable.
         self._jobs = {}
         #: job id -> resource group (the reverse map, for cancel()).
         self._groups = {}
-        self._reported: set = set()
         self._worker_error: Optional[BaseException] = None
         #: Worker threads retired by an (injected or real) worker death;
         #: each is replaced by a fresh thread on the same worker id.
@@ -125,9 +129,7 @@ class ThreadedBackend(ExecutionBackend):
         self, plan: FaultPlan, *, spent=(), skip_kinds=()
     ) -> FaultInjector:
         """Install a fault plan (before submitting, so channels arm)."""
-        injector = super().install_faults(
-            plan, spent=spent, skip_kinds=skip_kinds
-        )
+        injector = super().install_faults(plan, spent=spent, skip_kinds=skip_kinds)
         # Wrap immediately: submissions register their result channels
         # through the environment, and the wrapper must see them to arm
         # consumer-disappearance faults.
@@ -139,9 +141,7 @@ class ThreadedBackend(ExecutionBackend):
         enable = getattr(self._environment, "enable_concurrency", None)
         if enable is not None:
             enable()
-        scheduler.attach(
-            self._environment, wake_fn=self._wake, clock=self._clock
-        )
+        scheduler.attach(self._environment, wake_fn=self._wake, clock=self._clock)
         scheduler.on_complete = self._on_complete
         self._clock.start()
         for worker_id in range(scheduler.n_workers):
@@ -215,65 +215,77 @@ class ThreadedBackend(ExecutionBackend):
         for job_id, spec, _ in self._folds.overflow(fold):
             self._admit(job_id, spec, self._clock.now())
 
-    def _do_drain(self) -> List[LatencyRecord]:
+    def _do_drain(self) -> List[int]:
+        self._await(lambda: not self._live)
+        with self._done:
+            settled = self._take_settled()
+        # A job may have settled after the last absorb of its channel.
+        for job_id in settled:
+            self._absorb_stream(job_id)
+        return settled
+
+    def _await(self, done, producers=None, deadline: Optional[float] = None) -> bool:
+        """Sleep on ``_done`` until ``done()``; ``False`` past ``deadline``.
+
+        Each wake checks under the condition whether ``done()`` holds or
+        a job of ``producers()`` (default: every live job) has chunks
+        buffered that nobody consumes (a live-streamed handle's consumer
+        is elsewhere), and absorbs those outside it.  This is what keeps
+        drain(), wait() and blocking admission deadlock free — a
+        producer parked on a full bounded channel can only make progress
+        if somebody consumes, and while a caller waits that somebody is
+        the caller.
+        """
+        cursors = self._cursors
         while True:
             with self._done:
+                if done():
+                    return True
                 if self._worker_error is not None:
-                    raise WorkerFailedError(
-                        "worker thread failed during drain"
-                    ) from self._worker_error
-                # Job records are written *after* the scheduler's own
-                # completion bookkeeping, so counting them (not the
-                # scheduler's counters) guarantees every drained job is
-                # fully materialised.
-                if len(self.records) >= self.submitted_count:
-                    break
-                self._done.wait(timeout=0.05)
-            # Outside the condition: pop buffered chunks into the
-            # handles' spill lists.  This is what keeps drain() deadlock
-            # free — a producer parked on a full bounded channel can only
-            # make progress if somebody consumes, and during drain() that
-            # somebody is us.  Handles being live-streamed by the caller
-            # are left alone (their consumer is elsewhere).
-            for job_id in range(self.submitted_count):
+                    raise WorkerFailedError("a worker thread failed") from self._worker_error
+                jobs = list(self._live) if producers is None else producers()
+                buffered = [
+                    job_id for job_id in jobs
+                    if job_id is not None
+                    and cursors[job_id].channel.depth
+                    and not cursors[job_id].streamed
+                ]
+                if not buffered:
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0.0:
+                        return False
+                    self._done.wait(remaining)
+                    continue
+            for job_id in buffered:
                 self._absorb_stream(job_id)
-        for job_id in range(self.submitted_count):
-            self._absorb_stream(job_id)
-        fresh = [
-            job_id for job_id in sorted(self.records)
-            if job_id not in self._reported
-        ]
-        self._reported.update(fresh)
-        return [self.records[job_id] for job_id in fresh]
 
     def _do_shutdown(self) -> None:
-        self._stop.set()
         # Fail every still-open channel *before* joining: a producer
         # parked inside put() on a full channel only re-checks its exit
         # conditions when the channel signals, so without this a worker
         # mid-stream (or stranded by a dead sibling) would never observe
         # the stop flag and the join below would time out.
-        self._fail_open_channels(
+        self._halt(
             ChannelClosedError("backend shut down before this stream completed")
         )
-        for event in self._park_events:
-            event.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads.clear()
         if self._worker_error is not None:
-            raise WorkerFailedError(
-                "worker thread failed before shutdown"
-            ) from self._worker_error
+            raise WorkerFailedError("worker thread failed before shutdown") from self._worker_error
 
-    def _fail_open_channels(self, error: BaseException) -> None:
-        """Fail every channel that has not closed cleanly (wakes parkers).
-
-        ``ResultChannel.fail`` is a no-op on cleanly closed channels, so
-        completed results are never poisoned.
-        """
-        for cursor in list(self._cursors.values()):
-            cursor.channel.fail(error)
+    def _halt(self, error: BaseException) -> None:
+        """Stop the workers: set the stop flag, fail each live job's
+        channel with ``error`` (waking parked producers) and unpark all.
+        A settled job's channel is closed, which ``fail`` leaves alone,
+        so completed results are never poisoned."""
+        self._stop.set()
+        with self._done:
+            for job_id in list(self._live):  # submitters add without it
+                self._cursors[job_id].channel.fail(error)
+            self._done.notify_all()  # a blocked submitter sees CLOSED
+        for event in self._park_events:
+            event.set()
 
     # ------------------------------------------------------------------
     # Worker threads
@@ -282,7 +294,6 @@ class ThreadedBackend(ExecutionBackend):
         scheduler = self._scheduler
         clock = self._clock
         event = self._park_events[worker_id]
-        park_timeout = self._park_timeout
         stop = self._stop
         try:
             while not stop.is_set():
@@ -291,7 +302,7 @@ class ThreadedBackend(ExecutionBackend):
                     # Parked: wait for a wake (mask update targeting this
                     # worker) or the timeout that bounds the publish/park
                     # race window.
-                    event.wait(park_timeout)
+                    event.wait(PARK_TIMEOUT)
                     event.clear()
                     continue
                 # Under this backend worker_decide already *executed* the
@@ -312,16 +323,13 @@ class ThreadedBackend(ExecutionBackend):
             with self._done:
                 if self._worker_error is None:
                     self._worker_error = exc
-                self._done.notify_all()
-            self._stop.set()
-            # Wake sibling workers parked on full channels — with this
-            # worker gone nobody may ever consume, and a producer stuck
-            # in put() would hang shutdown forever.
-            self._fail_open_channels(
+            # Wake the callers (the halt notifies) and the sibling workers
+            # parked on full channels — with this worker gone nobody may
+            # ever consume, and a producer stuck in put() would hang
+            # shutdown forever.
+            self._halt(
                 WorkerFailedError(f"worker thread {worker_id} failed: {exc}")
             )
-            for other in self._park_events:
-                other.set()
 
     def _wake(self, worker_id: int) -> None:
         """Scheduler wake callback: unpark one worker thread."""
@@ -330,41 +338,26 @@ class ThreadedBackend(ExecutionBackend):
     def _on_complete(self, group, record: LatencyRecord) -> None:
         """Scheduler completion hook (runs on the finalizing worker)."""
         job_id = self._jobs[group.query_id]
-        value = STREAMED
-        if group.cancelled or group.failed:
-            # The plan state is dropped, not finalized: finalization
-            # would defensively drain the remaining relation through the
-            # pipeline — exactly the work cancellation (and failure
-            # isolation) avoids.
-            discard = getattr(self._environment, "discard_query", None)
-            if discard is not None:
-                discard(group.query_id)
-        else:
-            finish_query = getattr(self._environment, "finish_query", None)
-            if finish_query is not None:
-                # A detached leader's final chunk still flows through
-                # the tee (the inner channel already failed, so the put
-                # is a silent drop there) — members replay a complete
-                # result even though the leader's consumer left.
-                value = finish_query(group.query_id)
+        # A detached leader's final chunk still flows through the tee
+        # (the inner channel already failed, so the put is a silent drop
+        # there) — members replay a complete result even though the
+        # leader's consumer left.
+        self._complete(self._environment, job_id, record)
         # Seal after the last chunk went through the tee: a late
         # arrival of this fingerprint then leads a fresh fold instead of
         # attaching to a completed execution.
         fold = self._folds.seal(job_id) if self._sharing else None
-        leader_detached = fold is not None and fold.leader_detached
-        if value is not STREAMED and not leader_detached:
-            self.results[job_id] = value
         outcome, cause = record, group.failure
+        leader_detached = fold is not None and fold.leader_detached
         if leader_detached and not record.failed and not record.cancelled:
             # The leader's submitter cancelled (or shed) it mid-flight;
             # the group kept executing for the attached queries, so the
             # scheduler's record reads like a normal completion.  Restate
-            # the caller-visible outcome.
+            # the caller-visible outcome, which keeps no value.
+            self.results.pop(job_id, None)
             cause = self.failures.get(job_id)
             if cause is not None:
-                outcome = replace(
-                    record, failed=True, error=error_text(cause)
-                )
+                outcome = replace(record, failed=True, error=error_text(cause))
             else:
                 outcome = replace(record, cancelled=True)
         # The leader and its attached queries publish together: a waiter
@@ -388,39 +381,16 @@ class ThreadedBackend(ExecutionBackend):
         # WallClock: before start() the latter is pinned at 0.0 and a
         # timed wait would never expire.
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._done:
-                if job_id in self.records:
-                    break
-                if self._worker_error is not None:
-                    raise WorkerFailedError(
-                        "worker thread failed while waiting"
-                    ) from self._worker_error
-                remaining = 0.05
-                if deadline is not None:
-                    remaining = min(remaining, deadline - time.monotonic())
-                    if remaining <= 0.0:
-                        raise ReproError(
-                            f"job {job_id} did not complete within {timeout}s"
-                        )
-                self._done.wait(timeout=remaining)
-            # Absorb buffered chunks while waiting (same deadlock-freedom
-            # argument as drain): a producer parked on this job's full
-            # channel must not be able to stall the wait forever.  An
-            # attached query's producer is its fold leader.
-            self._absorb_stream(job_id)
-            leader = self._folds.leader_of(job_id)
-            if leader is not None:
-                self._absorb_stream(leader)
+        # An attached query's producer is its fold leader.
+        if not self._await(
+            lambda: job_id in self.records,
+            lambda: (job_id, self._folds.leader_of(job_id)),
+            deadline,
+        ):
+            raise ReproError(f"job {job_id} did not complete within {timeout}s")
         return self.records[job_id]
 
-    def _do_cancel(self, job_id: int) -> None:
-        self._wind_down(job_id, None)
-
-    def _do_fail(self, job_id: int, error: BaseException) -> None:
-        self._wind_down(job_id, error)
-
-    def _wind_down(self, job_id: int, error: Optional[BaseException]) -> None:
+    def _do_abort(self, job_id: int, error: Optional[BaseException]) -> None:
         """Abort one live job: detach it from its fold, or abort its group."""
         if self._sharing:
             member = self._folds.detach_member(job_id)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import SchedulerConfig, make_scheduler
 from repro.core.task import TaskSet
+from repro.engine import generate_tpch
 from repro.errors import (
     AdmissionError,
     InjectedFault,
@@ -23,6 +24,7 @@ from repro.errors import (
 )
 from repro.runtime import ProcessBackend, SimulatedBackend, ThreadedBackend
 from repro.runtime.faults import OPERATOR_RAISE, FaultPlan, FaultSpec
+from repro.server import AnalyticsServer
 
 from tests.conftest import make_query
 
@@ -208,3 +210,46 @@ def test_terminal_outcomes_settle_identically(make, outcome):
     assert not (survivor.cancelled or survivor.failed)
     assert survivor.cpu_seconds > 0.0
     assert backend.pending_count == 0
+
+
+@pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
+def test_successive_drains_report_each_settled_job_once(backend):
+    """One drained-record ledger: whichever way a job settles — run,
+    retried, cancelled while pending, served to a fold member or from
+    the fragment cache — exactly one drain reports its record."""
+    server = AnalyticsServer(
+        scheduler="stride",
+        n_workers=2,
+        seed=5,
+        database=generate_tpch(scale_factor=0.003, seed=5),
+        backend=backend,
+        sharing=True,
+    )
+    server.install_faults(
+        FaultPlan(faults=(FaultSpec(kind=OPERATOR_RAISE, query="Q1", morsel=0),))
+    )
+    try:
+        # Nothing runs before the first drain (the threaded server is not
+        # started yet): the second Q6 attaches to the first, and the Q18
+        # is cancelled while pending.  Q1's first attempt fails and is
+        # retried within the drain.
+        first = [
+            server.submit(name, retries=1 if name == "Q1" else 0)
+            for name in ("Q6", "Q6", "Q1", "Q18")
+        ]
+        assert server.cancel(first[3])
+        reported = [server.drain()]
+        # A repeat of the folded Q6: a cache hit on the epoch backends
+        # (the threaded backend keeps no fragment cache and runs it).
+        second = [server.submit("Q6"), server.submit("Q3")]
+        assert server.cancel(second[1])
+        reported += [server.drain(), server.drain()]
+    finally:
+        server.shutdown()
+    records = list(server.backend.records.values())
+    assert sorted(id(r) for batch in reported for r in batch) == sorted(map(id, records))
+    assert [len(batch) for batch in reported] == [5, 2, 0]
+    assert server.retries_used == 1
+    stats = server.sharing_stats.as_dict()
+    assert stats["attached_queries"] == 1
+    assert stats["cache_hits"] == (0 if backend == "threaded" else 1)

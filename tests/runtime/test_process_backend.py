@@ -162,7 +162,10 @@ class TestBitIdenticalToSimulated:
                     for index, name in enumerate(names)
                 ]
                 out.append(_record_reprs(backend.drain()))
-                out.append([repr(backend.results.get(job)) for job in jobs])
+                out.append([
+                    repr(None if backend.failed(job) else backend.result(job))
+                    for job in jobs
+                ])
             return out, backend.sharing_stats.as_dict(), backend.fault_injector.fired
 
         options = dict(
@@ -269,7 +272,7 @@ class TestEngineEnvironmentPath:
         assert record.name == "Q6"
         assert record.latency > 0.0
         # The engine actually ran: a result row came back for the job.
-        assert job in backend.results
+        assert backend.result(job) is not None
         assert "Q6" in ENGINE_QUERIES
 
 
@@ -304,7 +307,7 @@ backend = ProcessBackend(
 )
 job = backend.submit(tpch_query("Q6", 0.003))
 backend.drain()
-assert job in backend.results
+assert backend.result(job) is not None
 print(sorted(set(pool.call(loaded)) - before))
 pool.shutdown()
 """
