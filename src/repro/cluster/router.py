@@ -135,8 +135,8 @@ class ClusterRouter:
         self._alive: List[bool] = [True] * n_shards
         self._tickets = TicketRegistry()
         self._next_ticket = 0
-        #: Cluster ticket -> submission bookkeeping for handoff/settle;
-        #: a cluster ticket stays pending in ``_tickets`` until settled.
+        #: Pending cluster ticket -> submission bookkeeping for
+        #: handoff/settle; ``_settle``, its last reader, drops it.
         self._entries: Dict[int, dict] = {}
 
     # ------------------------------------------------------------------
@@ -517,5 +517,5 @@ class ClusterRouter:
                 continue
             self._tickets.settle(ticket)
             self._placement.on_complete(
-                address.shard, record, self._entries[ticket]["charge"]
+                address.shard, record, self._entries.pop(ticket)["charge"]
             )

@@ -103,17 +103,16 @@ class ExecutionBackend(abc.ABC):
     #: an epoch no consumer can run concurrently, so blocking would
     #: deadlock; the threaded backend overrides to ``True``.
     _channel_blocking = False
-    #: The one condition a real-time backend's waits sleep on.  Every
-    #: result channel of the backend shares it, so a settle and a
-    #: channel's put / close / fail wake the same sleepers.  ``None``
-    #: (virtual time): each channel keeps a condition of its own.
-    _done: Optional[threading.Condition] = None
 
     def __init__(
         self, *, channel_capacity: int = DEFAULT_CHANNEL_CAPACITY
     ) -> None:
         self._state = BackendState.NEW
         self._lifecycle_lock = threading.Lock()
+        #: The one condition every result channel of the backend shares,
+        #: so a settle and a channel's put / close / fail wake the same
+        #: sleepers.  Re-entrant: a settle under it puts into channels.
+        self._done = threading.Condition(threading.RLock())
         self._next_job_id = 0
         #: Latency records of completed jobs, keyed by job id.
         self.records: Dict[int, LatencyRecord] = {}
@@ -132,7 +131,8 @@ class ExecutionBackend(abc.ABC):
         #: Each job's result channel and the cursor over it.
         self._cursors: Dict[int, ResultCursor] = {}
         #: Serializes _absorb_stream: on a real-time backend several
-        #: caller threads may absorb one job (two waiters of one fold).
+        #: caller threads may absorb one job (two waiters of one fold),
+        #: and a cursor turning to a live stream takes it too.
         self._absorb_lock = threading.Lock()
         self._cancelled: Set[int] = set()
         #: The exception that failed each failed job (in-process view;
@@ -184,7 +184,8 @@ class ExecutionBackend(abc.ABC):
                     self.channel_capacity,
                     blocking=self._channel_blocking,
                     condition=self._done,
-                )
+                ),
+                self._absorb_lock,
             )
             self._live.add(job_id)
         self._do_submit(job_id, spec, at)

@@ -34,11 +34,11 @@ Two delivery regimes share the class:
 
 Thread-safety: every mutation runs under one condition variable, which
 every state change (put, pop, close, fail) notifies; nothing waits on a
-timer.  A real-time backend passes the condition its own waits sleep
-on, so its channels share it and a channel state change wakes them too.
-The sequential virtual-time paths pay a single uncontended lock
-acquisition per chunk, which is noise next to the numpy kernels
-producing it.
+timer.  All channels of a backend share its one condition (a channel
+built alone makes its own), so a state change wakes a real-time
+backend's waits; a virtual-time channel never waits.  The sequential
+virtual-time paths pay one uncontended lock acquisition per chunk.  A
+channel is slotted and holds no buffer until its first ``put``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from operator import attrgetter
-from typing import Deque, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import ChannelClosedError, ReproError
 from repro.wire import OBJECT, TABLE, Schema, decode_columns, encode_columns
@@ -59,6 +59,9 @@ DEFAULT_CHANNEL_CAPACITY = 8
 #: Chunk kinds.
 ROWS = "rows"
 FINAL = "final"
+
+#: The buffer of a channel no chunk was put into (or that failed).
+_NO_BUFFER = ()
 
 
 class ResultChunk:
@@ -85,6 +88,11 @@ class ResultChunk:
 class ResultChannel:
     """A bounded producer/consumer channel of :class:`ResultChunk` items."""
 
+    __slots__ = (
+        "capacity", "blocking", "_buffer", "_cond", "_closed", "_error", "_fail_at_chunk",
+        "_fail_with", "chunks_put", "rows_put", "chunks_taken", "peak_depth",
+    )
+
     def __init__(
         self,
         capacity: int = DEFAULT_CHANNEL_CAPACITY,
@@ -96,7 +104,7 @@ class ResultChannel:
             raise ReproError("channel capacity must be at least 1")
         self.capacity = capacity
         self.blocking = blocking
-        self._buffer: Deque[ResultChunk] = deque()
+        self._buffer = _NO_BUFFER
         self._cond = condition if condition is not None else threading.Condition()
         self._closed = False
         self._error: Optional[BaseException] = None
@@ -114,12 +122,11 @@ class ResultChannel:
     # variable is recreated on the other side)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_cond"]
-        return state
+        return {name: getattr(self, name) for name in self.__slots__ if name != "_cond"}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+        for name, value in state.items():
+            setattr(self, name, value)
         self._cond = threading.Condition()
 
     # ------------------------------------------------------------------
@@ -174,6 +181,8 @@ class ResultChannel:
                     self._cond.wait()
                 if self._error is not None:
                     return
+            if self._buffer is _NO_BUFFER:
+                self._buffer = deque()
             self._buffer.append(ResultChunk(kind, payload, rows))
             self.chunks_put += 1
             self.rows_put += rows
@@ -192,7 +201,7 @@ class ResultChannel:
                     "result consumer disappeared mid-stream"
                 )
                 self._closed = True
-                self._buffer.clear()
+                self._buffer = _NO_BUFFER
             self._cond.notify_all()
 
     def put_rows(self, payload: object, rows: int) -> None:
@@ -225,7 +234,7 @@ class ResultChannel:
                 return
             self._error = error
             self._closed = True
-            self._buffer.clear()
+            self._buffer = _NO_BUFFER
             self._cond.notify_all()
 
     def fail_after(

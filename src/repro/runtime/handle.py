@@ -37,16 +37,17 @@ class ResultCursor:
     """One job's position in its result stream; the backend keeps one per job.
 
     ``spill`` is replayed from ``position``; ``partial`` is the rest of a
-    chunk ``fetch(n)`` split.
+    chunk ``fetch(n)`` split; ``lock`` is the backend's absorb lock.
     """
 
     __slots__ = (
-        "channel", "spill", "position", "partial", "streamed",
+        "channel", "lock", "spill", "position", "partial", "streamed",
         "materialized", "fetched_rows",
     )
 
-    def __init__(self, channel: ResultChannel) -> None:
+    def __init__(self, channel: ResultChannel, lock) -> None:
         self.channel = channel
+        self.lock = lock
         self.spill: List[ResultChunk] = []
         self.position = 0
         self.partial: Optional[Tuple[dict, int, int]] = None
@@ -56,15 +57,16 @@ class ResultCursor:
 
     def next_chunk(self) -> Optional[ResultChunk]:
         """Advance to the next chunk: spilled first, then the live channel."""
-        if self.position < len(self.spill):
-            chunk = self.spill[self.position]
-            self.position += 1
-            return chunk
-        if self.materialized:
-            return None
-        # From here on we are consuming the live stream destructively;
-        # drain() must leave this job's channel alone.
-        self.streamed = True
+        with self.lock:  # no absorb may spill between this check and the mark
+            if self.position < len(self.spill):
+                chunk = self.spill[self.position]
+                self.position += 1
+                return chunk
+            if self.materialized:
+                return None
+            # From here on we are consuming the live stream
+            # destructively; drain() must leave this job's channel alone.
+            self.streamed = True
         return self.channel.get(timeout=30.0)
 
     def take(self, limit: int):

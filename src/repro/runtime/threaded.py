@@ -89,9 +89,6 @@ class ThreadedBackend(ExecutionBackend):
         self._threads: List[threading.Thread] = []
         self._park_events = [threading.Event() for _ in range(scheduler.n_workers)]
         self._stop = threading.Event()
-        #: Re-entrant: a settle under it puts into and closes channels,
-        #: which take it too.
-        self._done = threading.Condition(threading.RLock())
         #: group.query_id -> job id; written under the scheduler's
         #: admission lock before the group becomes runnable.
         self._jobs = {}

@@ -11,6 +11,7 @@ workload the simulator consumes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -155,16 +156,16 @@ def multi_tenant_workload(
 
 
 def tenant_of(query: QuerySpec) -> Optional[str]:
-    """Extract the tenant name from a tagged query (or ``None``)."""
+    """Extract the (interned) tenant name from a tagged query (or ``None``)."""
     for tag in query.tags:
         if tag.startswith("tenant:"):
-            return tag.split(":", 1)[1]
+            return sys.intern(tag.split(":", 1)[1])
     return None
 
 
 def sla_of(query: QuerySpec) -> Optional[str]:
-    """Extract the SLA class name from a tagged query (or ``None``)."""
+    """Extract the (interned) SLA class name from a tagged query (or ``None``)."""
     for tag in query.tags:
         if tag.startswith("sla:"):
-            return tag.split(":", 1)[1]
+            return sys.intern(tag.split(":", 1)[1])
     return None

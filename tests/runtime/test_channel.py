@@ -262,3 +262,32 @@ class TestWireCodec:
         assert clone.depth == 1
         clone.put_rows(batch(2.0), 1)  # new condition works
         assert clone.depth == 2
+        # A channel that never buffered, a failed one and an armed one
+        # keep their state through the slots, whatever the buffer is.
+        fresh = ResultChannel(3)
+        failed = ResultChannel(4)
+        failed.put_rows(batch(1.0), 1)
+        failed.fail(QueryCancelledError("gone"))
+        armed = ResultChannel(5)
+        armed.fail_after(2, ChannelClosedError("consumer left"))
+        armed.put_rows(batch(1.0), 1)
+        for original in (fresh, failed, armed):
+            clone = pickle.loads(pickle.dumps(original))
+            assert clone._cond is not original._cond
+            for name in (
+                "capacity", "depth", "closed", "chunks_put", "rows_put",
+                "chunks_taken", "peak_depth",
+            ):
+                assert getattr(clone, name) == getattr(original, name), name
+            assert type(clone.error) is type(original.error)
+            assert str(clone.error) == str(original.error)
+        with pytest.raises(QueryCancelledError, match="gone"):
+            pickle.loads(pickle.dumps(failed)).get()
+        clone = pickle.loads(pickle.dumps(armed))
+        clone.put_rows(batch(2.0), 1)  # the armed trip survives the trip
+        with pytest.raises(ChannelClosedError, match="consumer left"):
+            clone.get()
+        assert clone.depth == 0
+        clone = pickle.loads(pickle.dumps(fresh))
+        clone.put_rows(batch(3.0), 1)
+        assert clone.get().rows == 1

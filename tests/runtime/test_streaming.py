@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 
 from repro.core import SchedulerConfig, make_scheduler
+from repro.core.specs import PipelineSpec, QuerySpec
 from repro.engine import generate_tpch
 from repro.engine.execution import EngineEnvironment, engine_query_spec
 from repro.engine.queries import build_engine_query
 from repro.errors import QueryCancelledError, ReproError
-from repro.runtime import ThreadedBackend
+from repro.runtime import SimulatedBackend, ThreadedBackend
 from repro.server import AnalyticsServer
 
 
@@ -344,3 +345,56 @@ class TestCancellationDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class AbsorbOnFirstLength(list):
+    """A spill whose first length check lets ``_absorb_stream`` run.
+
+    That check is where the consumer decides between spill and live
+    stream.  If the consumer holds the backend's absorb lock there, an
+    absorb would block until it lets go, so it is recorded as deferred
+    and run afterwards instead; otherwise it runs mid-check, and the
+    length returned is the one read before it.
+    """
+
+    def __init__(self, backend, job):
+        super().__init__()
+        self.backend, self.job = backend, job
+        self.armed = True
+        self.deferred = False
+
+    def __len__(self):
+        length = super().__len__()
+        if self.armed:
+            self.armed = False
+            lock = self.backend._absorb_lock
+            if lock.acquire(blocking=False):
+                lock.release()
+                self.backend._absorb_stream(self.job)
+            else:
+                self.deferred = True
+        return length
+
+
+def test_an_absorb_racing_the_consumer_strands_no_chunk():
+    # A consumer turning to the live stream and an absorb spilling it
+    # must not interleave: chunk 0 moved to the spill while the consumer
+    # reads chunk 1 off the channel would be lost to it.
+    backend = SimulatedBackend(
+        lambda: make_scheduler("stride", SchedulerConfig(n_workers=1)),
+        noise_sigma=0.0,
+    )
+    pipeline = PipelineSpec(name="q-p0", tuples=1000, tuples_per_second=1e6)
+    job = int(backend.submit(QuerySpec("q", 1.0, pipelines=(pipeline,))))
+    cursor = backend._cursors[job]
+    for value in range(3):
+        cursor.channel.put_rows({"x": np.array([float(value)])}, 1)
+    cursor.channel.close()
+    cursor.spill = spill = AbsorbOnFirstLength(backend, job)
+    first = cursor.next_chunk()
+    if spill.deferred:
+        backend._absorb_stream(job)
+    chunks = [first, *iter(cursor.next_chunk, None)]
+    values = [None if chunk is None else chunk.payload["x"][0] for chunk in chunks]
+    assert values == [0.0, 1.0, 2.0]
+    assert cursor.streamed and list(spill) == []
