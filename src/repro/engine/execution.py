@@ -29,7 +29,6 @@ from repro.engine.operators import ChannelSink
 from repro.engine.pipeline import EnginePipeline, QueryPlan
 from repro.engine.queries import build_engine_query
 from repro.errors import EngineError
-from repro.runtime.channel import STREAMED
 from repro.simcore.rng import RngFactory
 
 
@@ -236,11 +235,10 @@ class EngineEnvironment:
 
         For a query whose rows streamed through a channel the engine
         holds no materialized value — the chunks in the channel are the
-        result — so the :data:`STREAMED` sentinel is returned instead.
-        The returned value is the only copy: the environment outlives
-        its queries (a threaded server's lives as long as the server),
-        so join tables, aggregate state and collected rows go with the
-        plan instance.
+        result — so ``None`` is returned instead.  Nothing else is kept
+        here: the environment outlives its queries (a threaded server's
+        lives as long as the server), so join tables, aggregate state
+        and collected rows go with the plan instance.
         """
         instance = self._instances.get(query_id)
         if instance is None:
@@ -250,7 +248,7 @@ class EngineEnvironment:
                 if not pipeline.finalized:
                     pipeline.finalize()
             if instance.streamed:
-                return STREAMED
+                return None
             result = instance.plan.result()
             channel = self._channels.get(query_id)
             if channel is not None and not channel.closed:

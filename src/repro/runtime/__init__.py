@@ -17,10 +17,11 @@ never know whether time is virtual or real:
   submitting process's GIL; folds and the fragment cache stay on the
   one epoch loop in this process.
 
-Results flow through one bounded :class:`ResultChannel` per job:
-``submit`` returns a :class:`QueryHandle` cursor over the stream of
-:class:`ResultChunk` row batches, and ``drain()`` absorbs unconsumed
-streams so ``result(job_id)`` can assemble the value on demand.
+Results flow through one bounded :class:`ResultChannel` per job, the
+only store of its result: ``submit`` returns a :class:`QueryHandle`
+cursor over the stream of :class:`ResultChunk` row batches, and
+``drain()`` keeps unconsumed streams in place so ``result(job_id)`` can
+assemble the value on demand.
 
 The :class:`~repro.server.AnalyticsServer` selects a backend by name
 and layers online submission semantics on top.
@@ -43,7 +44,6 @@ from repro.runtime.backend import BackendState, ExecutionBackend
 from repro.runtime.channel import (
     DEFAULT_CHANNEL_CAPACITY,
     NO_RESULT,
-    STREAMED,
     ResultChannel,
     ResultChunk,
     assemble_chunks,
@@ -90,7 +90,6 @@ __all__ = [
     "RejectingAdmission",
     "ResultChannel",
     "ResultChunk",
-    "STREAMED",
     "ShardAddress",
     "SheddingAdmission",
     "SimulatedBackend",

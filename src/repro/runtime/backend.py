@@ -39,14 +39,15 @@ All backends present the same *online* lifecycle, which the
     readable.
 
 Results flow through one bounded
-:class:`~repro.runtime.channel.ResultChannel` per job.  The engine
-pushes row chunks as morsels of the final pipeline complete; callers
-either consume the live stream through a handle (threaded backend —
-bounded memory) or let ``drain()`` absorb the stream into the job's
-:class:`~repro.runtime.handle.ResultCursor`, which ``result()``
-assembles once, on first demand.  A handle of any layer reaches that cursor
-through :meth:`ExecutionBackend._locate`, the bottom of the one ticket
-resolver chain.
+:class:`~repro.runtime.channel.ResultChannel` per job, the only store of
+its result.  The engine pushes row chunks as morsels of the final
+pipeline complete (a pipeline breaker's value as one terminal chunk);
+callers either consume the live stream through a handle (threaded
+backend — bounded memory) or let ``drain()``, ``wait()`` or
+``result()`` keep it in place, which ``result()`` assembles once, on
+first demand.  A handle of any layer reaches that channel through
+:meth:`ExecutionBackend._locate`, the bottom of the one ticket resolver
+chain.
 
 However a query ends — completed, cancelled, failed, timed out, served
 from a fold or a cache — its outcome is published by one method,
@@ -75,16 +76,10 @@ from repro.errors import (
     error_text,
 )
 from repro.metrics.latency import LatencyRecord
-from repro.runtime.channel import (
-    DEFAULT_CHANNEL_CAPACITY,
-    NO_RESULT,
-    STREAMED,
-    ResultChannel,
-    assemble_chunks,
-)
+from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, NO_RESULT, ResultChannel
 from repro.runtime.clock import Clock
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.handle import QueryHandle, ResultCursor
+from repro.runtime.handle import QueryHandle
 
 
 class BackendState(enum.Enum):
@@ -116,10 +111,6 @@ class ExecutionBackend(abc.ABC):
         self._next_job_id = 0
         #: Latency records of completed jobs, keyed by job id.
         self.records: Dict[int, LatencyRecord] = {}
-        #: Engine results of completed jobs: a pipeline breaker's value
-        #: at completion, a streamed result once ``result()`` assembled
-        #: it (only populated when the environment produces results).
-        self.results: Dict[int, object] = {}
         #: Jobs submitted and not yet settled.
         self._live: Set[int] = set()
         #: The drained-record ledger: jobs settled since the previous
@@ -128,12 +119,8 @@ class ExecutionBackend(abc.ABC):
         #: How many chunks each job's result channel buffers before
         #: applying backpressure.
         self.channel_capacity = channel_capacity
-        #: Each job's result channel and the cursor over it.
-        self._cursors: Dict[int, ResultCursor] = {}
-        #: Serializes _absorb_stream: on a real-time backend several
-        #: caller threads may absorb one job (two waiters of one fold),
-        #: and a cursor turning to a live stream takes it too.
-        self._absorb_lock = threading.Lock()
+        #: Each job's result channel: its result and the cursor over it.
+        self._channels: Dict[int, ResultChannel] = {}
         self._cancelled: Set[int] = set()
         #: The exception that failed each failed job (in-process view;
         #: failures that crossed a process pipe are reconstructed from
@@ -179,13 +166,10 @@ class ExecutionBackend(abc.ABC):
                 )
             job_id = self._next_job_id
             self._next_job_id += 1
-            self._cursors[job_id] = ResultCursor(
-                ResultChannel(
-                    self.channel_capacity,
-                    blocking=self._channel_blocking,
-                    condition=self._done,
-                ),
-                self._absorb_lock,
+            self._channels[job_id] = ResultChannel(
+                self.channel_capacity,
+                blocking=self._channel_blocking,
+                condition=self._done,
             )
             self._live.add(job_id)
         self._do_submit(job_id, spec, at)
@@ -197,7 +181,10 @@ class ExecutionBackend(abc.ABC):
             raise ReproError("cannot drain a backend after shutdown()")
         if self._state is BackendState.NEW:
             self.start()
-        return [self.records[job_id] for job_id in self._do_drain()]
+        settled = self._do_drain()
+        for job_id in settled:
+            self._channels[job_id].keep()
+        return [self.records[job_id] for job_id in settled]
 
     def shutdown(self) -> None:
         """Stop executing; the backend cannot be restarted."""
@@ -254,7 +241,7 @@ class ExecutionBackend(abc.ABC):
         # Fail the channel *first*: a threaded producer parked in a full
         # channel must wake (and see its puts become drops) before the
         # scheduler drains the query's remaining work.
-        channel = self._cursors[job_id].channel
+        channel = self._channels[job_id]
         if error is None:
             channel.fail(QueryCancelledError(f"query job {job_id} was cancelled"))
         else:
@@ -305,7 +292,7 @@ class ExecutionBackend(abc.ABC):
         """Fail a job's channel with ``QueryFailedError`` chaining ``cause``."""
         failure = QueryFailedError(f"query job {job_id} failed: {text}")
         failure.__cause__ = cause
-        self._cursors[job_id].channel.fail(failure)
+        self._channels[job_id].fail(failure)
 
     def _settle(
         self,
@@ -328,7 +315,7 @@ class ExecutionBackend(abc.ABC):
         or ``drain()`` sees settled is fully materialised.  A real-time
         backend calls this under its condition and notifies.
         """
-        channel = self._cursors[job_id].channel
+        channel = self._channels[job_id]
         if record.failed:
             if cause is None:
                 cause = error_from_text(record.error)
@@ -344,11 +331,6 @@ class ExecutionBackend(abc.ABC):
             for kind, payload, rows in chunks:
                 channel.put(kind, payload, rows)
             channel.close()
-            if not self._channel_blocking:
-                # Virtual time: no consumer runs inside an epoch, so
-                # the stream is absorbed here.  A real-time backend
-                # leaves that to the caller's drain()/wait()/result().
-                self._absorb_stream(job_id)
         self.records[job_id] = record
         self._live.discard(job_id)
         self._settled.append(job_id)
@@ -361,15 +343,16 @@ class ExecutionBackend(abc.ABC):
         settled, self._settled = self._settled, []
         return settled
 
-    def _complete(self, environment, job_id: int, record: LatencyRecord) -> None:
+    @staticmethod
+    def _complete(environment, record: LatencyRecord) -> None:
         """The one completion step of a query the scheduler finished.
 
         A failed or cancelled query's plan state is dropped, not
         finalized: finalization would drain the remaining relation
         through the pipeline, exactly the work cancellation and failure
-        isolation avoid.  Otherwise the query is finished, and a value
-        the engine materialized (a pipeline breaker's) is kept; a
-        streamed one is the chunks in the job's channel.
+        isolation avoid.  Otherwise the query is finished; its value is
+        already in the job's channel (streamed rows, or a pipeline
+        breaker's terminal chunk), so what finishing returns is not kept.
         """
         if record.failed or record.cancelled:
             discard = getattr(environment, "discard_query", None)
@@ -378,9 +361,7 @@ class ExecutionBackend(abc.ABC):
             return
         finish = getattr(environment, "finish_query", None)
         if finish is not None:
-            value = finish(record.query_id)
-            if value is not STREAMED:
-                self.results[job_id] = value
+            finish(record.query_id)
 
     def _settle_fold(self, leader: LatencyRecord, chunks, members) -> None:
         """Settle the queries attached to one shared execution.
@@ -507,12 +488,11 @@ class ExecutionBackend(abc.ABC):
 
         Keys: ``done`` (record exists), ``cancelled``, ``failed``,
         ``chunks_put`` / ``rows_put`` (produced so far),
-        ``chunks_pending`` (buffered, not yet fetched), ``rows_fetched``
+        ``chunks_pending`` (put, not yet read through a handle), ``rows_fetched``
         (consumed via the handle).
         """
         self._locate(job_id)
-        cursor = self._cursors[job_id]
-        channel = cursor.channel
+        channel = self._channels[job_id]
         return {
             "done": job_id in self.records,
             "cancelled": job_id in self._cancelled,
@@ -520,7 +500,7 @@ class ExecutionBackend(abc.ABC):
             "chunks_put": channel.chunks_put,
             "rows_put": channel.rows_put,
             "chunks_pending": channel.depth,
-            "rows_fetched": cursor.fetched_rows,
+            "rows_fetched": channel.fetched_rows,
         }
 
     def result(self, job_id: int):
@@ -546,53 +526,23 @@ class ExecutionBackend(abc.ABC):
             raise QueryFailedError(
                 f"query job {job_id} failed: {error_text(cause)}"
             ) from cause
-        if job_id in self.results:
-            return self.results[job_id]
-        cursor = self._cursors[job_id]
-        if cursor.streamed:
-            raise ReproError(
-                f"job {job_id} was consumed as a stream; its full result "
-                "was never materialized"
-            )
-        self._absorb_stream(job_id)
-        # Assembled once, on first demand, then kept: bit-identical to
-        # the pre-streaming value, because the spilled chunks are
-        # exactly the old sink buffer in order.
-        value = assemble_chunks(cursor.spill) if cursor.materialized else NO_RESULT
+        channel = self._channels[job_id]
+        with self._done:  # no live read may start between check and keep
+            if channel.streamed:
+                raise ReproError(
+                    f"job {job_id} was consumed as a stream; its full result "
+                    "was never materialized"
+                )
+            # Assembled once, on first demand, then kept: bit-identical
+            # to the pre-streaming value, because the kept chunks are
+            # exactly the old sink buffer in order.
+            value = channel.assemble()
         if value is NO_RESULT:
             raise ReproError(
                 f"job {job_id} produced no result "
                 "(execution environment without an engine?)"
             )
-        self.results[job_id] = value
         return value
-
-    def _absorb_stream(self, job_id: int) -> None:
-        """Move buffered chunks into the job's spill.
-
-        Called by ``drain()``, ``wait()`` and ``result()``: popping the
-        channel unblocks any producer parked on a full channel, and once
-        the channel has closed cleanly the spill is the whole stream
-        (``materialized``), which ``result()`` assembles on demand.
-        Streams being consumed live are left alone.
-        """
-        cursor = self._cursors[job_id]
-        channel = cursor.channel
-        with self._absorb_lock:
-            if cursor.streamed or cursor.materialized:
-                return
-            # Read before popping: once closed, no chunk can follow the
-            # ones still buffered, so the spill below is complete.
-            complete = channel.closed and not channel.failed
-            while True:
-                try:
-                    chunk = channel.get_nowait()
-                except ReproError:
-                    return  # failed channel (cancellation); nothing to keep
-                if chunk is None:
-                    break
-                cursor.spill.append(chunk)
-            cursor.materialized = complete
 
     @property
     def submitted_count(self) -> int:

@@ -5,7 +5,7 @@ materialized whole: the engine's final sink buffered all rows, the
 backends stashed finished results in a dict, and the server could only
 hand them out after ``drain()``.  A :class:`ResultChannel` replaces the
 private buffer with an explicit, bounded, producer/consumer channel of
-:class:`ResultChunk` items:
+:class:`ResultChunk` items, and it is the only store of a job's result:
 
 * the **engine** pushes one chunk per completed morsel when the final
   pipeline's sink can stream rows (:class:`~repro.engine.operators.CollectSink`),
@@ -13,18 +13,26 @@ private buffer with an explicit, bounded, producer/consumer channel of
   (aggregates, sorts, top-k — pipeline breakers cannot stream);
 * the **backends** own one channel per job and close (or fail) it when
   the query completes (or is cancelled);
-* the **caller** consumes through a
-  :class:`~repro.runtime.handle.QueryHandle` — ``fetch``/iteration pop
-  chunks as they arrive.
+* the **caller** reads through a
+  :class:`~repro.runtime.handle.QueryHandle`, whose cursor state (the
+  replay position, a chunk ``fetch(n)`` split, the fetched-row count)
+  lives on the channel.
 
-Two delivery regimes share the class:
+A channel is read in one of two modes, fixed by whichever comes first.
+**Live**: a read pops the chunk and marks the channel ``streamed``;
+popped rows are gone, so ``assemble()`` then raises.  **Kept**: once
+:meth:`ResultChannel.keep` ran (the backend's ``drain()``, ``wait()`` or
+``result()``), reads replay from ``position`` without consuming and
+``assemble()`` builds the whole value once.  Nothing moves between the
+two: keeping only lifts the bound in place.
 
 ``blocking=True`` (threaded backend)
-    ``put`` blocks while the channel holds ``capacity`` chunks.  The
-    producing worker thread parks inside the engine kernel, so the
-    stride scheduler naturally stops handing that query CPU — real
-    backpressure, and the peak buffered memory is bounded by
-    ``capacity`` chunks no matter how large the result is.
+    ``put`` blocks while the channel holds ``capacity`` unread chunks
+    and is neither kept nor closed.  The producing worker thread parks
+    inside the engine kernel, so the stride scheduler naturally stops
+    handing that query CPU — real backpressure, and a live stream's
+    buffered memory is bounded by ``capacity`` chunks no matter how
+    large the result is.
 
 ``blocking=False`` (virtual-time backends)
     ``put`` never blocks — in virtual time no consumer can run
@@ -33,20 +41,19 @@ Two delivery regimes share the class:
     feeds :attr:`peak_depth` accounting.
 
 Thread-safety: every mutation runs under one condition variable, which
-every state change (put, pop, close, fail) notifies; nothing waits on a
-timer.  All channels of a backend share its one condition (a channel
-built alone makes its own), so a state change wakes a real-time
-backend's waits; a virtual-time channel never waits.  The sequential
-virtual-time paths pay one uncontended lock acquisition per chunk.  A
-channel is slotted and holds no buffer until its first ``put``.
+every state change (put, pop, keep, close, fail) notifies; nothing waits
+on a timer.  All channels of a backend share its one condition (a
+channel built alone makes its own), so a state change wakes a real-time
+backend's waits; a virtual-time channel never waits.  A channel is
+slotted and holds no buffer until its first ``put``, nor after a live
+read emptied it.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from operator import attrgetter
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import ChannelClosedError, ReproError
 from repro.wire import OBJECT, TABLE, Schema, decode_columns, encode_columns
@@ -60,7 +67,8 @@ DEFAULT_CHANNEL_CAPACITY = 8
 ROWS = "rows"
 FINAL = "final"
 
-#: The buffer of a channel no chunk was put into (or that failed).
+#: The buffer of a channel holding no chunk: none put yet, failed, or
+#: emptied by a live read.
 _NO_BUFFER = ()
 
 
@@ -86,11 +94,13 @@ class ResultChunk:
 
 
 class ResultChannel:
-    """A bounded producer/consumer channel of :class:`ResultChunk` items."""
+    """A bounded producer/consumer channel of :class:`ResultChunk` items,
+    and the cursor over them."""
 
     __slots__ = (
         "capacity", "blocking", "_buffer", "_cond", "_closed", "_error", "_fail_at_chunk",
         "_fail_with", "chunks_put", "rows_put", "chunks_taken", "peak_depth",
+        "position", "partial", "fetched_rows", "streamed", "kept", "_value",
     )
 
     def __init__(
@@ -116,18 +126,34 @@ class ResultChannel:
         self.rows_put = 0
         self.chunks_taken = 0
         self.peak_depth = 0
+        #: The cursor: the next kept chunk to replay, the rest of a chunk
+        #: ``fetch(n)`` split as ``(batch, offset, total)``, and the rows
+        #: read through a handle.
+        self.position = 0
+        self.partial: Optional[tuple] = None
+        self.fetched_rows = 0
+        #: The read mode (see the module notes): at most one becomes true.
+        self.streamed = False
+        self.kept = False
+        self._value = NO_RESULT
 
     # ------------------------------------------------------------------
     # Pickling (process-backend environments ship whole; the condition
-    # variable is recreated on the other side)
+    # variable is recreated on the other side, the assembled value is
+    # not shipped)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__ if name != "_cond"}
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("_cond", "_value")
+        }
 
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self._cond = threading.Condition()
+        self._value = NO_RESULT
 
     # ------------------------------------------------------------------
     # State
@@ -149,8 +175,13 @@ class ResultChannel:
 
     @property
     def depth(self) -> int:
-        """Chunks currently buffered."""
-        return len(self._buffer)
+        """Chunks put and not yet read."""
+        return len(self._buffer) - self.position
+
+    def chunks(self) -> List[ResultChunk]:
+        """Every chunk held: the whole stream unless it was read live."""
+        with self._cond:
+            return list(self._buffer)
 
     # ------------------------------------------------------------------
     # Producer side
@@ -175,6 +206,7 @@ class ResultChannel:
             if self.blocking:
                 while (
                     len(self._buffer) >= self.capacity
+                    and not self.kept
                     and not self._closed
                     and self._error is None
                 ):
@@ -182,11 +214,11 @@ class ResultChannel:
                 if self._error is not None:
                     return
             if self._buffer is _NO_BUFFER:
-                self._buffer = deque()
+                self._buffer = []
             self._buffer.append(ResultChunk(kind, payload, rows))
             self.chunks_put += 1
             self.rows_put += rows
-            depth = len(self._buffer)
+            depth = self.depth
             if depth > self.peak_depth:
                 self.peak_depth = depth
             if (
@@ -197,11 +229,9 @@ class ResultChannel:
                 # consumer side goes away mid-stream.  Fail in place —
                 # the producer's own put stays silent, exactly like a
                 # concurrent fail() racing this put.
-                self._error = self._fail_with or ChannelClosedError(
+                self._fail(self._fail_with or ChannelClosedError(
                     "result consumer disappeared mid-stream"
-                )
-                self._closed = True
-                self._buffer = _NO_BUFFER
+                ))
             self._cond.notify_all()
 
     def put_rows(self, payload: object, rows: int) -> None:
@@ -219,6 +249,8 @@ class ResultChannel:
         """
         with self._cond:
             self._closed = True
+            if not self._buffer:
+                self._buffer = _NO_BUFFER
             self._cond.notify_all()
 
     def fail(self, error: BaseException) -> None:
@@ -232,10 +264,14 @@ class ResultChannel:
         with self._cond:
             if self._closed:
                 return
-            self._error = error
-            self._closed = True
-            self._buffer = _NO_BUFFER
+            self._fail(error)
             self._cond.notify_all()
+
+    def _fail(self, error: BaseException) -> None:
+        self._error = error
+        self._closed = True
+        self._buffer = _NO_BUFFER
+        self.position = 0
 
     def fail_after(
         self, chunks: int, error: Optional[BaseException] = None
@@ -259,30 +295,68 @@ class ResultChannel:
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
+    def keep(self) -> None:
+        """Keep every chunk for replay and :meth:`assemble`: lift the bound.
+
+        A parked producer wakes and no put parks again.  A no-op on a
+        stream already read live, whose bound still holds.
+        """
+        with self._cond:
+            if not self.streamed and not self.kept:
+                self.kept = True
+                self._cond.notify_all()
+
+    def assemble(self) -> object:
+        """The whole result, assembled once and kept (lifts the bound).
+
+        :data:`NO_RESULT` when no chunk was put.  The caller checks
+        :attr:`streamed` first: a stream read live holds only its rest.
+        """
+        with self._cond:
+            self.keep()
+            if self._value is NO_RESULT:
+                self._value = assemble_chunks(self._buffer)
+            return self._value
+
+    def _take(self) -> Optional[ResultChunk]:
+        """The next chunk if one is buffered (the lock is held)."""
+        buffer = self._buffer
+        if self.kept:
+            if self.position == len(buffer):
+                return None
+            chunk = buffer[self.position]
+            self.position += 1
+        elif buffer:
+            chunk = buffer.pop(0)
+            self.streamed = True
+            if not buffer and self._closed:
+                self._buffer = _NO_BUFFER
+            self._cond.notify_all()
+        else:
+            return None
+        self.chunks_taken += 1
+        return chunk
+
     def get(self, timeout: Optional[float] = None) -> Optional[ResultChunk]:
-        """Pop the next chunk; ``None`` means end-of-stream.
+        """Read the next chunk; ``None`` means end-of-stream.
 
         In blocking mode, waits until a chunk arrives, the channel
-        closes, or ``timeout`` elapses (then raises).  In virtual-time
-        mode an empty open channel raises immediately — chunks only
-        materialise inside ``drain()``, so there is nothing to wait for.
+        closes, or ``timeout`` elapses (then raises; ``0`` never waits).
+        In virtual-time mode an empty open channel raises immediately —
+        chunks only materialise inside ``drain()``, so there is nothing
+        to wait for.
         """
         with self._cond:
             while True:
                 if self._error is not None:
                     raise self._error
-                if self._buffer:
-                    self.chunks_taken += 1
-                    chunk = self._buffer.popleft()
-                    self._cond.notify_all()
+                chunk = self._take()
+                if chunk is not None or self._closed:
                     return chunk
-                if self._closed:
-                    return None
-                if not self.blocking:
+                if not self.blocking or timeout == 0:
                     raise ReproError(
-                        "result channel is empty and still open; "
-                        "virtual-time backends deliver chunks in "
-                        "drain()/run()"
+                        "result channel is empty and still open; nothing "
+                        "puts before drain()/run() (virtual time) or start()"
                     )
                 if not self._cond.wait(timeout=timeout):
                     raise ReproError(
@@ -290,7 +364,7 @@ class ResultChannel:
                     )
 
     def get_nowait(self) -> Optional[ResultChunk]:
-        """Pop the next buffered chunk without waiting, else ``None``.
+        """Read the next buffered chunk without waiting, else ``None``.
 
         Unlike :meth:`get`, an exhausted *open* channel also returns
         ``None`` — callers distinguish end-of-stream via :attr:`closed`.
@@ -299,20 +373,7 @@ class ResultChannel:
         with self._cond:
             if self._error is not None:
                 raise self._error
-            if self._buffer:
-                self.chunks_taken += 1
-                chunk = self._buffer.popleft()
-                self._cond.notify_all()
-                return chunk
-            return None
-
-    def __iter__(self) -> Iterator[ResultChunk]:
-        """Yield chunks until end-of-stream."""
-        while True:
-            chunk = self.get()
-            if chunk is None:
-                return
-            yield chunk
+            return self._take()
 
 
 # ----------------------------------------------------------------------
@@ -322,11 +383,6 @@ class ResultChannel:
 #: without an engine, e.g. the counting environments of the protocol
 #: tests).  Distinct from None, which is a legal query result.
 NO_RESULT = object()
-
-#: Sentinel returned by ``EngineEnvironment.finish_query`` for a query
-#: whose rows streamed through a channel: the engine never materialized
-#: the full result — the chunks in the channel *are* the result.
-STREAMED = object()
 
 
 def assemble_chunks(chunks: List[ResultChunk]) -> object:

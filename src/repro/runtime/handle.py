@@ -1,4 +1,4 @@
-"""Query handles: one ticket class for every layer, one cursor per job.
+"""Query handles: one ticket class for every layer, reading one channel.
 
 A :class:`QueryHandle` is the ticket a backend, server or router issued
 — an :class:`int`, usable as a dict key and passable back into
@@ -8,21 +8,24 @@ resolves it through the owner's one resolver, ``owner._locate(ticket)
 shard address and then the shard's), so a handle follows retries and
 handoffs by construction:
 
-* :meth:`~QueryHandle.fetch` pops up to ``n`` result rows (splitting
-  chunks), blocking for the next chunk on the threaded backend;
+* :meth:`~QueryHandle.fetch` reads up to ``n`` result rows (splitting
+  chunks), waiting for the next chunk on the threaded backend;
   iteration yields batches at their natural chunk boundaries;
 * :meth:`~QueryHandle.cancel` is the owner's ``cancel`` (a server's also
   disarms the ticket's retries);
 * ``progress``, ``result``, ``failed`` and ``failure`` are the
   backend's answers for the resolved job.
 
-The cursor state lives with the backend's job, one :class:`ResultCursor`
-per job, in one of two modes.  **Streaming** (threaded backend, before
-``drain``): ``fetch`` pops the live channel, so buffered memory stays
-bounded by the channel capacity; popped rows are gone and ``result()``
-afterwards raises.  **Materialized** (after ``drain``, and always on
-virtual-time backends): the backend absorbed the stream into the
-cursor's spill, which ``fetch``/iteration replay without consuming it.
+The cursor state lives on the job's
+:class:`~repro.runtime.channel.ResultChannel`, the one store of its
+result.  Read before anything kept it (threaded backend, before
+``drain``/``wait``/``result``), the stream is consumed live: buffered
+memory stays bounded by the channel capacity, read rows are gone and
+``result()`` afterwards raises.  Once kept (always, after a drain, on
+the virtual-time backends) reads replay without consuming.  A read
+waits with no timer: every end of a stream (settle, cancel, failure,
+shutdown) wakes it, and on a backend that was never started it raises
+at once.
 """
 
 from __future__ import annotations
@@ -30,76 +33,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.runtime.channel import FINAL, ResultChannel, ResultChunk
-
-
-class ResultCursor:
-    """One job's position in its result stream; the backend keeps one per job.
-
-    ``spill`` is replayed from ``position``; ``partial`` is the rest of a
-    chunk ``fetch(n)`` split; ``lock`` is the backend's absorb lock.
-    """
-
-    __slots__ = (
-        "channel", "lock", "spill", "position", "partial", "streamed",
-        "materialized", "fetched_rows",
-    )
-
-    def __init__(self, channel: ResultChannel, lock) -> None:
-        self.channel = channel
-        self.lock = lock
-        self.spill: List[ResultChunk] = []
-        self.position = 0
-        self.partial: Optional[Tuple[dict, int, int]] = None
-        self.streamed = False
-        self.materialized = False
-        self.fetched_rows = 0
-
-    def next_chunk(self) -> Optional[ResultChunk]:
-        """Advance to the next chunk: spilled first, then the live channel."""
-        with self.lock:  # no absorb may spill between this check and the mark
-            if self.position < len(self.spill):
-                chunk = self.spill[self.position]
-                self.position += 1
-                return chunk
-            if self.materialized:
-                return None
-            # From here on we are consuming the live stream
-            # destructively; drain() must leave this job's channel alone.
-            self.streamed = True
-        return self.channel.get(timeout=30.0)
-
-    def take(self, limit: int):
-        """Pop up to ``limit`` rows; returns ``(batch, rows)``.
-
-        ``(None, 0)`` means end-of-stream; ``rows is None`` flags a
-        ``final`` chunk whose payload is returned whole (pipeline
-        breakers produce exactly one, and it need not be sliceable).
-        """
-        if self.partial is not None:
-            batch, offset, total = self.partial
-            take = min(limit, total - offset)
-            out = {
-                name: column[offset : offset + take]
-                for name, column in batch.items()
-            }
-            if offset + take >= total:
-                self.partial = None
-            else:
-                self.partial = (batch, offset + take, total)
-            return out, take
-        chunk = self.next_chunk()
-        if chunk is None:
-            return None, 0
-        if chunk.kind == FINAL:
-            return chunk.payload, None
-        if chunk.rows <= limit:
-            return chunk.payload, chunk.rows
-        self.partial = (chunk.payload, limit, chunk.rows)
-        return (
-            {name: column[:limit] for name, column in chunk.payload.items()},
-            limit,
-        )
+from repro.runtime.channel import FINAL, ResultChannel
 
 
 class QueryHandle(int):
@@ -117,9 +51,12 @@ class QueryHandle(int):
         handle._owner = owner
         return handle
 
-    def _cursor(self) -> ResultCursor:
+    def _stream(self) -> Tuple[ResultChannel, Optional[float]]:
+        """The latest attempt's channel and how long a read may wait on
+        it: without limit, except before the backend starts, when
+        nothing could put."""
         backend, job_id = self._owner._locate(int(self))
-        return backend._cursors[job_id]
+        return backend._channels[job_id], (0.0 if backend.state.name == "NEW" else None)
 
     def fetch(self, n: int = 65536):
         """Return a batch of up to ``n`` result rows, ``None`` at the end.
@@ -132,24 +69,33 @@ class QueryHandle(int):
         """
         if n < 1:
             raise ReproError(f"fetch(n) needs n >= 1, got {n}")
-        cursor = self._cursor()
+        channel, timeout = self._stream()
         gathered: List[dict] = []
         got = 0
         while got < n:
-            batch, rows = cursor.take(n - got)
-            if batch is None:
-                break
-            if rows is None:
-                if gathered:
-                    raise ReproError(
-                        "mixed rows/final chunks in one result stream"
-                    )
-                return batch
+            part = channel.partial
+            if part is None:
+                chunk = channel.get(timeout)
+                if chunk is None:
+                    break
+                if chunk.kind == FINAL:
+                    if gathered:
+                        raise ReproError(
+                            "mixed rows/final chunks in one result stream"
+                        )
+                    return chunk.payload
+                part = (chunk.payload, 0, chunk.rows)
+            batch, offset, total = part
+            take = min(n - got, total - offset)
+            end = offset + take
+            channel.partial = (batch, end, total) if end < total else None
+            if take < total:
+                batch = {name: column[offset:end] for name, column in batch.items()}
             gathered.append(batch)
-            got += rows
+            got += take
         if not gathered:
             return None
-        cursor.fetched_rows += got
+        channel.fetched_rows += got
         if len(gathered) == 1:
             return gathered[0]
         import numpy as np
@@ -161,32 +107,32 @@ class QueryHandle(int):
 
     def __iter__(self) -> Iterator[object]:
         """Yield result batches at their natural chunk boundaries."""
-        cursor = self._cursor()
+        channel, timeout = self._stream()
         while True:
-            if cursor.partial is not None:
-                batch, offset, total = cursor.partial
-                cursor.partial = None
-                cursor.fetched_rows += total - offset
+            if channel.partial is not None:
+                batch, offset, total = channel.partial
+                channel.partial = None
+                channel.fetched_rows += total - offset
                 yield {
                     name: column[offset:] for name, column in batch.items()
                 }
                 continue
-            chunk = cursor.next_chunk()
+            chunk = channel.get(timeout)
             if chunk is None:
                 return
             if chunk.kind != FINAL:
-                cursor.fetched_rows += chunk.rows
+                channel.fetched_rows += chunk.rows
             yield chunk.payload
 
     def rewind(self) -> None:
-        """Reset the cursor to the start (materialized results only)."""
-        cursor = self._cursor()
-        if cursor.streamed and not cursor.materialized:
+        """Reset the cursor to the start (kept results only)."""
+        channel = self.channel
+        if channel.streamed:
             raise ReproError(
                 "cannot rewind a live stream; rows already fetched are gone"
             )
-        cursor.position = 0
-        cursor.partial = None
+        channel.position = 0
+        channel.partial = None
 
     def cancel(self) -> bool:
         """Cancel the query exactly as the owner's ``cancel`` does."""
@@ -198,7 +144,7 @@ class QueryHandle(int):
         return backend.progress(job_id)
 
     def result(self):
-        """The fully assembled result (materialized streams only)."""
+        """The fully assembled result (streams not read live only)."""
         backend, job_id = self._owner._locate(int(self))
         return backend.result(job_id)
 
@@ -215,4 +161,4 @@ class QueryHandle(int):
     @property
     def channel(self) -> ResultChannel:
         """The result channel of the latest attempt (observability, tests)."""
-        return self._cursor().channel
+        return self._stream()[0]

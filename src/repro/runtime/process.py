@@ -4,8 +4,8 @@
 that overrides one step, running the ordered epoch: the workload crosses
 to a warm worker of the shared sweep pool (:mod:`repro.experiments.pool`),
 which drains it on a :class:`SimulatedBackend` of its own and sends the
-settled records, values and spilled chunks back as flat arrays through
-the one wire codec (:mod:`repro.wire`).  Fold offers, the §3.2 leader
+settled records and every job's chunks back as flat arrays through the
+one wire codec (:mod:`repro.wire`).  Fold offers, the §3.2 leader
 weight, settlement, fold fan-out and the fragment cache stay on the one
 epoch loop in the submitting process, so results are bit-identical to
 the simulated backend's, with ``sharing=True`` or without, and fold
@@ -43,11 +43,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.errors import WorkerFailedError, error_text
 from repro.metrics.latency import LatencyCollector
-from repro.runtime.channel import (
-    DEFAULT_CHANNEL_CAPACITY,
-    FINAL,
-    chunks_from_arrays,
-)
+from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY, chunks_from_arrays
 from repro.runtime.clock import VirtualClock
 from repro.runtime.faults import WORKER_DEATH
 from repro.runtime.simulated import EpochStep, SimulatedBackend
@@ -77,20 +73,18 @@ def _execute_epoch(payload: dict) -> dict:
     for arrival, spec in workload_from_arrays(payload["workload"]):
         backend.submit(spec, at=arrival)
     # Job id == arrival index == record query id; drain() settles in order.
-    # Nothing is assembled here: the submitting side assembles a streamed
-    # result if and when its result() is asked for.
-    records, results, chunks = LatencyCollector(), {}, {}
+    # Nothing is assembled here: every job's chunks cross in one payload,
+    # ``counts`` long each, and the submitting side assembles a result if
+    # and when its result() is asked for.
+    records, chunks, counts = LatencyCollector(), [], []
     for record in backend.drain():
         records.add(record)
-        job_id = record.query_id
-        spill = backend._cursors[job_id].spill
-        if spill and spill[0].kind != FINAL:  # streamed: ship its chunks
-            chunks[job_id] = chunks_to_arrays(spill)
-        elif job_id in backend.results:
-            results[job_id] = backend.results[job_id]
+        kept = backend._channels[record.query_id].chunks()
+        chunks.extend(kept)
+        counts.append(len(kept))
     result, injector = backend.last_result, backend.fault_injector
     out = {
-        "records": records, "results": results, "chunks": chunks,
+        "records": records, "chunks": chunks_to_arrays(chunks), "counts": counts,
         "tasks_executed": result.tasks_executed, "end_time": result.end_time,
         "events_processed": result.events_processed,
         "faults_fired": [] if injector is None else injector.fired,
@@ -248,19 +242,15 @@ class ProcessBackend(SimulatedBackend):
         self.last_tasks_executed = epoch["tasks_executed"]
         self.last_events_processed = epoch["events_processed"]
         self.last_environment = epoch.get("environment")
-        results, chunk_payloads = epoch["results"], epoch["chunks"]
-        for record in epoch["records"].records:
-            # A failed query ships nothing: the worker isolated it, and
+        chunks = iter(chunks_from_arrays(epoch["chunks"]))
+        for record, count in zip(epoch["records"].records, epoch["counts"]):
+            # A failed query ships no chunk: the worker isolated it, and
             # _settle reconstructs the cause from the record's error
             # text (class identity is preserved for library errors).
-            chunks = ()
-            if record.query_id in results:
-                # A materialized value replays as one terminal chunk so
-                # the handle can still fetch.
-                chunks = ((FINAL, results[record.query_id], 0),)
-            elif record.query_id in chunk_payloads:
-                chunks = chunks_from_arrays(chunk_payloads[record.query_id])
-            yield run[record.query_id][2], record, None, chunks
+            yield (
+                run[record.query_id][2], record, None,
+                tuple(itertools.islice(chunks, count)),
+            )
 
     def _rebuild_pool(self) -> None:
         """Replace a broken worker pool with a fresh, equivalent one."""

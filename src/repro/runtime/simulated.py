@@ -172,11 +172,12 @@ class SimulatedBackend(ExecutionBackend):
                 fold = self._folds.seal(job_id) if sharing else None
                 if fold is None:
                     continue
-                # The leader's spilled chunks are the fold's replay
-                # buffer: they fan out to every attached query and (on
-                # success) into the fragment cache for future epochs.
-                spill = self._cursors[job_id].spill
-                chunks = tuple((c.kind, c.payload, c.rows) for c in spill)
+                # The leader's chunks are the fold's replay buffer: they
+                # fan out to every attached query and (on success) into
+                # the fragment cache for future epochs.
+                chunks = tuple(
+                    (c.kind, c.payload, c.rows) for c in self._channels[job_id].chunks()
+                )
                 self._settle_fold(record, chunks, fold.members)
                 if chunks and not record.failed:
                     self._fragment_cache.put(fold.fingerprint, chunks)
@@ -192,7 +193,7 @@ class SimulatedBackend(ExecutionBackend):
 
         ``run`` holds ``(arrival, spec, job id)`` in arrival order.  The
         steps come in the simulator's completion order, each query's
-        value already in its channel (or in :attr:`results`).
+        value already in its channel.
         """
         environment = (
             self._environment_factory() if self._environment_factory else None
@@ -204,7 +205,7 @@ class SimulatedBackend(ExecutionBackend):
         open_channel = getattr(environment, "open_channel", None)
         if open_channel is not None:
             for arrival_index, (_, _, job_id) in enumerate(run):
-                open_channel(arrival_index, self._cursors[job_id].channel)
+                open_channel(arrival_index, self._channels[job_id])
         result = self.execute(
             [(arrival, spec) for arrival, spec, _ in run],
             environment=environment,
@@ -215,7 +216,7 @@ class SimulatedBackend(ExecutionBackend):
             # A failed query was already wound down by the scheduler's
             # abort protocol; survivors of the same epoch are untouched.
             job_id = run[record.query_id][2]
-            self._complete(environment, job_id, record)
+            self._complete(environment, record)
             yield job_id, record, None, ()
 
     # ------------------------------------------------------------------

@@ -21,13 +21,14 @@ parks on a per-worker event, which the scheduler's wake callback sets
 when a mask update targets the worker; :data:`PARK_TIMEOUT` bounds the
 inherent publish/park race (a wake between the last mask probe and the
 park would otherwise be lost) and time-based events nobody signals,
-such as an expiring deadline.  ``drain()``, ``wait()`` and a submitter
-blocked on admission sleep on one condition, which every settle, worker
-death, shutdown and channel put, pop, close and fail notify (the
-backend's channels share it).  A woken caller checks its predicate
-under the condition and absorbs buffered chunks outside it, so a
-producer parked on a full channel always has a consumer.  The one lock order: ``_absorb_lock``, then the
-condition; nothing that holds the condition takes ``_absorb_lock``.
+such as an expiring deadline.  ``drain()``, ``wait()``, a submitter
+blocked on admission and a live read sleep on one condition, which
+every settle, worker death, shutdown and channel put, pop, keep, close
+and fail notify (the backend's channels share it, so there is one lock
+and no lock order).  A waiter keeps the channels of the jobs it waits
+on before it sleeps, which lifts their bound in place, so a producer
+parked on a full channel never waits on a consumer that is itself
+waiting.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ class ThreadedBackend(ExecutionBackend):
                 "instant of submit(); future arrival times are a "
                 "virtual-time concept (use the simulated backend)"
             )
+        if self._stop.is_set():
+            # Halted by a worker failure: no worker will run this query,
+            # so a reader of its stream must not wait for one.
+            self._channels[job_id].fail(WorkerFailedError("a worker thread failed"))
+            return
         # Before start() the clock reports 0.0, so pre-start submissions
         # all arrive at time zero and simply queue until workers spawn.
         now = self._clock.now()
@@ -178,7 +184,7 @@ class ThreadedBackend(ExecutionBackend):
             if open_channel is not None:
                 # Before the group becomes runnable, so the engine wraps
                 # the final sink ahead of the query's first morsel.
-                channel = self._cursors[job_id].channel
+                channel = self._channels[job_id]
                 fold = self._folds.led_by(job_id)
                 if fold is not None:
                     # Fold leader: tee produced chunks into the bounded
@@ -215,46 +221,33 @@ class ThreadedBackend(ExecutionBackend):
     def _do_drain(self) -> List[int]:
         self._await(lambda: not self._live)
         with self._done:
-            settled = self._take_settled()
-        # A job may have settled after the last absorb of its channel.
-        for job_id in settled:
-            self._absorb_stream(job_id)
-        return settled
+            return self._take_settled()
 
     def _await(self, done, producers=None, deadline: Optional[float] = None) -> bool:
         """Sleep on ``_done`` until ``done()``; ``False`` past ``deadline``.
 
-        Each wake checks under the condition whether ``done()`` holds or
-        a job of ``producers()`` (default: every live job) has chunks
-        buffered that nobody consumes (a live-streamed handle's consumer
-        is elsewhere), and absorbs those outside it.  This is what keeps
-        drain(), wait() and blocking admission deadlock free — a
-        producer parked on a full bounded channel can only make progress
-        if somebody consumes, and while a caller waits that somebody is
-        the caller.
+        Before each check it keeps the channels of ``producers()``
+        (default: every live job), so a producer parked on a full
+        channel wakes and parks no more.  This is what keeps drain(),
+        wait() and blocking admission deadlock free: a bounded channel's
+        producer can otherwise only make progress if somebody consumes,
+        and while a caller waits that somebody is the caller.  A stream
+        read live keeps its bound: its reader is elsewhere.
         """
-        cursors = self._cursors
-        while True:
-            with self._done:
+        channels = self._channels
+        with self._done:
+            while True:
+                for job_id in list(self._live) if producers is None else producers():
+                    if job_id is not None:
+                        channels[job_id].keep()
                 if done():
                     return True
                 if self._worker_error is not None:
                     raise WorkerFailedError("a worker thread failed") from self._worker_error
-                jobs = list(self._live) if producers is None else producers()
-                buffered = [
-                    job_id for job_id in jobs
-                    if job_id is not None
-                    and cursors[job_id].channel.depth
-                    and not cursors[job_id].streamed
-                ]
-                if not buffered:
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0.0:
-                        return False
-                    self._done.wait(remaining)
-                    continue
-            for job_id in buffered:
-                self._absorb_stream(job_id)
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0.0:
+                    return False
+                self._done.wait(remaining)
 
     def _do_shutdown(self) -> None:
         # Fail every still-open channel *before* joining: a producer
@@ -279,7 +272,7 @@ class ThreadedBackend(ExecutionBackend):
         self._stop.set()
         with self._done:
             for job_id in list(self._live):  # submitters add without it
-                self._cursors[job_id].channel.fail(error)
+                self._channels[job_id].fail(error)
             self._done.notify_all()  # a blocked submitter sees CLOSED
         for event in self._park_events:
             event.set()
@@ -339,7 +332,7 @@ class ThreadedBackend(ExecutionBackend):
         # (the inner channel already failed, so the put is a silent drop
         # there) — members replay a complete result even though the
         # leader's consumer left.
-        self._complete(self._environment, job_id, record)
+        self._complete(self._environment, record)
         # Seal after the last chunk went through the tee: a late
         # arrival of this fingerprint then leads a fresh fold instead of
         # attaching to a completed execution.
@@ -350,8 +343,8 @@ class ThreadedBackend(ExecutionBackend):
             # The leader's submitter cancelled (or shed) it mid-flight;
             # the group kept executing for the attached queries, so the
             # scheduler's record reads like a normal completion.  Restate
-            # the caller-visible outcome, which keeps no value.
-            self.results.pop(job_id, None)
+            # the caller-visible outcome; its channel failed, so it keeps
+            # no value.
             cause = self.failures.get(job_id)
             if cause is not None:
                 outcome = replace(record, failed=True, error=error_text(cause))

@@ -30,7 +30,7 @@ class TestPutGet:
         channel.put_rows(batch(1.0), 1)
         channel.put_rows(batch(2.0), 1)
         channel.close()
-        chunks = list(channel)
+        chunks = list(iter(channel.get, None))
         assert [c.payload["x"][0] for c in chunks] == [1.0, 2.0]
 
     def test_get_none_at_end_of_stream(self):
@@ -154,7 +154,7 @@ class TestBlockingMode:
         time.sleep(0.1)
         # Producer is parked: at most capacity chunks in, none out.
         assert len(produced) <= 2
-        chunks = list(channel)
+        chunks = list(iter(channel.get, None))
         thread.join(timeout=5.0)
         assert len(chunks) == 6
         assert channel.peak_depth <= 2

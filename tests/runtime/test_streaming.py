@@ -3,8 +3,8 @@
 These run the real engine (tiny TPC-H database) through all three
 execution backends and assert the streaming refactor's contract:
 
-* materialized results are unchanged — ``results[ticket]`` and
-  ``result()`` hold exactly what the pre-streaming sink produced;
+* materialized results are unchanged — ``result()`` holds exactly what
+  the pre-streaming sink produced;
 * live streams on the threaded backend are *bounded*: the producer
   parks when the channel is full, so peak buffered chunks never exceed
   the configured capacity regardless of result size;
@@ -26,8 +26,11 @@ from repro.engine import generate_tpch
 from repro.engine.execution import EngineEnvironment, engine_query_spec
 from repro.engine.queries import build_engine_query
 from repro.errors import QueryCancelledError, ReproError
-from repro.runtime import SimulatedBackend, ThreadedBackend
+from repro.runtime import ThreadedBackend
+from repro.runtime.channel import _NO_BUFFER, ROWS
 from repro.server import AnalyticsServer
+
+from tests.runtime.test_threaded_backend import ThreadSafeCountingEnv
 
 
 @pytest.fixture(scope="module")
@@ -93,26 +96,6 @@ class TestSimulatedStreaming:
         with pytest.raises(ReproError):
             handle.fetch(0)
 
-    def test_progress_counters(self, db):
-        server = make_server(db)
-        handle = server.submit("QS")
-        before = handle.progress()
-        assert before == {
-            "done": False,
-            "cancelled": False,
-            "failed": False,
-            "chunks_put": 0,
-            "rows_put": 0,
-            "chunks_pending": 0,
-            "rows_fetched": 0,
-        }
-        server.run()
-        after = handle.progress()
-        assert after["done"]
-        assert after["rows_put"] == expected_qs_rows(db)
-        handle.fetch(100)
-        assert handle.progress()["rows_fetched"] == 100
-
     def test_cancel_pending_query(self, db):
         server = make_server(db)
         victim = server.submit("Q18")
@@ -138,6 +121,39 @@ class TestSimulatedStreaming:
         assert server.result(ticket) == pytest.approx(
             build_engine_query("Q6", db).execute()
         )
+
+
+@pytest.mark.parametrize("backend", ["simulated", "threaded", "process"])
+def test_progress_counters(db, backend):
+    # chunks_pending counts chunks put and not yet read through a
+    # handle: a drain keeps them all in place, a full read reads them.
+    server = make_server(db, backend=backend)
+    try:
+        handle = server.submit("QS")
+        before = handle.progress()
+        assert before == {
+            "done": False,
+            "cancelled": False,
+            "failed": False,
+            "chunks_put": 0,
+            "rows_put": 0,
+            "chunks_pending": 0,
+            "rows_fetched": 0,
+        }
+        server.run()
+        after = handle.progress()
+        assert after["done"]
+        assert after["rows_put"] == expected_qs_rows(db)
+        assert after["chunks_pending"] == after["chunks_put"] > 1
+        handle.fetch(100)
+        assert handle.progress()["rows_fetched"] == 100
+        for _ in handle:
+            pass
+        final = handle.progress()
+        assert final["chunks_pending"] == 0
+        assert final["rows_fetched"] == expected_qs_rows(db)
+    finally:
+        server.shutdown()
 
 
 class TestThreadedStreaming:
@@ -170,6 +186,25 @@ class TestThreadedStreaming:
         assert handle.channel.peak_depth <= capacity
         with pytest.raises(ReproError, match="consumed as a stream"):
             backend.result(handle)
+
+    def test_a_live_read_releases_the_emptied_buffer(self, db):
+        # A stream read live to its end holds no buffer; one a drain
+        # kept for result() keeps every chunk after a full read too.
+        backend = self.make_backend(db)
+        backend.start()
+        try:
+            live = backend.submit(engine_query_spec("QS", db))
+            for _ in live:
+                pass
+            kept = backend.submit(engine_query_spec("QS", db))
+            backend.drain()
+            for _ in kept:
+                pass
+        finally:
+            backend.shutdown()
+        assert live.channel._buffer is _NO_BUFFER
+        assert len(kept.channel.chunks()) == kept.channel.chunks_put > 1
+        assert len(backend.result(kept)["l_orderkey"]) == expected_qs_rows(db)
 
     def test_unconsumed_stream_materializes_on_drain(self, db):
         backend = self.make_backend(db)
@@ -347,54 +382,32 @@ class TestCancellationDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
-class AbsorbOnFirstLength(list):
-    """A spill whose first length check lets ``_absorb_stream`` run.
-
-    That check is where the consumer decides between spill and live
-    stream.  If the consumer holds the backend's absorb lock there, an
-    absorb would block until it lets go, so it is recorded as deferred
-    and run afterwards instead; otherwise it runs mid-check, and the
-    length returned is the one read before it.
-    """
-
-    def __init__(self, backend, job):
-        super().__init__()
-        self.backend, self.job = backend, job
-        self.armed = True
-        self.deferred = False
-
-    def __len__(self):
-        length = super().__len__()
-        if self.armed:
-            self.armed = False
-            lock = self.backend._absorb_lock
-            if lock.acquire(blocking=False):
-                lock.release()
-                self.backend._absorb_stream(self.job)
-            else:
-                self.deferred = True
-        return length
-
-
-def test_an_absorb_racing_the_consumer_strands_no_chunk():
-    # A consumer turning to the live stream and an absorb spilling it
-    # must not interleave: chunk 0 moved to the spill while the consumer
-    # reads chunk 1 off the channel would be lost to it.
-    backend = SimulatedBackend(
-        lambda: make_scheduler("stride", SchedulerConfig(n_workers=1)),
-        noise_sigma=0.0,
+@pytest.mark.parametrize("reader_first", [True, False])
+def test_a_live_read_and_a_lifted_bound_never_interleave(reader_first):
+    # A reader's first read and a waiter lifting the bound decide, under
+    # the one condition, whether the stream is read live (popped) or
+    # kept (replayed).  Either order delivers every chunk once, in
+    # order, and result() is refused exactly when the reader went live.
+    backend = ThreadedBackend(
+        make_scheduler("stride", SchedulerConfig(n_workers=1)),
+        ThreadSafeCountingEnv(),
     )
-    pipeline = PipelineSpec(name="q-p0", tuples=1000, tuples_per_second=1e6)
-    job = int(backend.submit(QuerySpec("q", 1.0, pipelines=(pipeline,))))
-    cursor = backend._cursors[job]
-    for value in range(3):
-        cursor.channel.put_rows({"x": np.array([float(value)])}, 1)
-    cursor.channel.close()
-    cursor.spill = spill = AbsorbOnFirstLength(backend, job)
-    first = cursor.next_chunk()
-    if spill.deferred:
-        backend._absorb_stream(job)
-    chunks = [first, *iter(cursor.next_chunk, None)]
-    values = [None if chunk is None else chunk.payload["x"][0] for chunk in chunks]
-    assert values == [0.0, 1.0, 2.0]
-    assert cursor.streamed and list(spill) == []
+    spec = QuerySpec(
+        "q", 1.0, pipelines=(PipelineSpec(name="q-p0", tuples=1000, tuples_per_second=1e6),)
+    )
+    handle = backend.submit(spec)  # never started: no worker touches it
+    chunks = [(ROWS, {"x": np.array([float(value)])}, 1) for value in range(3)]
+    with backend._done:
+        backend._settle(int(handle), backend._synthetic_record(spec, 0.0, 0.0), chunks=chunks)
+    reads = iter(handle)
+    seen = [next(reads)] if reader_first else []
+    backend.wait(handle)  # lifts the bound
+    seen.extend(reads)
+    backend.shutdown()
+    assert [batch["x"][0] for batch in seen] == [0.0, 1.0, 2.0]
+    assert handle.channel.streamed is reader_first
+    if reader_first:
+        with pytest.raises(ReproError, match="consumed as a stream"):
+            backend.result(handle)
+    else:
+        assert backend.result(handle)["x"].tolist() == [0.0, 1.0, 2.0]

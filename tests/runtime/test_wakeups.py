@@ -3,13 +3,14 @@
 A streaming query with more chunks than its channel holds parks its
 producer inside the morsel until somebody consumes.  ``drain()``,
 ``wait()`` and a fold member's ``wait()`` on a streaming leader must
-each be woken by the put that fills the channel, absorb, and finish
-without one condition wait running out its timeout.  A submitter that
+each keep the channel, which wakes the producer, and finish without one
+condition wait running out its timeout.  A submitter that
 ``admission="block"`` holds back sleeps on the same condition, woken by
-a settle or by shutdown.  The backend's condition is wrapped in one
-that counts the waits a timer ended, so the test reads no clock; each
-wait is bounded there, so a lost wake-up fails the count instead of
-hanging the suite.
+a settle or by shutdown, and so does a reader of a live stream, woken by
+a cancel or a shutdown; before the backend starts a read never sleeps.
+The backend's condition is wrapped in one that counts the waits a timer
+ended, so the test reads no clock; each wait is bounded there, so a lost
+wake-up fails the count instead of hanging the suite.
 """
 
 import sys
@@ -21,7 +22,12 @@ import pytest
 from repro.core import SchedulerConfig, make_scheduler
 from repro.engine import generate_tpch
 from repro.engine.execution import EngineEnvironment, engine_query_spec
-from repro.errors import ReproError
+from repro.errors import (
+    ChannelClosedError,
+    QueryCancelledError,
+    ReproError,
+    WorkerFailedError,
+)
 from repro.runtime import ThreadedBackend
 from repro.server import AnalyticsServer
 
@@ -214,3 +220,87 @@ def test_shutdown_wakes_a_blocked_submitter(db):
     assert not submitter.is_alive()
     assert server.backend._done.timed_out == 0
     assert [str(exc) for exc in errors] == ["server shut down while blocked on admission"]
+
+
+class GatedEnv(ThreadSafeCountingEnv):
+    """Holds every morsel until ``gate`` opens, so a query stays in flight."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+
+    def run_morsel(self, task_set, tuples):
+        self.gate.wait(WAIT_LIMIT)
+        return super().run_morsel(task_set, tuples)
+
+
+@pytest.mark.parametrize(
+    "end, error", [("cancel", QueryCancelledError), ("shutdown", ChannelClosedError)]
+)
+def test_a_live_reader_is_woken_by_the_end_of_its_stream(end, error):
+    """A reader waiting on a live stream that has no chunk yet sleeps
+    with no timer; the cancel or shutdown that ends the stream wakes it."""
+    env = GatedEnv()
+    backend = ThreadedBackend(
+        make_scheduler("stride", SchedulerConfig(n_workers=2, t_max=0.002)),
+        env,
+        channel_capacity=CAPACITY,
+    )
+    backend._done = CountingCondition(backend._done)
+    errors = []
+
+    def read():
+        try:
+            handle.fetch()
+        except ReproError as exc:
+            errors.append(exc)
+        finally:
+            env.gate.set()  # let the held morsels finish
+
+    try:
+        backend.start()
+        handle = backend.submit(make_query("held", work=0.01))
+        reader = threading.Thread(target=read)
+        reader.start()
+        assert backend._done.slept.wait(LOST_WAKEUP_BOUND)
+        if end == "cancel":
+            assert handle.cancel()
+        else:
+            backend.shutdown()
+        reader.join(timeout=2 * LOST_WAKEUP_BOUND)
+        assert not reader.is_alive()
+    finally:
+        env.gate.set()
+        backend.shutdown()
+    assert backend._done.timed_out == 0
+    assert [type(exc) for exc in errors] == [error]
+
+
+def test_a_read_before_start_raises_at_once():
+    backend = make_backend(None)
+    handle = backend.submit(make_query("unstarted"))
+    with pytest.raises(ReproError, match="still open"):
+        handle.fetch()
+    backend.shutdown()
+    assert not backend._done.slept.is_set()
+
+
+def test_a_read_after_a_worker_failure_raises_at_once():
+    """A scheduler bug halts every worker; a query submitted afterwards
+    never runs, so its reader gets the failure instead of a wait."""
+    backend = make_backend(None)
+
+    def broken(worker_id, now):
+        raise RuntimeError("scheduler bug")
+
+    backend.scheduler.worker_decide = broken
+    backend.start()
+    backend.submit(make_query("first"))
+    with pytest.raises(WorkerFailedError):
+        backend.drain()
+    late = backend.submit(make_query("late"))
+    with pytest.raises(WorkerFailedError):
+        late.fetch()
+    with pytest.raises(WorkerFailedError):
+        backend.shutdown()
+    assert backend._done.timed_out == 0

@@ -217,7 +217,7 @@ class TestFoldReplayNeverParks:
     Regression: the finalizing worker used to replay the fold's chunks
     into each member through a *blocking* ``put`` before publishing the
     leader's record, so a result longer than the member's channel hung
-    the leader (and a waited-on member never absorbed its leader).
+    the leader (and a waited-on member never drained its leader's channel).
     """
 
     WAIT = 20.0  # a hang fails here; a healthy run takes milliseconds
@@ -245,7 +245,7 @@ class TestFoldReplayNeverParks:
             order = (leader, member) if first == "leader" else (member, leader)
             server.start()
             if first == "both":
-                # Two clients, one per query: both absorb the leader.
+                # Two clients, one per query: both keep the leader's channel.
                 waiters = [
                     threading.Thread(
                         target=server.wait, args=(ticket, self.WAIT)
