@@ -251,7 +251,7 @@ class EngineEnvironment:
                 return None
             result = instance.plan.result()
             channel = self._channels.get(query_id)
-            if channel is not None and not channel.closed:
+            if channel is not None:
                 # Pipeline-breaker final sink: the whole result crosses
                 # as one terminal chunk so handles can still fetch/iterate.
                 channel.put_final(result)

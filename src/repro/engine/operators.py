@@ -584,7 +584,7 @@ class ChannelSink(Sink):
     def finalize(self) -> None:
         # An empty result still needs one chunk so the assembled value
         # matches CollectSink's empty-column batch.
-        if self.channel.chunks_put == 0 and not self.channel.closed:
+        if self.channel.chunks_put == 0:
             self.channel.put_rows(
                 {name: np.empty(0) for name in self.inner.columns}, 0
             )

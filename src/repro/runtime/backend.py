@@ -38,16 +38,16 @@ All backends present the same *online* lifecycle, which the
     raises :class:`~repro.errors.ReproError`; completed records remain
     readable.
 
-Results flow through one bounded
-:class:`~repro.runtime.channel.ResultChannel` per job, the only store of
-its result.  The engine pushes row chunks as morsels of the final
-pipeline complete (a pipeline breaker's value as one terminal chunk);
-callers either consume the live stream through a handle (threaded
-backend — bounded memory) or let ``drain()``, ``wait()`` or
-``result()`` keep it in place, which ``result()`` assembles once, on
-first demand.  A handle of any layer reaches that channel through
-:meth:`ExecutionBackend._locate`, the bottom of the one ticket resolver
-chain.
+Results flow through one chunk list per execution, which each job
+reads through its own :class:`~repro.runtime.channel.ResultChannel`.
+The engine pushes row chunks as morsels of the final pipeline complete
+(a pipeline breaker's value as one terminal chunk); a fold member or a
+fragment-cache hit reads the leader's list, never a copy.  Callers
+either consume the live stream through a handle (threaded backend —
+bounded memory) or let ``drain()``, ``wait()`` or ``result()`` keep it
+in place, which ``result()`` assembles once, on first demand.  A handle
+of any layer reaches that channel through :meth:`ExecutionBackend._locate`,
+the bottom of the one ticket resolver chain.
 
 However a query ends — completed, cancelled, failed, timed out, served
 from a fold or a cache — its outcome is published by one method,
@@ -299,7 +299,6 @@ class ExecutionBackend(abc.ABC):
         job_id: int,
         record: LatencyRecord,
         cause: Optional[BaseException] = None,
-        chunks=(),
     ) -> LatencyRecord:
         """Publish one finished job's outcome; returns ``record``.
 
@@ -307,30 +306,20 @@ class ExecutionBackend(abc.ABC):
         record lands in :attr:`failures` (``cause``, else reconstructed
         from the record's error text) and fails the channel; a cancelled
         one only needs its record (``cancel()`` already failed the
-        channel); a completed one gets ``chunks`` — ``(kind, payload,
-        rows)`` triples the caller already holds: a fold's replay
-        buffer, a cache hit, a result off the process pipe — and a clean
-        close.  The record is written last, then the job leaves the live
-        set and joins the drained-record ledger, so a job that ``wait()``
-        or ``drain()`` sees settled is fully materialised.  A real-time
-        backend calls this under its condition and notifies.
+        channel); a completed one's channel, whose list already holds
+        every chunk, is closed.  The record is written last, then the
+        job leaves the live set and joins the drained-record ledger, so
+        a job that ``wait()`` or ``drain()`` sees settled is fully
+        materialised.  A real-time backend calls this under its
+        condition and notifies.
         """
-        channel = self._channels[job_id]
         if record.failed:
             if cause is None:
                 cause = error_from_text(record.error)
             self.failures[job_id] = cause
             self._fail_channel(job_id, cause, record.error)
         elif not record.cancelled:
-            if self._channel_blocking:
-                # Real time: the chunks are already in memory, so
-                # backpressure would bound nothing — it would only park
-                # the finalizing worker on this job's consumer.  Size
-                # the channel to the delivery instead.
-                channel.capacity = max(channel.capacity, len(chunks))
-            for kind, payload, rows in chunks:
-                channel.put(kind, payload, rows)
-            channel.close()
+            self._channels[job_id].close()
         self.records[job_id] = record
         self._live.discard(job_id)
         self._settled.append(job_id)
@@ -363,18 +352,18 @@ class ExecutionBackend(abc.ABC):
         if finish is not None:
             finish(record.query_id)
 
-    def _settle_fold(self, leader: LatencyRecord, chunks, members) -> None:
+    def _settle_fold(self, leader: LatencyRecord, members) -> None:
         """Settle the queries attached to one shared execution.
 
-        ``leader`` is the shared execution's own record, ``chunks`` its
-        replay buffer and ``members`` the attached ``(job id, spec,
-        arrival)`` triples.  A member completes when the shared
-        execution does, never before its own arrival.  If the execution
-        failed or was cancelled every member fails with its cause (their
-        retries resubmit unshared, see the server); a member whose own
-        deadline expired by then fails alone with
+        ``leader`` is the shared execution's own record and ``members``
+        the attached ``(job id, spec, arrival)`` triples, whose channels
+        read the leader's chunk list.  A member completes when the
+        shared execution does, never before its own arrival.  If the
+        execution failed or was cancelled every member fails with its
+        cause (their retries resubmit unshared, see the server); a member
+        whose own deadline expired by then fails alone with
         :class:`~repro.errors.QueryTimeoutError`; the rest are served
-        the replayed chunks.  No outcome of one member disturbs the
+        the leader's chunks.  No outcome of one member disturbs the
         leader or its siblings.
         """
         for job_id, spec, arrival in members:
@@ -392,7 +381,7 @@ class ExecutionBackend(abc.ABC):
                 )
                 error = error_text(cause)
             record = self._synthetic_record(spec, arrival, completion, error=error)
-            self._settle(job_id, record, cause, chunks)
+            self._settle(job_id, record, cause)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -493,12 +482,13 @@ class ExecutionBackend(abc.ABC):
         """
         self._locate(job_id)
         channel = self._channels[job_id]
+        chunks = channel.chunks()  # a member's or a cache hit's: its leader's
         return {
             "done": job_id in self.records,
             "cancelled": job_id in self._cancelled,
             "failed": self.failed(job_id),
-            "chunks_put": channel.chunks_put,
-            "rows_put": channel.rows_put,
+            "chunks_put": channel.chunks_put or len(chunks),
+            "rows_put": channel.rows_put or sum(chunk.rows for chunk in chunks),
             "chunks_pending": channel.depth,
             "rows_fetched": channel.fetched_rows,
         }

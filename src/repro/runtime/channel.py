@@ -1,52 +1,39 @@
-"""Bounded result channels: how row-batches move from morsels to callers.
+"""Result channels: one chunk list per execution, one reader per job.
 
-Before the streaming refactor every layer of the result path
-materialized whole: the engine's final sink buffered all rows, the
-backends stashed finished results in a dict, and the server could only
-hand them out after ``drain()``.  A :class:`ResultChannel` replaces the
-private buffer with an explicit, bounded, producer/consumer channel of
-:class:`ResultChunk` items, and it is the only store of a job's result:
+An execution's result is one append-only :class:`ChunkList` of
+:class:`ResultChunk` items, its only store, and every job reads one
+through its own :class:`ResultChannel`:
 
-* the **engine** pushes one chunk per completed morsel when the final
-  pipeline's sink can stream rows (:class:`~repro.engine.operators.CollectSink`),
-  or a single terminal chunk at finalization for blocking sinks
-  (aggregates, sorts, top-k — pipeline breakers cannot stream);
+* the **engine** puts one chunk per morsel of a final pipeline whose
+  sink streams rows (:class:`~repro.engine.operators.CollectSink`), or a
+  pipeline breaker's value as one terminal chunk, through the channel
+  of the job it executes; the process backend puts what came off the
+  pipe the same way;
 * the **backends** own one channel per job and close (or fail) it when
-  the query completes (or is cancelled);
-* the **caller** reads through a
-  :class:`~repro.runtime.handle.QueryHandle`, whose cursor state (the
-  replay position, a chunk ``fetch(n)`` split, the fetched-row count)
-  lives on the channel.
+  the query ends.  A fold member's or a fragment-cache hit's channel is
+  opened as a *kept* reader of the leader's list, so nothing is copied;
+* the **caller** reads through a :class:`~repro.runtime.handle.QueryHandle`,
+  whose cursor (position, a ``fetch(n)`` split, fetched rows) lives on
+  the channel.
 
 A channel is read in one of two modes, fixed by whichever comes first.
-**Live**: a read pops the chunk and marks the channel ``streamed``;
-popped rows are gone, so ``assemble()`` then raises.  **Kept**: once
-:meth:`ResultChannel.keep` ran (the backend's ``drain()``, ``wait()`` or
-``result()``), reads replay from ``position`` without consuming and
-``assemble()`` builds the whole value once.  Nothing moves between the
-two: keeping only lifts the bound in place.
-
-``blocking=True`` (threaded backend)
-    ``put`` blocks while the channel holds ``capacity`` unread chunks
-    and is neither kept nor closed.  The producing worker thread parks
-    inside the engine kernel, so the stride scheduler naturally stops
-    handing that query CPU — real backpressure, and a live stream's
-    buffered memory is bounded by ``capacity`` chunks no matter how
-    large the result is.
-
-``blocking=False`` (virtual-time backends)
-    ``put`` never blocks — in virtual time no consumer can run
-    concurrently with the epoch, so chunks accumulate and are delivered
-    deterministically when ``drain()`` returns.  ``capacity`` still
-    feeds :attr:`peak_depth` accounting.
+**Live**: a read consumes the chunk and marks the channel ``streamed``;
+unless another reader is open on the list the chunk is dropped, so
+``assemble()`` then raises and the list is no longer whole.  **Kept**:
+after :meth:`ResultChannel.keep` (``drain()``, ``wait()``, ``result()``)
+reads replay from ``position`` and ``assemble()`` builds the value once.
+Keeping only lifts the bound in place.  In blocking mode (threaded
+backend) ``put`` parks the producing worker while its own job's reader
+is live and holds ``capacity`` unread chunks — real backpressure, a
+live stream's memory bounded no matter how large the result; kept
+readers never hold it back.  In virtual time ``put`` never blocks.
+Failing a reader fails only that reader; production stops once no
+reader of the list is open (``ChunkList.readers``).
 
 Thread-safety: every mutation runs under one condition variable, which
-every state change (put, pop, keep, close, fail) notifies; nothing waits
-on a timer.  All channels of a backend share its one condition (a
-channel built alone makes its own), so a state change wakes a real-time
-backend's waits; a virtual-time channel never waits.  A channel is
-slotted and holds no buffer until its first ``put``, nor after a live
-read emptied it.
+every state change notifies; nothing waits on a timer.  A backend's
+channels share its one condition.  A channel is slotted and holds no
+list until its first ``put``, nor after a live read emptied it.
 """
 
 from __future__ import annotations
@@ -67,9 +54,19 @@ DEFAULT_CHANNEL_CAPACITY = 8
 ROWS = "rows"
 FINAL = "final"
 
-#: The buffer of a channel holding no chunk: none put yet, failed, or
-#: emptied by a live read.
-_NO_BUFFER = ()
+
+class ChunkList(list):
+    """One execution's chunks in production order, appended only through
+    the producing job's channel.  ``readers`` counts the channels open
+    over it; the last one to fail empties it and stops production."""
+
+    __slots__ = ("readers",)
+
+
+#: The list of a channel holding no chunk: none put yet, failed, or
+#: emptied by a live read.  Shared, so never appended to.
+_NO_BUFFER = ChunkList()
+_NO_BUFFER.readers = 0
 
 
 class ResultChunk:
@@ -94,8 +91,8 @@ class ResultChunk:
 
 
 class ResultChannel:
-    """A bounded producer/consumer channel of :class:`ResultChunk` items,
-    and the cursor over them."""
+    """One job's reader of a :class:`ChunkList`, and the cursor over it;
+    the producer of the list writes through its own job's channel."""
 
     __slots__ = (
         "capacity", "blocking", "_buffer", "_cond", "_closed", "_error", "_fail_at_chunk",
@@ -126,9 +123,9 @@ class ResultChannel:
         self.rows_put = 0
         self.chunks_taken = 0
         self.peak_depth = 0
-        #: The cursor: the next kept chunk to replay, the rest of a chunk
-        #: ``fetch(n)`` split as ``(batch, offset, total)``, and the rows
-        #: read through a handle.
+        #: The cursor: the next chunk of the list to read, the rest of a
+        #: chunk ``fetch(n)`` split as ``(batch, offset, total)``, and the
+        #: rows read through a handle.
         self.position = 0
         self.partial: Optional[tuple] = None
         self.fetched_rows = 0
@@ -152,6 +149,8 @@ class ResultChannel:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
+        if not self._buffer:  # the shared empty list comes back a copy
+            self._buffer = _NO_BUFFER
         self._cond = threading.Condition()
         self._value = NO_RESULT
 
@@ -160,7 +159,7 @@ class ResultChannel:
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
-        """Whether the producer side finished (normally or by failure)."""
+        """Whether the stream ended for this reader: closed or failed."""
         return self._closed
 
     @property
@@ -178,10 +177,32 @@ class ResultChannel:
         """Chunks put and not yet read."""
         return len(self._buffer) - self.position
 
-    def chunks(self) -> List[ResultChunk]:
-        """Every chunk held: the whole stream unless it was read live."""
+    def chunks(self) -> ChunkList:
+        """The list this channel reads (not a copy): every chunk of the
+        execution unless a live read dropped some."""
+        return self._buffer
+
+    # ------------------------------------------------------------------
+    # One list, several readers (fold members, fragment-cache hits)
+    # ------------------------------------------------------------------
+    def _whole(self) -> bool:
+        """Whether this producer's list holds every chunk it ever put."""
+        return self._error is None and len(self._buffer) == self.chunks_put
+
+    def _share(self) -> ChunkList:
+        """This producer's list for another channel to :meth:`_open`."""
         with self._cond:
-            return list(self._buffer)
+            if self._buffer is _NO_BUFFER:
+                self._buffer = ChunkList()
+                self._buffer.readers = 1
+            return self._buffer
+
+    def _open(self, chunks: ChunkList) -> None:
+        """Read another execution's ``chunks``, kept: never a bound on it."""
+        with self._cond:
+            chunks.readers += 1
+            self._buffer = chunks
+            self.kept = True
 
     # ------------------------------------------------------------------
     # Producer side
@@ -189,41 +210,46 @@ class ResultChannel:
     def put(self, kind: str, payload: object, rows: int) -> None:
         """Append one chunk; blocks while full in blocking mode.
 
-        On a failed channel (cancellation) the chunk is dropped
-        silently: the producer is mid-kernel and must wind down through
-        the scheduler's finalization protocol, not via an exception
-        raised from inside a morsel.  On a channel closed without
-        failure, raises :class:`~repro.errors.ChannelClosedError` —
-        producing after close is a backend bug.
+        On a failed channel (cancellation) the chunk is dropped silently
+        unless another reader is open on the list: the producer is
+        mid-kernel and must wind down through the scheduler's
+        finalization protocol, not via an exception raised from inside
+        a morsel.  On a channel closed without failure, raises
+        :class:`~repro.errors.ChannelClosedError` — producing after
+        close is a backend bug.
         """
         with self._cond:
             if self._error is not None:
-                return
-            if self._closed:
+                if not self._buffer.readers:
+                    return
+            elif self._closed:
                 raise ChannelClosedError(
                     "put() on a closed result channel"
                 )
-            if self.blocking:
+            elif self.blocking:
                 while (
-                    len(self._buffer) >= self.capacity
+                    len(self._buffer) - self.position >= self.capacity
                     and not self.kept
                     and not self._closed
                     and self._error is None
                 ):
                     self._cond.wait()
-                if self._error is not None:
+                if self._error is not None and not self._buffer.readers:
                     return
-            if self._buffer is _NO_BUFFER:
-                self._buffer = []
-            self._buffer.append(ResultChunk(kind, payload, rows))
+            buffer = self._buffer
+            if buffer is _NO_BUFFER:
+                self._buffer = buffer = ChunkList()
+                buffer.readers = 1
+            buffer.append(ResultChunk(kind, payload, rows))
             self.chunks_put += 1
             self.rows_put += rows
-            depth = self.depth
+            depth = len(buffer) - self.position
             if depth > self.peak_depth:
                 self.peak_depth = depth
             if (
                 self._fail_at_chunk is not None
                 and self.chunks_put >= self._fail_at_chunk
+                and self._error is None
             ):
                 # Armed consumer disappearance (see fail_after): the
                 # consumer side goes away mid-stream.  Fail in place —
@@ -243,7 +269,7 @@ class ResultChannel:
         self.put(FINAL, payload, rows)
 
     def close(self) -> None:
-        """Producer is done; consumers drain the buffer then stop.
+        """Producer is done; consumers drain the list then stop.
 
         Idempotent, and a no-op after :meth:`fail` (the failure wins).
         """
@@ -254,12 +280,13 @@ class ResultChannel:
             self._cond.notify_all()
 
     def fail(self, error: BaseException) -> None:
-        """Terminate the stream with an error (cancellation path).
+        """Terminate this reader with an error (cancellation path).
 
-        Buffered chunks are discarded, blocked producers and consumers
-        wake, later ``put`` calls drop silently and later ``get`` calls
-        raise ``error``.  A no-op if the channel already closed cleanly
-        — a completed result is not retroactively poisoned.
+        The reader leaves its list, blocked producers and consumers
+        wake, and later ``get`` calls raise ``error``; production stops
+        unless another reader of the list is still open.  A no-op if
+        the channel already closed cleanly — a completed result is not
+        retroactively poisoned.
         """
         with self._cond:
             if self._closed:
@@ -270,8 +297,14 @@ class ResultChannel:
     def _fail(self, error: BaseException) -> None:
         self._error = error
         self._closed = True
-        self._buffer = _NO_BUFFER
         self.position = 0
+        buffer = self._buffer
+        if buffer is not _NO_BUFFER:
+            buffer.readers -= 1
+            if not buffer.readers:
+                # Nobody is left to read a chunk of it: drop them all.
+                buffer.clear()
+                self._buffer = _NO_BUFFER
 
     def fail_after(
         self, chunks: int, error: Optional[BaseException] = None
@@ -280,9 +313,7 @@ class ResultChannel:
 
         Fault-injection hook (``repro.runtime.faults``): once the
         producer has put ``chunks`` total chunks, the channel fails as
-        if the consumer vanished mid-stream — buffered chunks are
-        dropped, parked producers wake and their later puts drop
-        silently, and consumers see ``error`` (default: a
+        :meth:`fail` would, with ``error`` (default: a
         :class:`~repro.errors.ChannelClosedError`).  Deterministic: the
         trigger is the monotone ``chunks_put`` counter, not timing.
         """
@@ -309,31 +340,35 @@ class ResultChannel:
     def assemble(self) -> object:
         """The whole result, assembled once and kept (lifts the bound).
 
-        :data:`NO_RESULT` when no chunk was put.  The caller checks
-        :attr:`streamed` first: a stream read live holds only its rest.
+        :data:`NO_RESULT` when no chunk was put or the reader failed.
+        The caller checks :attr:`streamed` first: a stream read live
+        holds only its rest.
         """
         with self._cond:
             self.keep()
-            if self._value is NO_RESULT:
+            if self._value is NO_RESULT and self._error is None:
                 self._value = assemble_chunks(self._buffer)
             return self._value
 
     def _take(self) -> Optional[ResultChunk]:
-        """The next chunk if one is buffered (the lock is held)."""
+        """The next chunk if one is in the list (the lock is held)."""
         buffer = self._buffer
-        if self.kept:
-            if self.position == len(buffer):
-                return None
-            chunk = buffer[self.position]
-            self.position += 1
-        elif buffer:
-            chunk = buffer.pop(0)
-            self.streamed = True
-            if not buffer and self._closed:
-                self._buffer = _NO_BUFFER
-            self._cond.notify_all()
-        else:
+        position = self.position
+        if position == len(buffer):
             return None
+        chunk = buffer[position]
+        if self.kept:
+            self.position = position + 1
+        else:
+            self.streamed = True
+            if buffer.readers > 1:  # another reader still needs it
+                self.position = position + 1
+            else:
+                del buffer[: position + 1]
+                self.position = 0
+                if not buffer and self._closed:
+                    self._buffer = _NO_BUFFER
+            self._cond.notify_all()
         self.chunks_taken += 1
         return chunk
 

@@ -223,7 +223,8 @@ class FaultyEnvironment:
         self._inner.active_count_fn = fn
 
     def open_channel(self, query_id: int, channel) -> None:
-        """Track (and delegate) a result channel registration."""
+        """Track (and delegate) a result channel registration; kept
+        until the query's first morsel arms it."""
         self._channels[query_id] = channel
         inner_open = getattr(self._inner, "open_channel", None)
         if inner_open is not None:
@@ -232,14 +233,15 @@ class FaultyEnvironment:
     def _arm(self, query_id: int, name: str) -> List[Tuple[int, FaultSpec]]:
         """Resolve this query's faults on its first morsel.
 
-        Consumer-gone faults arm the channel immediately (and count as
-        fired); morsel-triggered kinds are kept for :meth:`run_morsel`.
+        Consumer-gone faults arm the query's channel immediately (and
+        count as fired); morsel-triggered kinds are kept for
+        :meth:`run_morsel`.  Nothing reads the channel after this.
         """
         injector = self._injector
+        channel = self._channels.pop(query_id, None)
         armed: List[Tuple[int, FaultSpec]] = []
         for index, fault in injector.pending_for(query_id, name):
             if fault.kind == CONSUMER_GONE:
-                channel = self._channels.get(query_id)
                 if channel is not None:
                     channel.fail_after(fault.after_chunks)
                     injector.mark_fired(index, name, 0)

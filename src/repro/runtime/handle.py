@@ -17,8 +17,8 @@ handoffs by construction:
   backend's answers for the resolved job.
 
 The cursor state lives on the job's
-:class:`~repro.runtime.channel.ResultChannel`, the one store of its
-result.  Read before anything kept it (threaded backend, before
+:class:`~repro.runtime.channel.ResultChannel`, its reader of the one
+chunk list of the execution serving it.  Read before anything kept it (threaded backend, before
 ``drain``/``wait``/``result``), the stream is consumed live: buffered
 memory stays bounded by the channel capacity, read rows are gone and
 ``result()`` afterwards raises.  Once kept (always, after a drain, on

@@ -5,10 +5,11 @@ that overrides one step, running the ordered epoch: the workload crosses
 to a warm worker of the shared sweep pool (:mod:`repro.experiments.pool`),
 which drains it on a :class:`SimulatedBackend` of its own and sends the
 settled records and every job's chunks back as flat arrays through the
-one wire codec (:mod:`repro.wire`).  Fold offers, the §3.2 leader
-weight, settlement, fold fan-out and the fragment cache stay on the one
-epoch loop in the submitting process, so results are bit-identical to
-the simulated backend's, with ``sharing=True`` or without, and fold
+one wire codec (:mod:`repro.wire`), which this side puts into each
+job's chunk list before it settles the job.  Fold offers, the §3.2
+leader weight, settlement and the fragment cache stay on the one epoch
+loop in the submitting process, so results are bit-identical to the
+simulated backend's, with ``sharing=True`` or without, and fold
 members' chunks never cross the pipe.
 
 Worker-side warm state: everything the epoch needs that is expensive to
@@ -247,10 +248,11 @@ class ProcessBackend(SimulatedBackend):
             # A failed query ships no chunk: the worker isolated it, and
             # _settle reconstructs the cause from the record's error
             # text (class identity is preserved for library errors).
-            yield (
-                run[record.query_id][2], record, None,
-                tuple(itertools.islice(chunks, count)),
-            )
+            job_id = run[record.query_id][2]
+            channel = self._channels[job_id]
+            for kind, payload, rows in itertools.islice(chunks, count):
+                channel.put(kind, payload, rows)
+            yield job_id, record, None
 
     def _rebuild_pool(self) -> None:
         """Replace a broken worker pool with a fresh, equivalent one."""
@@ -277,4 +279,4 @@ class ProcessBackend(SimulatedBackend):
         text = error_text(error)
         for arrival, spec, job_id in run:
             record = self._synthetic_record(spec, arrival, arrival, error=text)
-            yield job_id, record, error, ()
+            yield job_id, record, error

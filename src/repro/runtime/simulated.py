@@ -19,9 +19,10 @@ loop is synchronous), so true mid-flight admission is what the
 model is the faithful virtual-time analogue.
 
 This class holds the one epoch loop.  A drain offers the pending set to
-the fold coordinator, runs the epoch (:meth:`SimulatedBackend._run_epoch`,
-one ``(job, record, cause, chunks)`` step per finished query), settles
-each step, fans each sealed fold out and fills the fragment cache.  The
+the fold coordinator (members and cache hits read a leader's chunk
+list), runs the epoch (:meth:`SimulatedBackend._run_epoch`, one ``(job,
+record, cause)`` step per finished query), settles each step and each
+sealed fold's members and caches the leader's list.  The
 :class:`~repro.runtime.process.ProcessBackend` overrides only the step
 that runs the epoch, so folds, the §3.2 leader weight and the cache work
 the same on both.
@@ -53,8 +54,8 @@ from repro.simcore.simulator import (
     Simulator,
 )
 
-#: One epoch step: ``(job id, record, cause, chunks)`` for :meth:`_settle`.
-EpochStep = Tuple[int, LatencyRecord, Optional[BaseException], tuple]
+#: One epoch step: ``(job id, record, cause)`` for :meth:`_settle`.
+EpochStep = Tuple[int, LatencyRecord, Optional[BaseException]]
 
 
 class SimulatedBackend(ExecutionBackend):
@@ -167,18 +168,15 @@ class SimulatedBackend(ExecutionBackend):
         try:
             if sharing:
                 run = self._offer_folds(run)
-            for job_id, record, cause, chunks in self._run_epoch(run) if run else ():
-                self._settle(job_id, record, cause, chunks)
+            for job_id, record, cause in self._run_epoch(run) if run else ():
+                self._settle(job_id, record, cause)
                 fold = self._folds.seal(job_id) if sharing else None
                 if fold is None:
                     continue
-                # The leader's chunks are the fold's replay buffer: they
-                # fan out to every attached query and (on success) into
-                # the fragment cache for future epochs.
-                chunks = tuple(
-                    (c.kind, c.payload, c.rows) for c in self._channels[job_id].chunks()
-                )
-                self._settle_fold(record, chunks, fold.members)
+                # The members already read the leader's list; on success
+                # the fragment cache keeps it for future epochs.
+                self._settle_fold(record, fold.members)
+                chunks = self._channels[job_id].chunks()
                 if chunks and not record.failed:
                     self._fragment_cache.put(fold.fingerprint, chunks)
         finally:
@@ -217,7 +215,7 @@ class SimulatedBackend(ExecutionBackend):
             # abort protocol; survivors of the same epoch are untouched.
             job_id = run[record.query_id][2]
             self._complete(environment, record)
-            yield job_id, record, None, ()
+            yield job_id, record, None
 
     # ------------------------------------------------------------------
     # Work sharing (sharing=True only)
@@ -233,13 +231,13 @@ class SimulatedBackend(ExecutionBackend):
         The epoch *is* the attach window: queries are offered in arrival
         order, so the earliest arrival of a fingerprint leads.  Returns
         what must execute, fold leaders stamped with the coordinator's
-        §3.2 weight rule.  Repeats of a fingerprint that completed in an
-        earlier epoch are settled here from the fragment cache, at their
-        arrival time and zero cost.
+        §3.2 weight rule; a member reads its leader's list.  Repeats of
+        a fingerprint that completed in an earlier epoch are settled
+        here from the fragment cache, at their arrival time and zero cost.
         """
         # Only engine results are worth caching (the cost model has none).
         cache = self._fragment_cache if self._environment_factory else None
-        folds = self._folds
+        folds, channels = self._folds, self._channels
         run: List[Tuple[float, QuerySpec, int]] = []
         for arrival, spec, job_id in pending:
             if "noshare" not in spec.tags:
@@ -247,10 +245,11 @@ class SimulatedBackend(ExecutionBackend):
                 if cache is not None:
                     chunks = cache.get(fp)
                     if chunks is not MISS:
-                        record = self._synthetic_record(spec, arrival, arrival)
-                        self._settle(job_id, record, chunks=chunks)
+                        channels[job_id]._open(chunks)
+                        self._settle(job_id, self._synthetic_record(spec, arrival, arrival))
                         continue
                 if folds.offer(job_id, spec, arrival, fp):
+                    channels[job_id]._open(channels[folds.leader_of(job_id)]._share())
                     continue
             run.append((arrival, spec, job_id))
         return [

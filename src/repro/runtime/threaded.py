@@ -52,7 +52,7 @@ from repro.runtime.backend import ExecutionBackend
 from repro.runtime.channel import DEFAULT_CHANNEL_CAPACITY
 from repro.runtime.clock import WallClock
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.sharing import FoldCoordinator, SharingStats, TeeChannel, spec_fingerprint
+from repro.sharing import FoldCoordinator, SharingStats, spec_fingerprint
 
 #: Longest a parked worker sleeps without a wake (see the module notes).
 PARK_TIMEOUT = 0.002
@@ -101,9 +101,9 @@ class ThreadedBackend(ExecutionBackend):
         self.dead_workers = 0
         #: Live work sharing (off by default): a compatible query
         #: arriving while a matching one is in flight attaches to it
-        #: instead of being admitted; produced chunks replay to the
-        #: attached queries at completion from a bounded buffer.  With
-        #: sharing off every submit takes the historical path untouched.
+        #: instead of being admitted, and reads the leader's chunk list
+        #: as it grows.  With sharing off every submit takes the
+        #: historical path untouched.
         self._sharing = bool(sharing)
         self.sharing_stats = SharingStats()
         self._folds = FoldCoordinator(
@@ -171,8 +171,13 @@ class ThreadedBackend(ExecutionBackend):
         # all arrive at time zero and simply queue until workers spawn.
         now = self._clock.now()
         if self._sharing and "noshare" not in spec.tags:
-            if self._folds.offer(job_id, spec, now, spec_fingerprint(spec)):
-                return  # attached: served at the leader's completion
+            key, channels, folds = spec_fingerprint(spec), self._channels, self._folds
+            # Under the condition a live read takes, so no read drops a
+            # chunk between checking the leader's list and opening it.
+            with self._done:
+                if folds.offer(job_id, spec, now, key, lambda leader: channels[leader]._whole()):
+                    channels[job_id]._open(channels[folds.leader_of(job_id)]._share())
+                    return  # attached: settled at the leader's completion
         self._admit(job_id, spec, now)
 
     def _admit(self, job_id: int, spec: QuerySpec, now: float) -> None:
@@ -184,18 +189,7 @@ class ThreadedBackend(ExecutionBackend):
             if open_channel is not None:
                 # Before the group becomes runnable, so the engine wraps
                 # the final sink ahead of the query's first morsel.
-                channel = self._channels[job_id]
-                fold = self._folds.led_by(job_id)
-                if fold is not None:
-                    # Fold leader: tee produced chunks into the bounded
-                    # replay buffer for the attached queries.
-                    channel = TeeChannel(
-                        channel,
-                        fold,
-                        self._folds.attach_buffer,
-                        self._on_replay_overflow,
-                    )
-                open_channel(group.query_id, channel)
+                open_channel(group.query_id, self._channels[job_id])
 
         self._scheduler.admit_query(spec, now, on_group=register)
 
@@ -209,14 +203,6 @@ class ThreadedBackend(ExecutionBackend):
         if group is not None:
             group.fold_size = share
             group.query = replace(group.query, user_priority=weight)
-
-    def _on_replay_overflow(self, fold) -> None:
-        """The replay buffer overflowed: re-admit the members unshared.
-
-        Runs on the producing worker thread, mid-put.
-        """
-        for job_id, spec, _ in self._folds.overflow(fold):
-            self._admit(job_id, spec, self._clock.now())
 
     def _do_drain(self) -> List[int]:
         self._await(lambda: not self._live)
@@ -328,14 +314,13 @@ class ThreadedBackend(ExecutionBackend):
     def _on_complete(self, group, record: LatencyRecord) -> None:
         """Scheduler completion hook (runs on the finalizing worker)."""
         job_id = self._jobs[group.query_id]
-        # A detached leader's final chunk still flows through the tee
-        # (the inner channel already failed, so the put is a silent drop
-        # there) — members replay a complete result even though the
+        # A detached leader's final chunk still goes to its list, which
+        # its members read — they get a complete result even though the
         # leader's consumer left.
         self._complete(self._environment, record)
-        # Seal after the last chunk went through the tee: a late
-        # arrival of this fingerprint then leads a fresh fold instead of
-        # attaching to a completed execution.
+        # Seal after the last chunk was put: a late arrival of this
+        # fingerprint then leads a fresh fold instead of attaching to a
+        # completed execution.
         fold = self._folds.seal(job_id) if self._sharing else None
         outcome, cause = record, group.failure
         leader_detached = fold is not None and fold.leader_detached
@@ -351,14 +336,14 @@ class ThreadedBackend(ExecutionBackend):
             else:
                 outcome = replace(record, cancelled=True)
         # The leader and its attached queries publish together: a waiter
-        # woken by either finds both settled.  Nothing in here can park
-        # on a consumer (see _settle), so a leader's completion never
-        # waits on a member's.  Members are settled from the scheduler's
-        # own record — a detached leader still *serves* them.
+        # woken by either finds both settled.  Settling puts nothing, so
+        # a leader's completion never waits on a member's consumer.
+        # Members are settled from the scheduler's own record — a
+        # detached leader still *serves* them.
         with self._done:
             self._settle(job_id, outcome, cause)
             if fold is not None and fold.members:
-                self._settle_fold(record, tuple(fold.replay), fold.members)
+                self._settle_fold(record, fold.members)
             self._done.notify_all()
 
     # ------------------------------------------------------------------
@@ -400,14 +385,14 @@ class ThreadedBackend(ExecutionBackend):
             if self._folds.detach_leader(job_id):
                 # The leader's channel already failed (the caller's view
                 # winds down normally), but its group keeps executing so
-                # the members still get their replayed results.
+                # the members still read its whole list.
                 return
         group = self._groups.get(job_id)
         if group is None:
             if self._sharing:  # pragma: no cover - detach/complete race
-                # The fold resolved concurrently (leader completion or
-                # overflow promotion); the job's record lands through
-                # that path, so there is nothing left to wind down.
+                # The leader's completion sealed the fold concurrently;
+                # the job's record lands through that path, so there is
+                # nothing left to wind down.
                 return
             raise ReproError(f"job {job_id} has no resource group")
         if error is None:

@@ -62,11 +62,11 @@ failure-mode taxonomy.
 
 Work sharing (``sharing=True``; every backend) folds identical
 in-flight queries into one execution through one
-:class:`~repro.sharing.FoldCoordinator`.  ``sharing_attach_buffer``
-caps each fold's members on every backend and, on the threaded one,
-also the leader's replay buffer in chunks; ``sharing_cache_entries``
-sizes the epoch backends' fragment result cache (the process backend
-keeps it in this process, so repeats hit it across epochs).
+:class:`~repro.sharing.FoldCoordinator`; members read the leader's
+chunk list.  ``sharing_attach_buffer`` caps each fold's members;
+``sharing_cache_entries`` sizes the epoch backends' fragment result
+cache (the process backend keeps it in this process, so repeats hit it
+across epochs).
 
 Example::
 

@@ -8,8 +8,8 @@ compatible submissions cost one execution:
 * :mod:`repro.sharing.fingerprint` — spec normalization: canonical
   content-hashed keys for the work a query spec describes;
 * :mod:`repro.sharing.fold` — the fold coordinator every backend
-  calls (attach, detach, completion, overflow and the §3.2 weight
-  rule), the sharing counters and the bounded-replay tee;
+  calls (attach, detach, completion and the §3.2 weight rule) and the
+  sharing counters;
 * :mod:`repro.sharing.cache` — the epoch backends' fragment result
   cache, serving identical back-to-back queries without executing them.
 
@@ -20,14 +20,13 @@ is bit-identical to the unshared code.
 
 from repro.sharing.cache import MISS, FragmentCache
 from repro.sharing.fingerprint import spec_fingerprint, spec_fragment_fingerprint
-from repro.sharing.fold import FoldCoordinator, SharingStats, TeeChannel
+from repro.sharing.fold import FoldCoordinator, SharingStats
 
 __all__ = [
     "MISS",
     "FoldCoordinator",
     "FragmentCache",
     "SharingStats",
-    "TeeChannel",
     "spec_fingerprint",
     "spec_fragment_fingerprint",
 ]

@@ -3,14 +3,13 @@
 Completed fragment results are cached under their normalized fingerprint
 (:mod:`repro.sharing.fingerprint`), so an identical back-to-back query —
 the common dashboard pattern — skips execution entirely and is served
-the cached chunks at its arrival time.
+at its arrival time by reading the cached chunk list, the leader's own.
 
 Invalidation story: the TPC-H database a server owns is immutable, so
 entries never go stale on their own.  Any code path that *does* mutate
 data (none exists today) must call :meth:`FragmentCache.invalidate`,
-which drops every entry and bumps the cache *epoch*; entries are
-tagged with the epoch they were stored under and a stale-epoch lookup
-can never hit.  Capacity is bounded by ``max_entries`` with LRU
+which drops every entry and bumps the cache *epoch*, so no entry stored
+before it can hit.  Capacity is bounded by ``max_entries`` with LRU
 eviction (evictions are counted on the shared
 :class:`~repro.sharing.fold.SharingStats`).
 """
@@ -18,7 +17,7 @@ eviction (evictions are counted on the shared
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.sharing.fold import SharingStats
@@ -28,7 +27,7 @@ MISS = object()
 
 
 class FragmentCache:
-    """Bounded LRU cache of completed fragment results, epoch-tagged."""
+    """Bounded LRU cache of completed fragment results."""
 
     def __init__(
         self,
@@ -41,19 +40,15 @@ class FragmentCache:
         self.stats = stats if stats is not None else SharingStats()
         #: Monotone invalidation epoch; bumped by :meth:`invalidate`.
         self.epoch = 0
-        self._entries: "OrderedDict[str, Tuple[int, object]]" = OrderedDict()
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, fingerprint: str):
         """The cached value, or :data:`MISS`.  Hits count and refresh LRU."""
-        entry = self._entries.get(fingerprint)
-        if entry is None:
-            return MISS
-        epoch, value = entry
-        if epoch != self.epoch:  # pragma: no cover - invalidate() clears
-            del self._entries[fingerprint]
+        value = self._entries.get(fingerprint, MISS)
+        if value is MISS:
             return MISS
         self._entries.move_to_end(fingerprint)
         self.stats.cache_hits += 1
@@ -64,7 +59,7 @@ class FragmentCache:
         entries = self._entries
         if fingerprint in entries:
             entries.move_to_end(fingerprint)
-        entries[fingerprint] = (self.epoch, value)
+        entries[fingerprint] = value
         while len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.stats.cache_evictions += 1

@@ -1,4 +1,4 @@
-"""Fold bookkeeping: sharing counters, the fold coordinator and the tee.
+"""Fold bookkeeping: the sharing counters and the fold coordinator.
 
 A *fold* is one shared execution serving several attached queries.
 :class:`FoldCoordinator` makes every fold decision for every backend,
@@ -7,11 +7,10 @@ attach window.  The virtual-time epoch loop (which the process backend
 shares) offers its pending set in arrival order at drain time, so the
 epoch is the window and the earliest arrival leads.  The threaded
 backend offers each query live at submit: a compatible query arriving
-while a leader is in flight attaches to it, and the leader's produced
-chunks are kept in a bounded replay buffer (:class:`TeeChannel`) so
-members can be served at completion.  When that buffer overflows, every
-member falls back to a fresh unshared execution (counted as a replay
-fallback) and the fold stops accepting members.
+while a leader is in flight attaches to it as long as the leader's
+chunk list is whole.  Either way a member's result channel reads the
+leader's one chunk list (:mod:`repro.runtime.channel`); nothing is
+copied or replayed.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ class SharingStats:
     cache_hits: int = 0
     #: Cache entries dropped by the LRU bound.
     cache_evictions: int = 0
-    #: Attaches abandoned for a fresh scan (replay buffer exhausted).
+    #: Attaches refused for a fresh scan (the fold's member cap).
     replay_fallbacks: int = 0
 
     def as_dict(self) -> dict:
@@ -61,25 +60,18 @@ class LiveFold:
     leader_spec: QuerySpec
     #: Attached queries: (job id, spec, arrival time).
     members: List[Tuple[int, QuerySpec, float]] = field(default_factory=list)
-    #: Accepting new members?  Closed by a leader detach or completion.
-    open: bool = True
     #: Leader cancelled mid-flight with members still attached: the
     #: shared execution continues, only the leader's delivery detaches.
     leader_detached: bool = False
-    #: Chunks produced so far, kept for member replay (threaded only).
-    replay: List[Tuple[str, object, int]] = field(default_factory=list)
-    #: Replay gave up (bound exceeded); members were re-admitted fresh.
-    overflowed: bool = False
 
 
 class FoldCoordinator:
     """Every fold decision of one backend, under one lock.
 
-    ``attach_buffer`` is the ``sharing_attach_buffer`` option: on both
-    backends a fold takes at most that many members (later compatible
-    queries execute unshared, counted as replay fallbacks), and on the
-    threaded backend it also bounds the leader's replay buffer in
-    chunks.  Callers pass the spec fingerprint they computed as ``key``.
+    ``attach_buffer`` is the ``sharing_attach_buffer`` option: on every
+    backend a fold takes at most that many members (later compatible
+    queries execute unshared, counted as replay fallbacks).  Callers
+    pass the spec fingerprint they computed as ``key``.
     ``reweigh(fold, share, weight)`` runs under the lock whenever a
     fold's membership changes; the threaded backend uses it to apply
     :meth:`weight` to the live leader group.
@@ -97,23 +89,32 @@ class FoldCoordinator:
         self._stats = stats
         self._reweigh = reweigh
         self._lock = threading.Lock()
-        #: fingerprint -> the fold a new arrival of it would attach to.
+        #: fingerprint -> the fold a new arrival of it would attach to,
+        #: until its leader detaches or completes.
         self._open: Dict[str, LiveFold] = {}
         #: leader job id -> its fold, until sealed.
         self._led: Dict[int, LiveFold] = {}
-        #: member job id -> its fold, until served, detached or promoted.
+        #: member job id -> its fold, until served or detached.
         self._member_of: Dict[int, LiveFold] = {}
 
-    def offer(self, job_id: int, spec: QuerySpec, arrival: float, key: str) -> bool:
+    def offer(
+        self,
+        job_id: int,
+        spec: QuerySpec,
+        arrival: float,
+        key: str,
+        whole: Optional[Callable[[int], bool]] = None,
+    ) -> bool:
         """Lead, attach or fall back; ``True`` when ``job_id`` attached.
 
-        Without an open, unoverflowed fold for ``key`` the query leads a
-        new one; with a full one it executes unshared.
+        Without an open fold for ``key``, or when ``whole(leader job)``
+        says a live read dropped some of its leader's chunks, the query
+        leads a new one; with a full one it executes unshared.
         """
         stats = self._stats
         with self._lock:
             fold = self._open.get(key)
-            if fold is None or not fold.open or fold.overflowed:
+            if fold is None or (whole is not None and not whole(fold.leader_job)):
                 fold = LiveFold(key, job_id, spec)
                 self._open[key] = fold
                 self._led[job_id] = fold
@@ -159,10 +160,6 @@ class FoldCoordinator:
         if self._reweigh is not None:
             self._reweigh(fold, *self.weight(fold))
 
-    def led_by(self, job_id: int) -> Optional[LiveFold]:
-        """The unsealed fold ``job_id`` leads, if any."""
-        return self._led.get(job_id)
-
     def leader_of(self, job_id: int) -> Optional[int]:
         """The leader job an attached ``job_id`` waits on, if any."""
         fold = self._member_of.get(job_id)
@@ -187,7 +184,8 @@ class FoldCoordinator:
             fold = self._led.get(job_id)
             if fold is None:
                 return False
-            fold.open = False
+            if self._open.get(fold.fingerprint) is fold:
+                del self._open[fold.fingerprint]
             if not fold.members:
                 return False
             fold.leader_detached = True
@@ -204,7 +202,6 @@ class FoldCoordinator:
             fold = self._led.pop(job_id, None)
             if fold is None:
                 return None
-            fold.open = False
             for member_job, _, _ in fold.members:
                 del self._member_of[member_job]
             if self._open.get(fold.fingerprint) is fold:
@@ -217,73 +214,3 @@ class FoldCoordinator:
             self._open.clear()
             self._led.clear()
             self._member_of.clear()
-
-    def overflow(self, fold: LiveFold) -> List[Tuple[int, QuerySpec, float]]:
-        """The fold's replay buffer overflowed: hand back its members.
-
-        The caller re-admits each as a fresh unshared execution, counted
-        here as a replay fallback; the leader goes on untouched.
-        """
-        with self._lock:
-            promoted, fold.members = fold.members, []
-            for member_job, _, _ in promoted:
-                del self._member_of[member_job]
-            self._stats.replay_fallbacks += len(promoted)
-            self._reweighed(fold)
-            return promoted
-
-
-class TeeChannel:
-    """Producer-side channel wrapper that records chunks for replay.
-
-    Wraps a fold leader's :class:`~repro.runtime.channel.ResultChannel`:
-    the engine writes through the same producer API (``put_rows`` /
-    ``put_final``) and every chunk is both forwarded to the leader and
-    appended to the fold's bounded replay buffer.  On overflow the
-    buffer is dropped and the recorded callback re-admits the attached
-    members as fresh unshared executions.
-
-    Only the recording put path and ``closed`` are the tee's own;
-    everything else is the leader channel's, which consumers keep
-    reading.
-    """
-
-    def __init__(self, inner, fold: LiveFold, bound: int, on_overflow) -> None:
-        self.inner = inner
-        self.fold = fold
-        self.bound = bound
-        self._on_overflow = on_overflow
-        self._lock = threading.Lock()
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    @property
-    def closed(self) -> bool:
-        # A detached leader's channel is failed (hence closed), but the
-        # fold still needs every chunk for member replay — the engine's
-        # "echo the terminal chunk unless closed" guard must keep
-        # writing through the tee (the inner put is a silent drop on a
-        # failed channel).  Report closed only once recording is
-        # pointless too.
-        return self.inner.closed and self.fold.overflowed
-
-    def put(self, kind: str, payload: object, rows: int) -> None:
-        self.inner.put(kind, payload, rows)
-        overflow = None
-        with self._lock:
-            fold = self.fold
-            if not fold.overflowed:
-                fold.replay.append((kind, payload, rows))
-                if len(fold.replay) > self.bound:
-                    fold.overflowed = True
-                    fold.replay.clear()
-                    overflow = fold
-        if overflow is not None:
-            self._on_overflow(overflow)
-
-    def put_rows(self, payload: object, rows: int) -> None:
-        self.put("rows", payload, rows)
-
-    def put_final(self, payload: object, rows: int = 0) -> None:
-        self.put("final", payload, rows)

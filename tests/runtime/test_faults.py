@@ -553,6 +553,26 @@ class TestThreadedFaults:
             server.shutdown()
 
 
+@pytest.mark.parametrize("backend", ["simulated", "threaded"])
+def test_the_wrapper_forgets_a_channel_once_armed(db, backend):
+    # A threaded server's wrapper lives as long as the server: it keeps a
+    # query's channel only until the query's first morsel arms it.
+    server = make_server(db, backend=backend)
+    server.install_faults(operator_fault("Q18", morsel=2))
+    try:
+        for name in ("Q6", "Q1", "QS"):
+            server.submit(name)
+        server.drain()
+    finally:
+        server.shutdown()
+    if backend == "threaded":
+        wrapper = server.backend._environment
+    else:
+        wrapper = server.backend.last_environment
+    assert isinstance(wrapper, FaultyEnvironment)
+    assert wrapper._channels == {}
+
+
 class TestProcessFaults:
     def test_operator_fault_isolated_across_the_pipe(self, db):
         server = make_server(db, backend="process")

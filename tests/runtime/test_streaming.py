@@ -396,9 +396,10 @@ def test_a_live_read_and_a_lifted_bound_never_interleave(reader_first):
         "q", 1.0, pipelines=(PipelineSpec(name="q-p0", tuples=1000, tuples_per_second=1e6),)
     )
     handle = backend.submit(spec)  # never started: no worker touches it
-    chunks = [(ROWS, {"x": np.array([float(value)])}, 1) for value in range(3)]
     with backend._done:
-        backend._settle(int(handle), backend._synthetic_record(spec, 0.0, 0.0), chunks=chunks)
+        for value in range(3):
+            handle.channel.put(ROWS, {"x": np.array([float(value)])}, 1)
+        backend._settle(int(handle), backend._synthetic_record(spec, 0.0, 0.0))
     reads = iter(handle)
     seen = [next(reads)] if reader_first else []
     backend.wait(handle)  # lifts the bound

@@ -38,7 +38,8 @@ def plan_folds(backend, pending, finished, attach_buffer):
             chunks = cache.get(fp)
             if chunks is not MISS:
                 record = backend._synthetic_record(spec, arrival, arrival)
-                finished.append(backend._settle(job_id, record, chunks=chunks))
+                backend._channels[job_id]._open(chunks)
+                finished.append(backend._settle(job_id, record))
                 continue
         index = leader_of.get(fp)
         if index is None:

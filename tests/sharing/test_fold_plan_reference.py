@@ -67,7 +67,7 @@ def test_coordinator_plan_equals_the_reference(submitted, attach_buffer):
     assert run == ref_run
     folds = {}
     for _, _, job_id in run:
-        fold = ours._folds.led_by(job_id)
+        fold = ours._folds._led.get(job_id)
         if fold is not None:
             folds[job_id] = (fold.fingerprint, fold.members)
     assert folds == ref_folds

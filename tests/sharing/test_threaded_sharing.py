@@ -3,18 +3,21 @@
 Queries are submitted *before* ``start()`` so the attach decisions are
 deterministic — no workers run until the fold membership is settled.
 What happens after start exercises the genuinely concurrent machinery:
-the tee channel records the leader's chunks, members replay them at
-completion, and detaching one query never kills the shared execution.
+members read the leader's one chunk list as it grows, detaching one
+query never kills the shared execution, and a leader read live before
+anyone attached takes no more members.
 """
 
 import sys
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.engine import build_engine_query, generate_tpch
-from repro.errors import QueryCancelledError
+from repro.errors import QueryCancelledError, ReproError
+from repro.runtime.faults import CONSUMER_GONE, FaultPlan, FaultSpec
 from repro.server import AnalyticsServer
 from repro.sharing import FoldCoordinator, SharingStats
 
@@ -56,7 +59,7 @@ class TestLiveFolds:
         expected = build_engine_query("Q6", db).execute()
         assert server.result(leader) == pytest.approx(expected)
         for member in members:
-            # Members replay the leader's chunks: equality is exact,
+            # Members read the leader's chunks: equality is exact,
             # not approximate.
             assert server.result(member) == server.result(leader)
             record = server.record(member)
@@ -126,26 +129,32 @@ class TestLiveFolds:
         assert server.sharing_stats.as_dict()["folds"] == 0
 
 
-class TestReplayOverflow:
-    def test_overflow_re_admits_the_member_unshared(self):
-        # Fixed 500-tuple morsels make QS at SF 0.005 stream 60 chunks,
-        # so a one-chunk replay buffer always overflows: the member
-        # falls back to its own execution with the leader's result.
+def fixed_qs(server):
+    """QS with fixed 500-tuple morsels: 60 chunks at SF 0.005."""
+    spec = server.query_spec("QS")
+    return replace(
+        spec,
+        pipelines=tuple(
+            replace(p, supports_adaptive=False, fixed_morsel_tuples=500)
+            for p in spec.pipelines
+        ),
+    )
+
+
+def assert_same_rows(rows, expected):
+    assert rows.keys() == expected.keys()
+    for name, column in expected.items():
+        assert (rows[name] == column).all()
+
+
+class TestOneChunkList:
+    def test_a_fold_past_the_attach_buffer_is_served(self):
+        # 60 chunks against the default sharing_attach_buffer of 16: the
+        # member reads the leader's list, whatever its length.
         server = AnalyticsServer(
-            scale_factor=0.005,
-            backend="threaded",
-            n_workers=2,
-            sharing=True,
-            sharing_attach_buffer=1,
+            scale_factor=0.005, backend="threaded", n_workers=2, sharing=True
         )
-        spec = server.query_spec("QS")
-        spec = replace(
-            spec,
-            pipelines=tuple(
-                replace(p, supports_adaptive=False, fixed_morsel_tuples=500)
-                for p in spec.pipelines
-            ),
-        )
+        spec = fixed_qs(server)
         try:
             leader = server.submit_spec(spec)
             member = server.submit_spec(spec)
@@ -153,12 +162,66 @@ class TestReplayOverflow:
         finally:
             server.shutdown()
         stats = server.sharing_stats.as_dict()
-        assert (stats["attached_queries"], stats["replay_fallbacks"]) == (1, 1)
-        assert server.record(member).cpu_seconds > 0.0
-        rows = server.result(member)
-        assert server.result(leader).keys() == rows.keys()
-        for name, column in server.result(leader).items():
-            assert (column == rows[name]).all()
+        assert (stats["attached_queries"], stats["replay_fallbacks"]) == (1, 0)
+        assert leader.progress()["chunks_put"] == 60
+        assert server.record(member).cpu_seconds == 0.0
+        assert_same_rows(server.result(member), server.result(leader))
+
+    def test_an_arrival_after_a_live_read_leads_a_fresh_fold(self):
+        # The leader's first live read drops a chunk, so its list is no
+        # longer whole and the same spec submitted next leads its own
+        # fold.  The read returns a chunk before the submit, and a
+        # two-chunk channel keeps the leader from finishing meanwhile:
+        # no clock decides anything here.  The second stream is kept at
+        # once, so its producer never parks a worker the leader needs.
+        server = AnalyticsServer(
+            scale_factor=0.005, backend="threaded", n_workers=2, sharing=True
+        )
+        server.backend.channel_capacity = 2
+        spec = fixed_qs(server)
+        server.start()
+        try:
+            leader = server.submit_spec(spec)
+            reads = iter(leader)
+            parts = [next(reads)]
+            second = server.submit_spec(spec)
+            second.channel.keep()
+            parts.extend(reads)
+            server.drain()
+        finally:
+            server.shutdown()
+        assert server.sharing_stats.as_dict()["attached_queries"] == 0
+        assert server.record(second).cpu_seconds > 0.0
+        streamed = {
+            name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]
+        }
+        expected = server.result(second)
+        assert len(next(iter(expected.values()))) > 0
+        assert_same_rows(streamed, expected)
+
+    def test_a_leader_whose_consumer_left_still_serves_its_member(self):
+        server = AnalyticsServer(
+            scale_factor=0.005, backend="threaded", n_workers=2, sharing=True
+        )
+        server.install_faults(
+            FaultPlan(faults=(FaultSpec(kind=CONSUMER_GONE, query="QS", after_chunks=1),))
+        )
+        spec = fixed_qs(server)
+        try:
+            leader = server.submit_spec(spec)
+            member = server.submit_spec(spec)
+            server.drain()
+        finally:
+            server.shutdown()
+        assert server.sharing_stats.as_dict()["attached_queries"] == 1
+        assert leader.channel.failed
+        with pytest.raises(ReproError):
+            leader.fetch()
+        assert leader.progress()["chunks_put"] == 60
+        assert server.record(member).cpu_seconds == 0.0
+        expected = build_engine_query("QS", server.database).execute()
+        assert_same_rows(server.result(member), expected)
 
 
 class TestCoordinatorUnderThreads:
@@ -177,7 +240,7 @@ class TestCoordinatorUnderThreads:
                 job = worker * 1000 + i
                 spec = specs[i % 3]
                 if not folds.offer(job, spec, 0.0, spec.name):
-                    outcomes[job] = "lead" if folds.led_by(job) else "alone"
+                    outcomes[job] = "lead" if job in folds._led else "alone"
                     if i % 5 == 0:
                         folds.detach_leader(job)
                 elif i % 4 == 0:
@@ -218,6 +281,8 @@ class TestFoldReplayNeverParks:
     into each member through a *blocking* ``put`` before publishing the
     leader's record, so a result longer than the member's channel hung
     the leader (and a waited-on member never drained its leader's channel).
+    Members now read the leader's list, which nothing but the leader's
+    own live reader bounds.
     """
 
     WAIT = 20.0  # a hang fails here; a healthy run takes milliseconds
@@ -230,14 +295,10 @@ class TestFoldReplayNeverParks:
             backend="threaded",
             n_workers=2,
             sharing=True,
-            # The chunk count follows measured morsel times.  Pinned: a
-            # two-chunk channel and a replay buffer no result outgrows,
-            # so the fold always replays more than a channel holds.
-            # Default options: the fold may instead overflow and
-            # re-admit the member, which must complete just the same.
-            **({"sharing_attach_buffer": 1024} if pinned else {}),
         )
         if pinned:
+            # The chunk count follows measured morsel times; a two-chunk
+            # channel makes the result always longer than it.
             server.backend.channel_capacity = 2
         try:
             leader = server.submit("QS")
@@ -259,17 +320,14 @@ class TestFoldReplayNeverParks:
                 assert not any(waiter.is_alive() for waiter in waiters)
             else:
                 server.wait(order[0], timeout=self.WAIT)
-                if not pinned:
-                    server.wait(order[1], timeout=self.WAIT)
-            # Pinned, the fold cannot overflow: leader and member
-            # publish together, so the other is readable right away.
+            # Leader and member publish together, so the other is
+            # readable right away.
             rows = server.result(order[1])
             assert server.result(order[0]).keys() == rows.keys()
             for name, column in server.result(order[0]).items():
                 assert (column == rows[name]).all()
             assert len(next(iter(rows.values()))) > 0
-            if pinned:
-                assert server.sharing_stats.as_dict()["replay_fallbacks"] == 0
-                assert server.record(member).cpu_seconds == 0.0
+            assert server.sharing_stats.as_dict()["replay_fallbacks"] == 0
+            assert server.record(member).cpu_seconds == 0.0
         finally:
             server.shutdown()
